@@ -44,7 +44,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import __version__
 from .birman_schwinger import (
@@ -82,6 +81,7 @@ from .resolvents import (
     two_weight_difference,
 )
 from .spectra import (
+    FLOOR_FACTOR,
     fit_power_law,
     kyfan_check,
     log_periodic_residual,
@@ -314,28 +314,30 @@ def _build_weight(spec, measure, rng, base_dir):
 # ---------------------------------------------------------------- tasks
 
 
-def _export_report(report, out_dir, analysis, default_floor=None):
-    """Write the spectrum artifacts of a ResolventReport; return summary.
+def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
+    """Write a task's spectrum artifacts; return (summary, outputs, spectrum).
 
-    ``default_floor`` anchors the noise floor to the scale of the
-    unperturbed inverse (1/t for the Neumann matrix at constant
-    coefficients) instead of the difference's own norm, so a difference
-    that is pure rounding noise yields an empty spectrum rather than a
-    fit to noise. An explicit ``analysis.floor`` wins.
+    ``terms`` maps labels to the descending singular values of expansion
+    terms, each written as ``singulars_<label>.csv``. ``default_floor`` is
+    the task's noise floor: the resolvent tasks anchor it to the scale of
+    the unperturbed inverse (1/t^m at constant coefficients), so a
+    difference that is pure rounding noise yields an empty spectrum rather
+    than a fit to noise; ``None`` keeps the norm-relative floor of
+    :func:`spectrum`. ``analysis`` acts the same for every task: an
+    explicit floor wins, an explicit window or head_drop refits. The caller
+    adds its own summary keys and ``_execute`` writes ``summary.json``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     floor = analysis.get("floor")
-    if floor is None:
-        floor = default_floor
-    sp_rep = spectrum(report.difference, floor=floor)
-    outputs = {}
-    outputs["singulars"] = str(
-        write_singular_values(sp_rep.singulars, out_dir / "singulars.csv"))
-    outputs["counting"] = str(
-        write_counting(sp_rep.counting, out_dir / "counting.csv"))
-    for label in report.terms:
+    sp_rep = spectrum(mat, floor=default_floor if floor is None else floor)
+    outputs = {
+        "singulars": str(write_singular_values(
+            sp_rep.singulars, out_dir / "singulars.csv")),
+        "counting": str(write_counting(sp_rep.counting, out_dir / "counting.csv")),
+    }
+    for label, values in (terms or {}).items():
         outputs[f"singulars_{label}"] = str(write_singular_values(
-            report.singular_values(label), out_dir / f"singulars_{label}.csv"))
+            values, out_dir / f"singulars_{label}.csv"))
     # explicit analysis requests are strict: a fit that cannot be produced
     # on the requested window is a numerical failure, not a silent skip
     window = analysis.get("window")
@@ -349,26 +351,31 @@ def _export_report(report, out_dir, analysis, default_floor=None):
     else:
         fit = sp_rep.fit
     summary = {
-        "residual": report.residual,
         "fit": fit_to_dict(fit),
         "floor": sp_rep.floor,
         "values_kept": int(sp_rep.singulars.size),
     }
-    write_json(summary, out_dir / "summary.json")
-    outputs["summary"] = str(out_dir / "summary.json")
-    return summary, outputs
+    return summary, outputs, sp_rep
 
 
 def _inverse_scale_floor(ctx, power=1):
-    from .spectra import FLOOR_FACTOR
     return FLOOR_FACTOR / ctx["coeffs"].t ** power
+
+
+def _write_report(rep, out_dir, ctx, power=1):
+    # the difference of a ResolventReport, its term spectra and its residual
+    terms = {label: rep.singular_values(label) for label in rep.terms}
+    summary, outputs, _ = _write_spectrum(
+        rep.difference, out_dir, ctx["analysis"],
+        _inverse_scale_floor(ctx, power), terms)
+    summary["residual"] = rep.residual
+    return summary, outputs
 
 
 def _task_resolvent_diff(ctx, entry, out_dir):
     t_op = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
     rep = resolvent_difference(ctx["a"], t_op, ctx["margin"])
-    summary, outputs = _export_report(rep, out_dir, ctx["analysis"],
-                                      _inverse_scale_floor(ctx))
+    summary, outputs = _write_report(rep, out_dir, ctx)
     summary["margin"] = None if np.all(ctx["V1"].values >= 0) \
         else positivity_margin(t_op)
     return summary, outputs
@@ -376,37 +383,30 @@ def _task_resolvent_diff(ctx, entry, out_dir):
 
 def _task_two_weight_diff(ctx, entry, out_dir):
     if ctx["V2"] is None:
-        raise ValidationError("two_weight_diff needs weights.V2")
+        raise ValidationError(f"{entry['name']} needs weights.V2")
     t1 = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
     t2 = bs_operator(ctx["a"], ctx["gamma"], ctx["V2"])
     rep = two_weight_difference(ctx["a"], t1, t2, ctx["margin"])
-    return _export_report(rep, out_dir, ctx["analysis"],
-                          _inverse_scale_floor(ctx))
+    return _write_report(rep, out_dir, ctx)
 
 
 def _task_power_diff(ctx, entry, out_dir):
     m = int(entry.get("m", 2))
     t_op = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
     rep = power_difference(ctx["a"], t_op, m, ctx["margin"])
-    summary, outputs = _export_report(rep, out_dir, ctx["analysis"],
-                                      _inverse_scale_floor(ctx, power=m))
+    summary, outputs = _write_report(rep, out_dir, ctx, power=m)
     summary["m"] = m
     return summary, outputs
 
 
 def _task_krein_feller(ctx, entry, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
     v1 = ctx["V1"]
     if np.all(v1.values >= 0):
         mat = bs_atom_gram(ctx["a"], ctx["gamma"], v1)
     else:
         mat = bs_operator(ctx["a"], ctx["gamma"], v1).matrix
-    sp_rep = spectrum(mat, floor=ctx["analysis"].get("floor"))
-    outputs = {
-        "singulars": str(write_singular_values(
-            sp_rep.singulars, out_dir / "singulars.csv")),
-        "counting": str(write_counting(sp_rep.counting, out_dir / "counting.csv")),
-    }
+    summary, outputs, sp_rep = _write_spectrum(mat, out_dir, ctx["analysis"],
+                                               None)
     counting_fit = None
     log_periodic = None
     if sp_rep.counting.shape[0] >= 30:
@@ -418,20 +418,12 @@ def _task_krein_feller(ctx, entry, out_dir):
             log_periodic = {"period": lp.period, "maxmin_ratio": lp.maxmin_ratio}
         except NumericalError:
             pass
-    summary = {
-        "fit": fit_to_dict(sp_rep.fit),
-        "counting_fit": fit_to_dict(counting_fit),
-        "log_periodic": log_periodic,
-        "floor": sp_rep.floor,
-        "values_kept": int(sp_rep.singulars.size),
-    }
-    write_json(summary, out_dir / "summary.json")
-    outputs["summary"] = str(out_dir / "summary.json")
+    summary["counting_fit"] = fit_to_dict(counting_fit)
+    summary["log_periodic"] = log_periodic
     return summary, outputs
 
 
 def _task_robin_diff(ctx, entry, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
     if ctx["V2"] is None:
         raise ValidationError("robin_diff needs weights.V2")
     a1 = assemble_robin(ctx["grid"], ctx["coeffs"], ctx["V1"])
@@ -440,47 +432,29 @@ def _task_robin_diff(ctx, entry, out_dir):
     inv1 = a1.solve(eye)
     inv2 = a2.solve(eye)
     diff = 0.5 * ((inv1 - inv2) + (inv1 - inv2).T)
-    floor = ctx["analysis"].get("floor")
-    if floor is None:
-        floor = _inverse_scale_floor(ctx)
-    sp_rep = spectrum(diff, floor=floor)
-    outputs = {
-        "singulars": str(write_singular_values(
-            sp_rep.singulars, out_dir / "singulars.csv")),
-        "counting": str(write_counting(sp_rep.counting, out_dir / "counting.csv")),
-    }
-    summary = {
-        "fit": fit_to_dict(sp_rep.fit),
-        "floor": sp_rep.floor,
-        "values_kept": int(sp_rep.singulars.size),
-    }
-    write_json(summary, out_dir / "summary.json")
-    outputs["summary"] = str(out_dir / "summary.json")
+    summary, outputs, _ = _write_spectrum(diff, out_dir, ctx["analysis"],
+                                          _inverse_scale_floor(ctx))
     return summary, outputs
 
 
 def _task_weyl_check(ctx, entry, out_dir):
-    if ctx["V2"] is None:
-        raise ValidationError("weyl_check needs weights.V2")
+    summary, outputs = _task_two_weight_diff(ctx, entry, out_dir)
     m = ctx["measure"]
-    n_dim = m.ambient_dim
     d = m.nominal_dim
-    theta = d / (d - n_dim + 4.0)
-    t1 = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
-    t2 = bs_operator(ctx["a"], ctx["gamma"], ctx["V2"])
-    rep = two_weight_difference(ctx["a"], t1, t2, ctx["margin"])
-    summary, outputs = _export_report(rep, out_dir, ctx["analysis"],
-                                      _inverse_scale_floor(ctx))
-    pred = weyl_prediction(m, ctx["V1"], ctx["V2"], theta)
+    theta = d / (d - m.ambient_dim + 4.0)
+    # the fit is over singular values, which count both signs of V1 - V2
+    sides = [weyl_prediction(m, ctx["V1"], ctx["V2"], theta, side=side)
+             for side in "+-"]
+    coeff = {key: sides[0].coefficient_both[key] + sides[1].coefficient_both[key]
+             for key in sides[0].coefficient_both}
     summary["theta_predicted"] = theta
-    summary["weyl_coefficient"] = pred.coefficient_both
+    summary["weyl_coefficient"] = coeff
     fit = summary["fit"]
     if fit is not None:
         summary["coeff_ratio"] = {
             key: fit["coeff"] / val if val else None
-            for key, val in pred.coefficient_both.items()
+            for key, val in coeff.items()
         }
-    write_json(summary, out_dir / "summary.json")
     return summary, outputs
 
 
@@ -542,7 +516,9 @@ def _execute(cfg, out_dir, t_value, base_dir):
         name = entry["name"]
         counts[name] = counts.get(name, 0) + 1
         dir_name = name if counts[name] == 1 else f"{name}_{counts[name]}"
-        summary, outputs = _TASK_FNS[name](ctx, entry, out_dir / dir_name)
+        task_dir = out_dir / dir_name
+        summary, outputs = _TASK_FNS[name](ctx, entry, task_dir)
+        outputs["summary"] = str(write_json(summary, task_dir / "summary.json"))
         task_entries.append({
             "name": name,
             "params": {k: v for k, v in entry.items() if k != "name"},

@@ -96,14 +96,33 @@ def _check_half(t_op: BSOperator) -> None:
         )
 
 
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.T)
+
+
+def _identity_setup(a: OperatorMatrix, threshold: float, *t_ops: BSOperator
+                    ) -> tuple[np.ndarray, list]:
+    """Shared start of every identity path.
+
+    Checks that each T is the l = 1/2 sandwich with a positivity margin
+    above ``threshold``; returns A^(-1/2) and the Cholesky factor of each
+    1 + T.
+    """
+    for t_op in t_ops:
+        _check_half(t_op)
+        _require_margin(t_op, threshold)
+    chos = [sla.cho_factor(np.eye(t_op.size) + t_op.matrix, lower=True)
+            for t_op in t_ops]
+    return inverse_power(a, 0.5), chos
+
+
 def _direct_inverse(a: OperatorMatrix, t_op: BSOperator) -> np.ndarray:
     mat = a.matrix + t_op.coupling_dense()
     try:
         cho = sla.cho_factor(mat, lower=True)
     except np.linalg.LinAlgError as exc:
         raise PositivityError("assembled A + C is not positive definite") from exc
-    inv = sla.cho_solve(cho, np.eye(a.size))
-    return 0.5 * (inv + inv.T)
+    return _sym(sla.cho_solve(cho, np.eye(a.size)))
 
 
 def perturbed_inverse(
@@ -112,13 +131,8 @@ def perturbed_inverse(
     margin_threshold: float = MARGIN_DEFAULT,
 ) -> np.ndarray:
     """Evaluate (A + C)^(-1) as ``A^(-1/2) (1 + T)^(-1) A^(-1/2)``."""
-    _check_half(t_op)
-    _require_margin(t_op, margin_threshold)
-    a_half = inverse_power(a, 0.5)
-    s = np.eye(t_op.size) + t_op.matrix
-    cho = sla.cho_factor(s, lower=True)
-    out = a_half @ sla.cho_solve(cho, a_half)
-    return 0.5 * (out + out.T)
+    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
+    return _sym(a_half @ sla.cho_solve(cho, a_half))
 
 
 def resolvent_difference(
@@ -134,22 +148,17 @@ def resolvent_difference(
     path inverts the assembled matrix. Nonnegative V makes the difference
     positive semidefinite.
     """
-    _check_half(t_op)
-    _require_margin(t_op, margin_threshold)
-    a_half = inverse_power(a, 0.5)
+    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
     tt = t_op.matrix
-    s = np.eye(t_op.size) + tt
-    cho = sla.cho_factor(s, lower=True)
     r1 = a_half @ tt @ a_half
-    core = tt @ sla.cho_solve(cho, tt)
-    r2 = a_half @ (0.5 * (core + core.T)) @ a_half
+    r2 = a_half @ _sym(tt @ sla.cho_solve(cho, tt)) @ a_half
     b_inv = inverse_power(a, 1.0)
     direct = b_inv - _direct_inverse(a, t_op)
     residual = _relative_residual(r1 - r2, direct,
                                   ambient=float(np.linalg.norm(b_inv)))
     return ResolventReport(
         difference=direct,
-        terms={"R1": 0.5 * (r1 + r1.T), "R2": -0.5 * (r2 + r2.T)},
+        terms={"R1": _sym(r1), "R2": -_sym(r2)},
         residual=residual,
     )
 
@@ -169,20 +178,13 @@ def two_weight_difference(
     positive semidefinite, and T2 = 0 reduces it to
     :func:`resolvent_difference` of T1 exactly.
     """
-    _check_half(t1)
-    _check_half(t2)
-    _require_margin(t1, margin_threshold)
-    _require_margin(t2, margin_threshold)
-    a_half = inverse_power(a, 0.5)
+    a_half, chos = _identity_setup(a, margin_threshold, t1, t2)
     main = a_half @ (t1.matrix - t2.matrix) @ a_half
     zs = []
-    for t_op in (t1, t2):
+    for t_op, cho in zip((t1, t2), chos):
         tt = t_op.matrix
-        s = np.eye(t_op.size) + tt
-        cho = sla.cho_factor(s, lower=True)
         core = tt @ sla.cho_solve(cho, tt)
-        z = a_half @ (0.5 * (core + core.T)) @ a_half
-        zs.append(0.5 * (z + z.T))
+        zs.append(_sym(a_half @ _sym(core) @ a_half))
     d2 = _direct_inverse(a, t2)
     d1 = _direct_inverse(a, t1)
     direct = d2 - d1
@@ -191,7 +193,7 @@ def two_weight_difference(
     residual = _relative_residual(expansion, direct, ambient=ambient)
     return ResolventReport(
         difference=direct,
-        terms={"main": 0.5 * (main + main.T), "Z1": -zs[0], "Z2": zs[1]},
+        terms={"main": _sym(main), "Z1": -zs[0], "Z2": zs[1]},
         residual=residual,
     )
 
@@ -216,21 +218,13 @@ def power_difference(
     rather than by enumerating the remaining words. The direct path takes
     the m-th matrix power of the dense inverse of A + C.
     """
-    _check_half(t_op)
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    _require_margin(t_op, margin_threshold)
-
-    a_half = inverse_power(a, 0.5)
-    tt = t_op.matrix
-    s = np.eye(t_op.size) + tt
-    cho = sla.cho_factor(s, lower=True)
-    w = a_half @ tt @ a_half
-    w = 0.5 * (w + w.T)
-    p_id = a_half @ sla.cho_solve(cho, a_half)
-    p_id = 0.5 * (p_id + p_id.T)
-    del s, cho
+    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
+    w = _sym(a_half @ t_op.matrix @ a_half)
+    p_id = _sym(a_half @ sla.cho_solve(cho, a_half))
+    del cho
 
     b = inverse_power(a, 1.0)
     b_pow = [None, b]  # index = power; B^0 matmuls are skipped
@@ -272,9 +266,8 @@ def power_difference(
     del dm, bm
 
     residual = _relative_residual(d_id, direct, ambient=ambient)
-    sym = lambda x: 0.5 * (x + x.T)
     return ResolventReport(
-        difference=sym(direct),
-        terms={"H2": sym(h2), "H3": sym(h3), "H4": sym(h4)},
+        difference=_sym(direct),
+        terms={"H2": _sym(h2), "H3": _sym(h3), "H4": _sym(h4)},
         residual=residual,
     )

@@ -162,10 +162,9 @@ def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
 
     if sing.size:
         grid = _counting_grid(sing)
-        n_p = np.array([np.count_nonzero(pos > lam) for lam in grid])
-        n_m = np.array([np.count_nonzero(neg > lam) for lam in grid])
-        n_s = np.array([np.count_nonzero(sing > lam) for lam in grid])
-        counting = np.column_stack([grid, n_p, n_m, n_s])
+        # each list is descending: the count above lam is a search position
+        counting = np.column_stack(
+            [grid] + [np.searchsorted(-v, -grid) for v in (pos, neg, sing)])
     else:
         counting = np.zeros((0, 4))
 
@@ -262,27 +261,17 @@ def fit_power_law(
                        window=(lo + 1, hi), r_squared=r2, kind="counting")
 
 
-def _singular_counting(mat: np.ndarray, lam: float) -> int:
+def _ascending_singulars(mat: np.ndarray) -> np.ndarray:
+    scale = np.abs(mat).max()
+    if scale > 0 and np.abs(mat - mat.T).max() <= 1e-12 * scale:
+        return np.sort(np.abs(sla.eigvalsh(mat)))
+    return np.sort(sla.svdvals(mat))
+
+
+def _count_above(ascending: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # strict comparison with a hair of slack so exact ties never overcount
-    sv = _cached_singulars(mat)
-    return int(np.count_nonzero(sv > lam * (1.0 + 1e-12)))
-
-
-_SV_CACHE: dict[int, np.ndarray] = {}
-
-
-def _cached_singulars(mat: np.ndarray) -> np.ndarray:
-    key = id(mat)
-    got = _SV_CACHE.get(key)
-    if got is None:
-        scale = np.abs(mat).max()
-        if scale > 0 and np.abs(mat - mat.T).max() <= 1e-12 * scale:
-            got = np.abs(sla.eigvalsh(mat))
-        else:
-            got = sla.svdvals(mat)
-        got = np.sort(got)[::-1]
-        _SV_CACHE[key] = got
-    return got
+    return ascending.size - np.searchsorted(ascending, lam * (1.0 + 1e-12),
+                                            side="right")
 
 
 def kyfan_check(
@@ -317,28 +306,21 @@ def kyfan_check(
     checks = 0
     worst = np.inf
     for m1, m2 in pairs:
-        s1 = _cached_singulars(m1)
-        s2 = _cached_singulars(m2)
+        s1 = _ascending_singulars(m1)
+        s2 = _ascending_singulars(m2)
         if s1.max(initial=0.0) == 0 or s2.max(initial=0.0) == 0:
             continue  # zero factor: bounds hold trivially
-        msum = m1 + m2
-        mprod = m1 @ m2
-        lam1 = _counting_grid(s1[s1 > 0], grid_points)
-        lam2 = _counting_grid(s2[s2 > 0], grid_points)
-        for l1 in lam1:
-            n1 = _singular_counting(m1, l1)
-            for l2 in lam2:
-                n2 = _singular_counting(m2, l2)
-                bound = n1 + n2
-                n_sum = _singular_counting(msum, l1 + l2)
-                n_prod = _singular_counting(mprod, l1 * l2)
-                checks += 2
-                worst = min(worst, bound - n_sum, bound - n_prod)
-                if n_sum > bound:
-                    violations += 1
-                if n_prod > bound:
-                    violations += 1
-        _SV_CACHE.clear()
+        s_sum = _ascending_singulars(m1 + m2)
+        s_prod = _ascending_singulars(m1 @ m2)
+        lam1 = _counting_grid(s1[s1 > 0], grid_points)[:, None]
+        lam2 = _counting_grid(s2[s2 > 0], grid_points)[None, :]
+        bound = _count_above(s1, lam1) + _count_above(s2, lam2)
+        n_sum = _count_above(s_sum, lam1 + lam2)
+        n_prod = _count_above(s_prod, lam1 * lam2)
+        checks += 2 * bound.size
+        worst = min(worst, (bound - n_sum).min(), (bound - n_prod).min())
+        violations += int(np.count_nonzero(n_sum > bound)
+                          + np.count_nonzero(n_prod > bound))
     return KyFanReport(violations=violations, checks=checks,
                        worst_gap=float(worst))
 
@@ -374,7 +356,7 @@ def log_periodic_residual(
     span = x.max() - x.min()
     periods = np.linspace(span / 10.0, span, 400)
     freqs = 2.0 * np.pi / periods
-    power = scipy.signal.lombscargle(x, resid, freqs, precenter=True)
+    power = scipy.signal.lombscargle(x, resid - resid.mean(), freqs)
     period = float(periods[int(np.argmax(power))])
 
     mid = 0.5 * (x.max() + x.min())

@@ -1,6 +1,7 @@
 """End-to-end checks of the config runner: exit codes, manifests, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import deltaspec
-from deltaspec.cli import _set_axis, config_hash, main
+from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
 from deltaspec.errors import ValidationError
 from deltaspec.io import write_measure
 from deltaspec.measures import segment_measure
@@ -33,10 +34,30 @@ def base_config(**overrides):
     return cfg
 
 
+def box_config(**overrides):
+    # a 12 x 12 box with its boundary measure, on which every task runs
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [12, 12]},
+        measure={"kind": "boundary"},
+        weights={"V1": {"kind": "constant", "value": 2.0},
+                 "V2": {"kind": "constant", "value": 1.0}},
+    )
+    cfg.update(overrides)
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def run_manifest(tmp_path, cfg, name="cfg.json"):
+    path = write_config(tmp_path, cfg, name)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    run_dir = out / config_hash(cfg)
+    return json.loads((run_dir / "manifest.json").read_text()), run_dir
 
 
 def test_run_writes_manifest_and_artifacts(tmp_path, capsys):
@@ -151,6 +172,59 @@ def test_zero_weight_yields_null_fit(tmp_path):
     assert summary["fit"] is None
     assert summary["values_kept"] == 0
     assert summary["residual"] <= 1e-12
+
+
+def test_summary_on_disk_equals_manifest_for_every_task(tmp_path):
+    manifest, run_dir = run_manifest(tmp_path, box_config(tasks=list(TASK_NAMES)))
+    assert [entry["name"] for entry in manifest["tasks"]] == list(TASK_NAMES)
+    for entry in manifest["tasks"]:
+        on_disk = json.loads((run_dir / entry["outputs"]["summary"]).read_text())
+        assert on_disk == entry["summary"], entry["name"]
+    summaries = {entry["name"]: entry["summary"] for entry in manifest["tasks"]}
+    assert summaries["resolvent_diff"]["margin"] is None  # nonnegative V1
+    assert summaries["power_diff"]["m"] == 2
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_explicit_window_is_the_fitted_window(tmp_path, task):
+    cfg = box_config(tasks=[task], analysis={"window": [5, 25]})
+    manifest, _ = run_manifest(tmp_path, cfg)
+    assert manifest["tasks"][0]["summary"]["fit"]["window"] == [5, 25]
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_out_of_range_window_exits_2(tmp_path, capsys, task):
+    cfg = box_config(tasks=[task], analysis={"window": [5, 100000]})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_weyl_check_predicts_from_both_signs(tmp_path):
+    # singular values count both signs of V1 - V2, so swapping the weights
+    # changes neither the fit nor the prediction; for a gap of 1 on a
+    # segment of length 1.4 the Laplacian prediction is 1.4 (1/4)^theta / pi
+    summaries = []
+    for v1, v2 in ((2.0, 1.0), (1.0, 2.0)):
+        cfg = base_config(
+            domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [41, 11]},
+            measure={"kind": "segment", "start": [0.1, 0.2],
+                     "end": [1.5, 0.2], "count": 48},
+            weights={"V1": {"kind": "constant", "value": v1},
+                     "V2": {"kind": "constant", "value": v2}},
+            tasks=["weyl_check"],
+        )
+        manifest, _ = run_manifest(tmp_path, cfg, name=f"cfg_{v1}.json")
+        summaries.append(manifest["tasks"][0]["summary"])
+    first, swapped = summaries
+    theta = first["theta_predicted"]
+    assert theta == pytest.approx(1.0 / 3.0)
+    assert first["weyl_coefficient"] == swapped["weyl_coefficient"]
+    assert first["weyl_coefficient"]["without"] == pytest.approx(
+        1.4 * 0.25 ** theta / math.pi, rel=1e-9)
+    for key, ratio in first["coeff_ratio"].items():
+        assert ratio is not None
+        assert swapped["coeff_ratio"][key] == pytest.approx(ratio, rel=1e-6)
 
 
 def test_file_weight_resolves_relative_to_config(tmp_path):

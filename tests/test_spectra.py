@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from deltaspec import (
     NumericalError,
@@ -103,6 +104,19 @@ def test_spectrum_nonsymmetric_routes_to_svd():
     assert np.allclose(np.sort(rep.singulars), np.sort(np.linalg.svd(k)[1]))
 
 
+def test_counting_matches_loop_reference():
+    # the counting columns equal direct counts, exact ties included (the
+    # ends of the lambda grid sit on singular values)
+    rng = np.random.Generator(np.random.Philox(5))
+    b = rng.standard_normal((12, 12))
+    for k in (b + b.T, b, np.diag([2.0, 2.0, -2.0, 1.0, -1.0, 0.5])):
+        rep = spectrum(k)
+        for col, vals in ((1, rep.positives), (2, rep.negatives),
+                          (3, rep.singulars)):
+            want = [np.count_nonzero(vals > lam) for lam in rep.counting[:, 0]]
+            assert np.array_equal(rep.counting[:, col], want)
+
+
 def test_spectrum_rejects_nonsquare():
     with pytest.raises(ValidationError):
         spectrum(np.ones((3, 4)))
@@ -128,6 +142,52 @@ def test_kyfan_random_pairs_hold():
     assert rep.violations == 0
     assert rep.checks > 0
     assert rep.worst_gap >= 0.0
+
+
+def _kyfan_loop_reference(k1, k2, trials, grid_points, seed):
+    # counts each (l1, l2) pair one at a time, as a direct transcription
+    # of the two inequalities
+    def singulars(mat):
+        scale = np.abs(mat).max()
+        if scale > 0 and np.abs(mat - mat.T).max() <= 1e-12 * scale:
+            return np.abs(sla.eigvalsh(mat))
+        return sla.svdvals(mat)
+
+    def grid(sv):
+        lo, hi = sv[sv > 0].min(), sv.max()
+        return [0.5 * lo] if lo == hi else np.geomspace(lo, hi, grid_points)
+
+    def count(sv, lam):
+        return int(np.count_nonzero(sv > lam * (1.0 + 1e-12)))
+
+    rng = np.random.default_rng(seed)
+    pairs = [(k1, k2)]
+    for _ in range(trials):
+        b1 = rng.standard_normal(k1.shape)
+        b2 = rng.standard_normal(k1.shape)
+        pairs.append((b1 + b1.T, b2 + b2.T))
+    violations, checks, worst = 0, 0, np.inf
+    for m1, m2 in pairs:
+        s1, s2 = singulars(m1), singulars(m2)
+        s_sum, s_prod = singulars(m1 + m2), singulars(m1 @ m2)
+        for l1 in grid(s1):
+            for l2 in grid(s2):
+                bound = count(s1, l1) + count(s2, l2)
+                for n in (count(s_sum, l1 + l2), count(s_prod, l1 * l2)):
+                    checks += 1
+                    worst = min(worst, bound - n)
+                    violations += n > bound
+    return violations, checks, float(worst)
+
+
+def test_kyfan_matches_loop_reference():
+    rng = np.random.Generator(np.random.Philox(43))
+    b1 = rng.standard_normal((10, 10))
+    b2 = rng.standard_normal((10, 10))
+    for k1, k2 in ((b1 + b1.T, b2 + b2.T), (b1, b2), (np.eye(10), np.eye(10))):
+        rep = kyfan_check(k1, k2, trials=3, grid_points=7, seed=2)
+        got = (rep.violations, rep.checks, rep.worst_gap)
+        assert got == _kyfan_loop_reference(k1, k2, 3, 7, 2)
 
 
 def test_kyfan_zero_factor_skipped():
