@@ -20,7 +20,7 @@ from .measures import (
     solve_moran_dimension,
     union_measure,
 )
-from .weights import Perturbation, lp_theta_norm, mollify_weight, split_signs
+from .weights import Perturbation, lp_theta_norm
 from .elliptic import (
     CoefficientField,
     Grid,
@@ -36,7 +36,6 @@ from .birman_schwinger import (
     bs_atom_gram,
     bs_operator,
     positivity_margin,
-    q_operator,
     restriction_matrix,
 )
 from .resolvents import (
@@ -94,17 +93,14 @@ __all__ = [
     "lebesgue_measure",
     "log_periodic_residual",
     "lp_theta_norm",
-    "mollify_weight",
     "perturbed_inverse",
     "positivity_margin",
     "power_difference",
-    "q_operator",
     "resolvent_difference",
     "restriction_matrix",
     "segment_measure",
     "solve_moran_dimension",
     "spectrum",
-    "split_signs",
     "two_weight_difference",
     "union_measure",
     "weyl_density",

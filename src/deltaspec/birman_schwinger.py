@@ -1,15 +1,16 @@
 """Restriction of grid functions to measure atoms and the sandwiched couplings.
 
 ``restriction_matrix`` builds the multilinear interpolation gamma from grid
-nodes to atoms. ``bs_operator`` forms the symmetric sandwich
-``A^(-l) gamma' diag(w V) gamma A^(-l) / h^N``; with l = 1/2 this is the
-operator T whose spectrum decides both the positivity of the perturbed form
-(through ``positivity_margin``, the smallest eigenvalue of 1 + T) and the
-exact inverse identity evaluated in :mod:`deltaspec.resolvents`.
-``q_operator`` exposes the rectangular factor whose squared singular values
-reproduce the sandwich spectrum, and ``bs_atom_gram`` the atom-side Gram
-matrix carrying the same nonzero spectrum at l = 1/2 without any
-eigendecomposition of A.
+nodes to atoms, and ``coupling_matrix`` the coupling
+``C = gamma' D gamma`` with ``D = diag(w V / h^N)`` from ``atom_density``,
+the one place the ``h^N`` mass factor enters. Every perturbation in the
+package is such a coupling; a Robin condition is the coupling of the box
+boundary measure. ``bs_operator`` forms the symmetric sandwich
+``T = A^(-1/2) C A^(-1/2)`` whose spectrum decides both the positivity of
+the perturbed form (through ``positivity_margin``, the smallest eigenvalue
+of 1 + T) and the exact inverse identity evaluated in
+:mod:`deltaspec.resolvents`. ``bs_atom_gram`` is the atom-side Gram matrix
+carrying the same nonzero spectrum without any eigendecomposition of A.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "bs_atom_gram",
     "bs_operator",
     "positivity_margin",
-    "q_operator",
     "restriction_matrix",
 ]
 
@@ -50,23 +50,21 @@ class RestrictionMatrix:
     grid: Grid
     measure: DiscreteMeasure
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
 
 @dataclass(eq=False)
 class BSOperator:
-    """Symmetric sandwich A^(-l) C A^(-l) with C the measure coupling.
+    """Symmetric sandwich T = A^(-1/2) C A^(-1/2) with C the measure coupling.
 
     ``coupling`` keeps the sparse C = gamma' diag(w V) gamma / h^N around for
     the independent direct-inversion paths in :mod:`deltaspec.resolvents`.
     """
 
     matrix: np.ndarray
-    l: float
     coupling: sp.csr_matrix
     perturbation: Perturbation
     grid: Grid
+    # smallest eigenvalue of 1 + T, filled in by the first positivity_margin
+    _margin: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         scale = np.abs(self.matrix).max()
@@ -77,9 +75,6 @@ class BSOperator:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def coupling_dense(self) -> np.ndarray:
-        return self.coupling.toarray()
-
 
 def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
     """Multilinear interpolation rows for each atom of the measure.
@@ -87,7 +82,9 @@ def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
     Atoms must lie inside the grid bbox. Atoms in the half-cell margin
     between the outermost nodes and the box boundary use clamped
     interpolation (constant extension), which keeps every row a partition
-    of unity.
+    of unity. Along each axis an atom within 1e-9 cell widths of a node is
+    snapped onto it, so an atom on a node gets an exact 0/1 row even when
+    its coordinates carry rounding error.
     """
     atoms = m.atoms
     if atoms.shape[1] != grid.ambient_dim:
@@ -107,6 +104,8 @@ def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
     for axis in range(grid.ambient_dim):
         n = grid.shape[axis]
         u = (atoms[:, axis] - grid.bbox[axis, 0]) / h[axis] - 0.5
+        near = np.rint(u)
+        u = np.where(np.abs(u - near) <= 1e-9, near, u)
         i0 = np.clip(np.floor(u).astype(int), 0, n - 2)
         frac = np.clip(u - i0, 0.0, 1.0)
         axis_idx.append(np.column_stack([i0, i0 + 1]))
@@ -134,62 +133,38 @@ def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
     return RestrictionMatrix(matrix=mat, grid=grid, measure=m)
 
 
+def atom_density(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
+    """Diagonal D = w V / h^N of the coupling, one entry per atom."""
+    return p.measure.weights * p.values / g.grid.cell_volume
+
+
 def coupling_matrix(g: RestrictionMatrix, p: Perturbation) -> sp.csr_matrix:
-    """Sparse C = gamma' diag(w V) gamma / h^N (Euclidean convention)."""
+    """Sparse C = gamma' D gamma with D from :func:`atom_density`."""
     if p.measure is not g.measure and p.measure.count != g.measure.count:
         raise ValidationError("perturbation and restriction measures differ")
-    scale = p.measure.weights * p.values / g.grid.cell_volume
-    return (g.matrix.T @ sp.diags(scale) @ g.matrix).tocsr()
+    return (g.matrix.T @ sp.diags(atom_density(g, p)) @ g.matrix).tocsr()
 
 
 def bs_operator(
     a: OperatorMatrix,
     g: RestrictionMatrix,
     p: Perturbation,
-    l: float = 0.5,
 ) -> BSOperator:
-    """Sandwich A^(-l) C A^(-l), the coupling seen from the form domain.
+    """Sandwich T = A^(-1/2) C A^(-1/2), the coupling seen from the form
+    domain.
 
-    ``l`` is a half-integer >= 1/2. Algebraically the matrix equals
-    ``(F gamma A^(-l))' U (F gamma A^(-l))`` with F = |V|^(1/2), U = sgn V;
-    it is assembled from the sparse coupling to keep the Gram symmetry exact.
+    Algebraically the matrix equals ``(F gamma A^(-1/2))' U (F gamma
+    A^(-1/2))`` with F = |V|^(1/2), U = sgn V; it is assembled from the
+    atom-side factor to keep the Gram symmetry exact.
     """
     if a.size != g.grid.size:
         raise ValidationError("operator and restriction grids differ in size")
-    if l < 0.5 or abs(2 * l - round(2 * l)) > 1e-12:
-        raise ValidationError("l must be a half-integer >= 1/2")
-    ainv_l = inverse_power(a, l)
-    # X = A^(-l) gamma' scaled by the signed measure density
-    x = ainv_l @ g.matrix.T.toarray()
-    scale = p.measure.weights * p.values / g.grid.cell_volume
-    mat = (x * scale) @ x.T
+    # X = A^(-1/2) gamma' scaled by the signed measure density
+    x = inverse_power(a, 0.5) @ g.matrix.T.toarray()
+    mat = (x * atom_density(g, p)) @ x.T
     mat = 0.5 * (mat + mat.T)
     c = coupling_matrix(g, p)
-    return BSOperator(matrix=mat, l=float(l), coupling=c, perturbation=p,
-                      grid=g.grid)
-
-
-def q_operator(
-    a: OperatorMatrix,
-    g: RestrictionMatrix,
-    density: Perturbation,
-    l: float = 0.5,
-) -> np.ndarray:
-    """Rectangular factor ``diag(w^(1/2) G) gamma A^(-l) / h^(N/2)``.
-
-    G must be nonnegative; it enters the sandwich as V = G^2, and the
-    squared singular values of the returned matrix equal the eigenvalues of
-    ``bs_operator(a, g, V=G^2, l)`` exactly (Gram identity).
-    """
-    if np.any(density.values < 0):
-        raise ValidationError("q_operator density must be nonnegative")
-    if l < 0.5 or abs(2 * l - round(2 * l)) > 1e-12:
-        raise ValidationError("l must be a half-integer >= 1/2")
-    ainv_l = inverse_power(a, l)
-    row_scale = np.sqrt(density.measure.weights / g.grid.cell_volume) \
-        * density.values
-    scaled = sp.csr_matrix(g.matrix.multiply(row_scale[:, None]))
-    return np.asarray(scaled @ ainv_l)
+    return BSOperator(matrix=mat, coupling=c, perturbation=p, grid=g.grid)
 
 
 def bs_atom_gram(
@@ -197,19 +172,20 @@ def bs_atom_gram(
     g: RestrictionMatrix,
     p: Perturbation,
 ) -> np.ndarray:
-    """Atom-side Gram matrix with the same nonzero spectrum as T (l = 1/2).
+    """Atom-side Gram matrix with the same nonzero spectrum as T.
 
     For nonnegative V the sandwich T = A^(-1/2) C A^(-1/2) shares its
     nonzero eigenvalues with ``D^(1/2) gamma A^(-1) gamma' D^(1/2)`` where
-    D = diag(w V / h^N). That matrix is atoms-by-atoms and needs only
-    linear solves with A, no eigendecomposition, which is what makes the
-    fractal counting experiments cheap on fine grids.
+    D = diag(w V / h^N) from :func:`atom_density`. That matrix is
+    atoms-by-atoms and needs only linear solves with A, no
+    eigendecomposition, which is what makes the fractal counting
+    experiments cheap on fine grids.
     """
     if np.any(p.values < 0):
         raise ValidationError("bs_atom_gram requires a nonnegative weight")
     gt = g.matrix.T.toarray()
     sol = a.solve(gt)
-    root = np.sqrt(p.measure.weights * p.values / g.grid.cell_volume)
+    root = np.sqrt(atom_density(g, p))
     gram = (gt.T @ sol) * root[:, None] * root[None, :]
     return 0.5 * (gram + gram.T)
 
@@ -220,8 +196,11 @@ def positivity_margin(t_op: BSOperator) -> float:
     This is a diagnostic: experiments should proceed only when the margin
     exceeds their configured threshold (0.05 by default downstream).
     Nonnegative weights always give T >= 0 and hence a margin >= 1, so
-    callers on that fast path may skip the eigenvalue work entirely.
+    callers on that fast path may skip the eigenvalue work entirely. The
+    margin is computed once per operator and kept on it.
     """
-    w_min = float(sla.eigh(t_op.matrix, eigvals_only=True,
-                           subset_by_index=[0, 0])[0])
-    return 1.0 + w_min
+    if t_op._margin is None:
+        w_min = float(sla.eigh(t_op.matrix, eigvals_only=True,
+                               subset_by_index=[0, 0])[0])
+        t_op._margin = 1.0 + w_min
+    return t_op._margin

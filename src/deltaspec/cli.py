@@ -47,8 +47,10 @@ import numpy as np
 
 from . import __version__
 from .birman_schwinger import (
+    atom_density,
     bs_atom_gram,
     bs_operator,
+    coupling_matrix,
     positivity_margin,
     restriction_matrix,
 )
@@ -56,7 +58,6 @@ from .elliptic import (
     CoefficientField,
     Grid,
     assemble_neumann,
-    assemble_robin,
     lebesgue_measure,
 )
 from .errors import NumericalError, PositivityError, ValidationError
@@ -76,6 +77,8 @@ from .measures import (
     union_measure,
 )
 from .resolvents import (
+    _direct_inverse,
+    _relative_residual,
     power_difference,
     resolvent_difference,
     two_weight_difference,
@@ -121,16 +124,41 @@ def _check_keys(obj, where, required, optional=()):
         raise ValidationError(f"missing key(s) {missing} in {where}")
 
 
+def _is_numeric(value, integer):
+    if isinstance(value, list):
+        return all(_is_numeric(v, integer) for v in value)
+    if isinstance(value, bool) or not isinstance(value, int if integer
+                                                 else (int, float)):
+        return False
+    return math.isfinite(value)
+
+
+def _check_numbers(obj, where, keys, integers=()):
+    # each key present must hold a finite number, or nested lists of them,
+    # so a malformed value fails here instead of deep inside the numerics
+    for key in keys:
+        value = obj.get(key)
+        if value is not None and not _is_numeric(value, key in integers):
+            kind = "integer" if key in integers else "number"
+            raise ValidationError(
+                f"{where}.{key} must be a finite {kind} or a list of them, "
+                f"got {value!r}")
+
+
 def _validate_measure_spec(spec, where):
     _check_keys(spec, where, ["kind"], [
         "maps", "depth", "start", "end", "count", "parts", "atom_cap",
     ])
+    _check_numbers(spec, where, ["start", "end", "count", "depth", "atom_cap"],
+                   integers=["count", "depth", "atom_cap"])
     kind = spec["kind"]
     if kind == "ifs":
         _check_keys(spec, where, ["kind", "maps", "depth"], ["atom_cap"])
         for i, m in enumerate(spec["maps"]):
             _check_keys(m, f"{where}.maps[{i}]", ["ratio", "translation"],
                         ["rotation"])
+            _check_numbers(m, f"{where}.maps[{i}]",
+                           ["ratio", "translation", "rotation"])
     elif kind == "segment":
         _check_keys(spec, where, ["kind", "start", "end", "count"])
     elif kind in ("boundary", "lebesgue"):
@@ -150,6 +178,7 @@ def _validate_weight_spec(spec, where):
     _check_keys(spec, where, ["kind"], [
         "value", "box", "inside", "outside", "scale", "nonneg", "path",
     ])
+    _check_numbers(spec, where, ["value", "box", "inside", "outside", "scale"])
     kind = spec["kind"]
     if kind == "constant":
         _check_keys(spec, where, ["kind", "value"])
@@ -191,7 +220,10 @@ def validate_config(cfg) -> None:
             f"this tool reads version {SCHEMA_VERSION}"
         )
     _check_keys(cfg["domain"], "domain", ["bbox", "shape"])
+    _check_numbers(cfg["domain"], "domain", ["bbox", "shape"],
+                   integers=["shape"])
     _check_keys(cfg["operator"], "operator", [], ["coefficients", "t"])
+    _check_numbers(cfg["operator"], "operator", ["coefficients", "t"])
     _validate_measure_spec(cfg["measure"], "measure")
     weights = cfg.get("weights", {})
     _check_keys(weights, "weights", [], ["V1", "V2"])
@@ -205,6 +237,8 @@ def validate_config(cfg) -> None:
     analysis = cfg.get("analysis", {})
     _check_keys(analysis, "analysis", [],
                 ["floor", "window", "head_drop", "margin"])
+    _check_numbers(analysis, "analysis",
+                   ["floor", "window", "head_drop", "margin"])
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
@@ -232,8 +266,7 @@ def config_hash(cfg) -> str:
 
 
 def _build_grid(spec) -> Grid:
-    return Grid(np.asarray(spec["bbox"], dtype=float),
-                tuple(int(s) for s in spec["shape"]))
+    return Grid(np.asarray(spec["bbox"], dtype=float), spec["shape"])
 
 
 def _build_coeffs(spec, dim, t_value) -> CoefficientField:
@@ -424,16 +457,27 @@ def _task_krein_feller(ctx, entry, out_dir):
 
 
 def _task_robin_diff(ctx, entry, out_dir):
+    # the Robin realizations are A + Ci, Ci the couplings of V1 and V2 on
+    # the measure; two_weight_difference would add an eigendecomposition of
+    # A and three term spectra that this task does not report
     if ctx["V2"] is None:
         raise ValidationError("robin_diff needs weights.V2")
-    a1 = assemble_robin(ctx["grid"], ctx["coeffs"], ctx["V1"])
-    a2 = assemble_robin(ctx["grid"], ctx["coeffs"], ctx["V2"])
-    eye = np.eye(ctx["grid"].size)
-    inv1 = a1.solve(eye)
-    inv2 = a2.solve(eye)
-    diff = 0.5 * ((inv1 - inv2) + (inv1 - inv2).T)
+    a, gamma = ctx["a"], ctx["gamma"]
+    inv1, inv2 = (_direct_inverse(a, coupling_matrix(gamma, ctx[key]))
+                  for key in ("V1", "V2"))
+    # second resolvent identity on the atom side: X1 (D2 - D1) X2' with
+    # Xi = (A + Ci)^(-1) gamma' and Di = diag(w Vi / h^N)
+    gt = gamma.matrix.T.toarray()
+    x1, x2 = inv1 @ gt, inv2 @ gt
+    ambient = float(np.linalg.norm(inv1) + np.linalg.norm(inv2))
+    diff = inv1 - inv2
+    del inv1, inv2
+    diff = 0.5 * (diff + diff.T)
+    gap = atom_density(gamma, ctx["V2"]) - atom_density(gamma, ctx["V1"])
+    expansion = (x1 * gap) @ x2.T
     summary, outputs, _ = _write_spectrum(diff, out_dir, ctx["analysis"],
                                           _inverse_scale_floor(ctx))
+    summary["residual"] = _relative_residual(expansion, diff, ambient=ambient)
     return summary, outputs
 
 

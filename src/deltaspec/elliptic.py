@@ -130,8 +130,8 @@ class CoefficientField:
             raise ValidationError(
                 f"coefficient not elliptic: min eigenvalue {eig.min():g}"
             )
-        if self.t <= 0:
-            raise ValidationError("shift t must be positive")
+        if not np.isfinite(self.t) or self.t <= 0:
+            raise ValidationError("shift t must be positive and finite")
         self.tensors = a
 
     @classmethod
@@ -297,27 +297,6 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
     return OperatorMatrix(mat, t=coeffs.t, grid=grid)
 
 
-def _boundary_node_indices(grid: Grid, atoms: np.ndarray) -> np.ndarray:
-    # map boundary atoms onto flat node indices; atoms must sit on nodes
-    idx = np.empty(atoms.shape[0], dtype=int)
-    h = grid.spacing
-    multi = []
-    for axis in range(grid.ambient_dim):
-        u = (atoms[:, axis] - grid.bbox[axis, 0]) / h[axis] - 0.5
-        i = np.rint(u).astype(int)
-        if np.any(np.abs(u - i) > 1e-9) or np.any(i < 0) or np.any(
-                i >= grid.shape[axis]):
-            raise ValidationError(
-                "perturbation atoms do not sit on grid nodes; expected the "
-                "boundary measure of this grid"
-            )
-        multi.append(i)
-    idx = multi[0]
-    for axis in range(1, grid.ambient_dim):
-        idx = idx * grid.shape[axis] + multi[axis]
-    return idx
-
-
 def assemble_robin(
     grid: Grid,
     coeffs: CoefficientField,
@@ -325,28 +304,24 @@ def assemble_robin(
 ) -> OperatorMatrix:
     """Neumann matrix plus the boundary-measure coupling of density V.
 
-    The update is ``gamma' diag(w V) gamma / h^N`` where gamma selects the
-    boundary nodes, so for V == 0 the result is bit-identical to
-    :func:`assemble_neumann`. Densities that push the smallest eigenvalue
-    to zero or below raise :class:`PositivityError`; the caller should
-    raise t and retry.
+    The update is the measure coupling ``gamma' diag(w V) gamma / h^N`` of
+    :func:`deltaspec.birman_schwinger.coupling_matrix`; on the boundary
+    measure of the grid each atom sits on a node, so it is diagonal, and
+    for V == 0 the result is bit-identical to :func:`assemble_neumann`.
+    The matrix is factored once here, and :meth:`OperatorMatrix.solve`
+    reuses that factor. Densities that push the smallest eigenvalue to
+    zero or below raise :class:`PositivityError`; the caller should raise
+    t and retry.
     """
-    base = assemble_neumann(grid, coeffs)
-    vals = boundary_p.values
-    if not np.any(vals != 0.0):
-        return base
-    idx = _boundary_node_indices(grid, boundary_p.measure.atoms)
-    mat = base.matrix.copy()
-    scale = boundary_p.measure.weights * vals / grid.cell_volume
-    np.add.at(mat, (idx, idx), scale)
-    try:
-        sla.cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        w_min = float(np.linalg.eigvalsh(mat)[0])
-        raise PositivityError(
-            f"Robin form indefinite: min eigenvalue {w_min:g}; raise t"
-        ) from exc
-    return OperatorMatrix(mat, t=coeffs.t, grid=grid)
+    # imported here: birman_schwinger builds on this module
+    from .birman_schwinger import coupling_matrix, restriction_matrix
+
+    gamma = restriction_matrix(grid, boundary_p.measure)
+    mat = assemble_neumann(grid, coeffs).matrix \
+        + coupling_matrix(gamma, boundary_p).toarray()
+    robin = OperatorMatrix(mat, t=coeffs.t, grid=grid)
+    robin._cholesky()
+    return robin
 
 
 def inverse_power(a: OperatorMatrix, s: float) -> np.ndarray:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
@@ -145,19 +143,6 @@ class DiscreteMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def hull(self) -> np.ndarray:
-        """Bounding box of the atoms, rows (min, max) per axis."""
-        return np.stack([self.atoms.min(axis=0), self.atoms.max(axis=0)], axis=1)
-
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        """Same atoms with all weights multiplied by c > 0."""
-        if c <= 0:
-            raise ValidationError("scale factor must be positive")
-        return DiscreteMeasure(
-            self.atoms.copy(), c * self.weights, self.nominal_dim,
-            label=self.label, bbox=None if self.bbox is None else self.bbox.copy(),
-        )
-
 
 @dataclass(eq=False)
 class AhlforsReport:
@@ -181,6 +166,8 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     For m equal ratios rho the solution is ``log m / log(1/rho)``.
     A single map gives the degenerate answer d = 0 (one-point attractor).
     """
+    from scipy.optimize import brentq
+
     rho = np.asarray(list(ratios), dtype=float)
     if rho.size == 0:
         raise ValidationError("need at least one contraction ratio")
@@ -316,6 +303,8 @@ def union_measure(m1: DiscreteMeasure, m2: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def _min_spacing(atoms: np.ndarray) -> float:
+    from scipy.spatial import cKDTree
+
     if atoms.shape[0] < 2:
         return 0.0
     tree = cKDTree(atoms)

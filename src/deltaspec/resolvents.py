@@ -1,7 +1,7 @@
 """Exact perturbation identities for inverses and their powers.
 
-With T = A^(-1/2) C A^(-1/2) (the l = 1/2 sandwich) the perturbed matrix
-factors as ``A + C = A^(1/2) (1 + T) A^(1/2)``, so
+With the Birman-Schwinger sandwich T = A^(-1/2) C A^(-1/2) the perturbed
+matrix factors as ``A + C = A^(1/2) (1 + T) A^(1/2)``, so
 
     (A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .birman_schwinger import BSOperator, MARGIN_DEFAULT, positivity_margin
 from .elliptic import OperatorMatrix, inverse_power
@@ -89,13 +90,6 @@ def _require_margin(t_op: BSOperator, threshold: float) -> None:
         )
 
 
-def _check_half(t_op: BSOperator) -> None:
-    if t_op.l != 0.5:
-        raise ValidationError(
-            f"identity paths need the l = 1/2 sandwich, got l = {t_op.l}"
-        )
-
-
 def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
@@ -104,25 +98,24 @@ def _identity_setup(a: OperatorMatrix, threshold: float, *t_ops: BSOperator
                     ) -> tuple[np.ndarray, list]:
     """Shared start of every identity path.
 
-    Checks that each T is the l = 1/2 sandwich with a positivity margin
-    above ``threshold``; returns A^(-1/2) and the Cholesky factor of each
-    1 + T.
+    Checks that each T has a positivity margin above ``threshold``; returns
+    A^(-1/2) and the Cholesky factor of each 1 + T.
     """
     for t_op in t_ops:
-        _check_half(t_op)
         _require_margin(t_op, threshold)
     chos = [sla.cho_factor(np.eye(t_op.size) + t_op.matrix, lower=True)
             for t_op in t_ops]
     return inverse_power(a, 0.5), chos
 
 
-def _direct_inverse(a: OperatorMatrix, t_op: BSOperator) -> np.ndarray:
-    mat = a.matrix + t_op.coupling_dense()
+def _direct_inverse(a: OperatorMatrix, coupling: sp.spmatrix) -> np.ndarray:
+    """(A + C)^(-1) by dense Cholesky of the assembled matrix, unsymmetrized."""
+    mat = a.matrix + coupling.toarray()
     try:
         cho = sla.cho_factor(mat, lower=True)
     except np.linalg.LinAlgError as exc:
         raise PositivityError("assembled A + C is not positive definite") from exc
-    return _sym(sla.cho_solve(cho, np.eye(a.size)))
+    return sla.cho_solve(cho, np.eye(a.size))
 
 
 def perturbed_inverse(
@@ -153,7 +146,7 @@ def resolvent_difference(
     r1 = a_half @ tt @ a_half
     r2 = a_half @ _sym(tt @ sla.cho_solve(cho, tt)) @ a_half
     b_inv = inverse_power(a, 1.0)
-    direct = b_inv - _direct_inverse(a, t_op)
+    direct = b_inv - _sym(_direct_inverse(a, t_op.coupling))
     residual = _relative_residual(r1 - r2, direct,
                                   ambient=float(np.linalg.norm(b_inv)))
     return ResolventReport(
@@ -185,8 +178,8 @@ def two_weight_difference(
         tt = t_op.matrix
         core = tt @ sla.cho_solve(cho, tt)
         zs.append(_sym(a_half @ _sym(core) @ a_half))
-    d2 = _direct_inverse(a, t2)
-    d1 = _direct_inverse(a, t1)
+    d2 = _sym(_direct_inverse(a, t2.coupling))
+    d1 = _sym(_direct_inverse(a, t1.coupling))
     direct = d2 - d1
     expansion = main - zs[0] + zs[1]
     ambient = float(np.linalg.norm(d1) + np.linalg.norm(d2))
@@ -257,7 +250,7 @@ def power_difference(
     h4 = d_id - h2 - h3
 
     ambient = float(np.linalg.norm(bm))
-    av_inv = _direct_inverse(a, t_op)
+    av_inv = _sym(_direct_inverse(a, t_op.coupling))
     dm = av_inv.copy()
     for _ in range(m - 1):
         dm = dm @ av_inv

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.signal
 
 from .errors import NumericalError, ValidationError
 from .measures import DiscreteMeasure
@@ -337,6 +336,9 @@ def log_periodic_residual(
     dominant period with Lomb-Scargle (robust to nonuniform log spacing).
     Requires at least two decades of lambda with 10+ samples per decade.
     """
+    # scipy.signal pulls in scipy.stats; import it only where it is used
+    import scipy.signal
+
     lam = np.asarray(lam, dtype=float)
     counts = np.asarray(counts, dtype=float)
     keep = (lam > 0) & (counts > 0)

@@ -10,11 +10,9 @@ Psi(s) = (1+s) log(1+s) - s in the borderline case theta = 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .measures import DiscreteMeasure
@@ -22,8 +20,6 @@ from .measures import DiscreteMeasure
 __all__ = [
     "Perturbation",
     "lp_theta_norm",
-    "mollify_weight",
-    "split_signs",
 ]
 
 
@@ -90,6 +86,8 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
         return float(w @ v)
 
     # Luxemburg case. g(lam) = sum w Psi(|V|/lam) decreases from +inf to 0.
+    from scipy.optimize import brentq
+
     def g(lam):
         return float(w @ _psi(v / lam))
 
@@ -108,49 +106,3 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
             break
         lam *= 1.0 + 5e-12
     return float(lam)
-
-
-def split_signs(p: Perturbation) -> tuple[Perturbation, Perturbation]:
-    """Positive and negative parts (V_+, V_-), both nonnegative.
-
-    ``V_+ - V_-`` reconstructs V exactly and the supports are disjoint.
-    """
-    pos = np.maximum(p.values, 0.0)
-    neg = np.maximum(-p.values, 0.0)
-    return Perturbation(p.measure, pos), Perturbation(p.measure, neg)
-
-
-def mollify_weight(p: Perturbation, radius: float) -> Perturbation:
-    """Gaussian local average of V over atoms within ``3 * radius``.
-
-    The kernel is normalized against the measure weights, then a constant
-    is added so the measure integral of V is preserved exactly. A radius
-    below the atom spacing floor cannot move mass anywhere; the input is
-    returned unchanged with a RuntimeWarning.
-    """
-    if radius <= 0:
-        raise ValidationError("mollification radius must be positive")
-    atoms = p.measure.atoms
-    w = p.measure.weights
-    if atoms.shape[0] >= 2:
-        d2 = ((atoms[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2)
-        h_min = np.sqrt(d2[d2 > 0].min()) if np.any(d2 > 0) else 0.0
-    else:
-        h_min = 0.0
-    if radius < h_min:
-        warnings.warn(
-            f"mollification radius {radius:g} below atom spacing {h_min:g}; "
-            "returning the weight unchanged",
-            RuntimeWarning,
-        )
-        return Perturbation(p.measure, p.values.copy())
-
-    cutoff2 = (3.0 * radius) ** 2
-    kernel = np.exp(-d2 / (2.0 * radius ** 2))
-    kernel[d2 > cutoff2] = 0.0
-    num = kernel @ (w * p.values)
-    den = kernel @ w
-    smoothed = num / den
-    mass = p.measure.mass
-    correction = (p.integral() - float(w @ smoothed)) / mass
-    return Perturbation(p.measure, smoothed + correction)

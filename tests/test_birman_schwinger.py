@@ -12,11 +12,12 @@ from deltaspec import (
     assemble_neumann,
     bs_atom_gram,
     bs_operator,
+    boundary_measure,
     positivity_margin,
-    q_operator,
     restriction_matrix,
     segment_measure,
 )
+from deltaspec import birman_schwinger
 
 
 def _setup_1d(n=32, t=1.0):
@@ -44,17 +45,23 @@ def test_restriction_exact_on_linear_functions():
     nodes = g.nodes()
     f = 2.0 * nodes[:, 0] - 0.5 * nodes[:, 1] + 3.0
     at_atoms = 2.0 * m.atoms[:, 0] - 0.5 * m.atoms[:, 1] + 3.0
-    assert np.allclose(gam.apply(f), at_atoms, atol=1e-12)
+    assert np.allclose(gam.matrix @ f, at_atoms, atol=1e-12)
 
 
 def test_restriction_atom_on_node_is_basis_row():
-    g, _ = _setup_1d(10)
-    x0 = g.axis_nodes(0)[3]
-    gam = restriction_matrix(g, _point_measure([x0]))
-    row = gam.matrix.toarray()[0]
-    expected = np.zeros(10)
-    expected[3] = 1.0
-    assert np.allclose(row, expected, atol=1e-12)
+    # a point on a node of a 1D grid, and the 41 x 41 box boundary, whose
+    # atom coordinates miss their nodes by rounding error on some axes
+    g1, _ = _setup_1d(10)
+    g2 = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (41, 41))
+    for g, m in ((g1, _point_measure([g1.axis_nodes(0)[3]])),
+                 (g2, boundary_measure(g2))):
+        gam = restriction_matrix(g, m)
+        nearest = np.argmin(
+            ((m.atoms[:, None, :] - g.nodes()[None, :, :]) ** 2).sum(axis=2),
+            axis=1)
+        expected = np.zeros((m.count, g.size))
+        expected[np.arange(m.count), nearest] = 1.0
+        assert np.array_equal(gam.matrix.toarray(), expected)
 
 
 def test_restriction_rejects_outside_atoms():
@@ -78,18 +85,6 @@ def test_rank_one_eigenvalue_oracle():
     assert np.max(np.abs(eig[:-1])) < 1e-12 * lam_oracle
 
 
-def test_rank_one_l_parameter_wiring():
-    g, a = _setup_1d(24, t=0.8)
-    m = _point_measure([0.55], weight=0.3)
-    gam = restriction_matrix(g, m)
-    t_op = bs_operator(a, gam, Perturbation.constant(m, 1.9), l=1.0)
-    eig = np.linalg.eigvalsh(t_op.matrix)
-    u = gam.matrix.toarray()[0]
-    alpha = 0.3 * 1.9 / g.cell_volume
-    lam_oracle = alpha * float(u @ a.solve(a.solve(u)))
-    assert abs(eig[-1] - lam_oracle) / lam_oracle < 1e-11
-
-
 def test_sign_carries_into_spectrum():
     g, a = _setup_1d(24)
     m = _point_measure([0.3], weight=1.0)
@@ -104,6 +99,24 @@ def test_sign_carries_into_spectrum():
     assert margin_neg == pytest.approx(1.0 - lam, rel=1e-10)
 
 
+def test_positivity_margin_is_computed_once_per_operator(monkeypatch):
+    g, a = _setup_1d(24)
+    m = _point_measure([0.3], weight=1.0)
+    t_op = bs_operator(a, restriction_matrix(g, m),
+                       Perturbation.constant(m, -2.0))
+    calls = []
+    eigh = birman_schwinger.sla.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(birman_schwinger.sla, "eigh", counting_eigh)
+    first = positivity_margin(t_op)
+    assert positivity_margin(t_op) == first
+    assert len(calls) == 1
+
+
 def test_coupling_symmetric_and_psd_for_nonneg_v():
     g, a = _setup_1d(20)
     m = segment_measure(np.array([[0.2], [0.9]]), 15)
@@ -113,30 +126,6 @@ def test_coupling_symmetric_and_psd_for_nonneg_v():
     t_op = bs_operator(a, gam, p)
     assert np.allclose(t_op.matrix, t_op.matrix.T, atol=1e-14)
     assert np.linalg.eigvalsh(t_op.matrix).min() > -1e-13
-
-
-def test_q_operator_gram_identity():
-    g, a = _setup_1d(48, t=1.1)
-    m = segment_measure(np.array([[0.15], [0.85]]), 20)
-    gam = restriction_matrix(g, m)
-    rng = np.random.Generator(np.random.Philox(9))
-    dens = Perturbation(m, np.abs(rng.standard_normal(20)) + 0.1)
-    v = Perturbation(m, dens.values**2)
-    q = q_operator(a, gam, dens)
-    sv2 = np.sort(np.linalg.svd(q, compute_uv=False))[::-1] ** 2
-    t_eig = np.sort(np.linalg.eigvalsh(bs_operator(a, gam, v).matrix))[::-1]
-    k = m.count
-    assert np.allclose(sv2[:k], t_eig[:k], rtol=1e-10, atol=1e-14)
-
-
-def test_q_operator_rejects_signed_density():
-    g, a = _setup_1d(16)
-    m = segment_measure(np.array([[0.2], [0.8]]), 6)
-    gam = restriction_matrix(g, m)
-    with pytest.raises(ValidationError):
-        q_operator(a, gam, Perturbation(m, np.array([1.0, -1.0, 1, 1, 1, 1])))
-    with pytest.raises(ValidationError):
-        q_operator(a, gam, Perturbation.constant(m, 1.0), l=0.25)
 
 
 def test_atom_gram_matches_sandwich_spectrum():

@@ -145,6 +145,19 @@ def test_missing_and_malformed_config_exit_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("domain", "shape", ["abc"]),
+    ("measure", "count", "x"),
+    ("operator", "t", float("nan")),
+], ids=["shape", "count", "t"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
+    cfg = base_config()
+    cfg[section] = dict(cfg[section], **{key: value})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_hopeless_positivity_exits_3(tmp_path, capsys):
     cfg = base_config(weights={"V1": {"kind": "constant", "value": -1e7}})
     path = write_config(tmp_path, cfg)
@@ -198,6 +211,32 @@ def test_out_of_range_window_exits_2(tmp_path, capsys, task):
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_robin_diff_matches_dense_inverses_and_reports_residual(tmp_path):
+    # the two Robin realizations are the Neumann matrix plus the diagonal
+    # w V / h^2 on the boundary nodes; invert both with numpy
+    cfg = box_config(tasks=["robin_diff"])
+    manifest, run_dir = run_manifest(tmp_path, cfg)
+    assert manifest["tasks"][0]["summary"]["residual"] <= 1e-10
+    grid = deltaspec.Grid(np.array(cfg["domain"]["bbox"]), (12, 12))
+    neumann = deltaspec.assemble_neumann(
+        grid, deltaspec.CoefficientField.isotropic(1.0, 2)).matrix
+    bnd = deltaspec.boundary_measure(grid)
+    nodes = np.argmin(
+        ((bnd.atoms[:, None, :] - grid.nodes()[None, :, :]) ** 2).sum(axis=2),
+        axis=1)
+    inverses = []
+    for key in ("V1", "V2"):
+        mat = neumann.copy()
+        mat[nodes, nodes] += (bnd.weights * cfg["weights"][key]["value"]
+                              / grid.cell_volume)
+        inverses.append(np.linalg.inv(mat))
+    want = np.sort(np.abs(np.linalg.eigvalsh(inverses[0] - inverses[1])))[::-1]
+    got = np.loadtxt(run_dir / "robin_diff" / "singulars.csv", delimiter=",",
+                     skiprows=1)[:, 1]
+    assert got.size == bnd.count
+    assert np.allclose(got, want[:got.size], rtol=1e-9, atol=1e-12 * want[0])
 
 
 def test_weyl_check_predicts_from_both_signs(tmp_path):

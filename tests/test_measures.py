@@ -74,9 +74,8 @@ def test_cantor_measure_basics():
     assert m.count == 256
     assert abs(m.mass - 1.0) < 1e-12
     assert abs(m.nominal_dim - LOG2_OVER_LOG3) < 1e-12
-    hull = m.hull()
-    assert hull[0, 0] >= 0.0
-    assert hull[0, 1] <= 1.0
+    assert m.atoms.min() >= 0.0
+    assert m.atoms.max() <= 1.0
 
 
 def test_cantor_branch_masses():
@@ -164,15 +163,6 @@ def test_union_rejects_dimension_mismatch():
     b = segment_measure(np.array([[0.0, 0.0], [1.0, 1.0]]), 8)
     with pytest.raises(ValidationError):
         union_measure(a, b)
-
-
-def test_scaled_weights_only():
-    m = _cantor(4)
-    m2 = m.scaled(3.0)
-    assert abs(m2.mass - 3.0 * m.mass) < 1e-12
-    assert np.array_equal(m2.atoms, m.atoms)
-    with pytest.raises(ValidationError):
-        m.scaled(0.0)
 
 
 def test_ahlfors_segment_brackets():

@@ -12,9 +12,7 @@ from deltaspec import (
     Perturbation,
     ValidationError,
     lp_theta_norm,
-    mollify_weight,
     segment_measure,
-    split_signs,
 )
 
 
@@ -94,45 +92,6 @@ def test_norm_absolute_homogeneity(c, theta, seed):
     base = lp_theta_norm(Perturbation(m, vals), theta)
     scaled = lp_theta_norm(Perturbation(m, c * vals), theta)
     assert scaled == pytest.approx(c * base, rel=1e-8, abs=1e-12)
-
-
-@given(seed=st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=40, deadline=None)
-def test_split_signs_reconstructs(seed):
-    m = _unit_mass_measure(21)
-    rng = np.random.Generator(np.random.Philox(seed))
-    p = Perturbation(m, rng.standard_normal(21))
-    pos, neg = split_signs(p)
-    assert np.all(pos.values >= 0)
-    assert np.all(neg.values >= 0)
-    assert np.allclose(pos.values - neg.values, p.values, atol=0)
-    assert not np.any((pos.values > 0) & (neg.values > 0))
-
-
-def test_mollify_preserves_integral():
-    m = _unit_mass_measure(40)
-    rng = np.random.Generator(np.random.Philox(3))
-    p = Perturbation(m, rng.standard_normal(40))
-    q = mollify_weight(p, radius=0.1)
-    assert abs(q.integral() - p.integral()) < 1e-12
-    # averaging contracts the range
-    assert q.values.max() <= p.values.max() + 1e-12
-    assert q.values.min() >= p.values.min() - 1e-12
-
-
-def test_mollify_constant_fixed_point():
-    p = Perturbation.constant(_unit_mass_measure(25), 2.5)
-    q = mollify_weight(p, radius=0.2)
-    assert np.allclose(q.values, 2.5, atol=1e-12)
-
-
-def test_mollify_tiny_radius_warns():
-    p = Perturbation.constant(_unit_mass_measure(25), 1.0)
-    with pytest.warns(RuntimeWarning):
-        q = mollify_weight(p, radius=1e-6)
-    assert np.array_equal(q.values, p.values)
-    with pytest.raises(ValidationError):
-        mollify_weight(p, radius=0.0)
 
 
 def test_perturbation_scalar_broadcast_and_views():
