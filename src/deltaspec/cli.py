@@ -2,7 +2,8 @@
 
 A JSON config describes a grid, an operator, a measure, weight vectors,
 and a task list; ``run`` executes the tasks and writes CSV/JSON artifacts
-under a directory named by the config hash. ``sweep`` repeats a run over
+under a directory named by the run key (the config hash, extended by the
+bytes of any weight file). ``sweep`` repeats a run over
 one scalar config field, ``verify`` executes built-in invariant suites,
 ``export`` re-emits a manifest's summaries as CSV or JSON.
 
@@ -73,7 +74,6 @@ from .measures import (
     boundary_measure,
     ifs_measure,
     segment_measure,
-    solve_moran_dimension,
     union_measure,
 )
 from .resolvents import (
@@ -89,10 +89,9 @@ from .spectra import (
     kyfan_check,
     log_periodic_residual,
     spectrum,
-    weyl_density,
     weyl_prediction,
 )
-from .weights import Perturbation, lp_theta_norm
+from .weights import Perturbation
 
 __all__ = ["main", "config_hash", "load_config", "run_config", "sweep_config"]
 
@@ -107,7 +106,6 @@ TASK_NAMES = (
     "robin_diff",
     "weyl_check",
 )
-SUITES = ("identities", "kyfan", "norms", "measures", "oracles")
 
 
 # ---------------------------------------------------------------- config
@@ -133,32 +131,58 @@ def _is_numeric(value, integer):
     return math.isfinite(value)
 
 
-def _check_numbers(obj, where, keys, integers=()):
-    # each key present must hold a finite number, or nested lists of them,
-    # so a malformed value fails here instead of deep inside the numerics
-    for key in keys:
-        value = obj.get(key)
-        if value is not None and not _is_numeric(value, key in integers):
-            kind = "integer" if key in integers else "number"
+SCALAR = [()]  # the allowed shapes of a bare number
+
+
+def _fits(shape, allowed):
+    # None in an allowed shape matches any length
+    return any(len(shape) == len(a) and all(w in (None, n)
+                                            for w, n in zip(a, shape))
+               for a in allowed)
+
+
+def _check_numbers(obj, where, shapes, integers=()):
+    # each key present must hold finite numbers (integers where listed)
+    # nested to one of its allowed shapes, () being a bare number, so a
+    # malformed value fails here instead of deep inside the numerics
+    for key, allowed in shapes.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        kind = "integer" if key in integers else "number"
+        shape = None
+        if _is_numeric(value, key in integers):
+            try:
+                shape = np.shape(value)
+            except ValueError:  # ragged nesting
+                pass
+        if shape is None or not _fits(shape, allowed):
+            texts = [f"shape {a}".replace("None", "n") if a else f"one {kind}"
+                     for a in allowed]
             raise ValidationError(
-                f"{where}.{key} must be a finite {kind} or a list of them, "
-                f"got {value!r}")
+                f"{where}.{key} must be finite {kind}s, "
+                f"{' or '.join(texts)}; got {value!r}")
 
 
-def _validate_measure_spec(spec, where):
+def _validate_measure_spec(spec, where, point):
     _check_keys(spec, where, ["kind"], [
         "maps", "depth", "start", "end", "count", "parts", "atom_cap",
     ])
-    _check_numbers(spec, where, ["start", "end", "count", "depth", "atom_cap"],
-                   integers=["count", "depth", "atom_cap"])
+    _check_numbers(spec, where, {
+        "start": point, "end": point, "count": SCALAR, "depth": SCALAR,
+        "atom_cap": SCALAR,
+    }, integers=["count", "depth", "atom_cap"])
     kind = spec["kind"]
     if kind == "ifs":
         _check_keys(spec, where, ["kind", "maps", "depth"], ["atom_cap"])
-        for i, m in enumerate(spec["maps"]):
+        maps = spec["maps"]
+        if not isinstance(maps, list) or not maps:
+            raise ValidationError(f"{where}.maps must be a nonempty list")
+        for i, m in enumerate(maps):
             _check_keys(m, f"{where}.maps[{i}]", ["ratio", "translation"],
                         ["rotation"])
-            _check_numbers(m, f"{where}.maps[{i}]",
-                           ["ratio", "translation", "rotation"])
+            _check_numbers(m, f"{where}.maps[{i}]", {
+                "ratio": SCALAR, "translation": point, "rotation": SCALAR})
     elif kind == "segment":
         _check_keys(spec, where, ["kind", "start", "end", "count"])
     elif kind in ("boundary", "lebesgue"):
@@ -169,16 +193,19 @@ def _validate_measure_spec(spec, where):
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValidationError(f"{where}.parts must list exactly 2 specs")
         for i, part in enumerate(parts):
-            _validate_measure_spec(part, f"{where}.parts[{i}]")
+            _validate_measure_spec(part, f"{where}.parts[{i}]", point)
     else:
         raise ValidationError(f"unknown measure kind {kind!r} in {where}")
 
 
-def _validate_weight_spec(spec, where):
+def _validate_weight_spec(spec, where, dim):
     _check_keys(spec, where, ["kind"], [
         "value", "box", "inside", "outside", "scale", "nonneg", "path",
     ])
-    _check_numbers(spec, where, ["value", "box", "inside", "outside", "scale"])
+    _check_numbers(spec, where, {
+        "value": SCALAR, "box": [(dim, 2), (2 * dim,)], "inside": SCALAR,
+        "outside": SCALAR, "scale": SCALAR,
+    })
     kind = spec["kind"]
     if kind == "constant":
         _check_keys(spec, where, ["kind", "value"])
@@ -188,6 +215,8 @@ def _validate_weight_spec(spec, where):
         _check_keys(spec, where, ["kind"], ["scale", "nonneg"])
     elif kind == "file":
         _check_keys(spec, where, ["kind", "path"])
+        if not isinstance(spec["path"], str):
+            raise ValidationError(f"{where}.path must be a string")
     else:
         raise ValidationError(f"unknown weight kind {kind!r} in {where}")
 
@@ -220,15 +249,23 @@ def validate_config(cfg) -> None:
             f"this tool reads version {SCHEMA_VERSION}"
         )
     _check_keys(cfg["domain"], "domain", ["bbox", "shape"])
-    _check_numbers(cfg["domain"], "domain", ["bbox", "shape"],
+    _check_numbers(cfg["domain"], "domain",
+                   {"bbox": [(1, 2), (2, 2), (2,), (4,)]})
+    dim = np.size(cfg["domain"]["bbox"]) // 2
+    # one entry per axis; a bare number also names the one axis of 1D
+    point = [(dim,), ()] if dim == 1 else [(dim,)]
+    _check_numbers(cfg["domain"], "domain", {"shape": point},
                    integers=["shape"])
     _check_keys(cfg["operator"], "operator", [], ["coefficients", "t"])
-    _check_numbers(cfg["operator"], "operator", ["coefficients", "t"])
-    _validate_measure_spec(cfg["measure"], "measure")
+    _check_numbers(cfg["operator"], "operator", {
+        "coefficients": SCALAR + [(dim, dim), (None, dim, dim)],
+        "t": SCALAR,
+    })
+    _validate_measure_spec(cfg["measure"], "measure", point)
     weights = cfg.get("weights", {})
     _check_keys(weights, "weights", [], ["V1", "V2"])
     for key, spec in weights.items():
-        _validate_weight_spec(spec, f"weights.{key}")
+        _validate_weight_spec(spec, f"weights.{key}", dim)
     tasks = cfg["tasks"]
     if not isinstance(tasks, list) or not tasks:
         raise ValidationError("tasks must be a nonempty list")
@@ -237,11 +274,14 @@ def validate_config(cfg) -> None:
     analysis = cfg.get("analysis", {})
     _check_keys(analysis, "analysis", [],
                 ["floor", "window", "head_drop", "margin"])
-    _check_numbers(analysis, "analysis",
-                   ["floor", "window", "head_drop", "margin"])
+    # null asks for the default, as an absent key does
+    _check_numbers({k: v for k, v in analysis.items() if v is not None},
+                   "analysis", {"floor": SCALAR, "window": [(2,)],
+                                "head_drop": SCALAR, "margin": SCALAR},
+                   integers=["window"])
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValidationError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
 
 
 def load_config(path) -> dict:
@@ -257,9 +297,26 @@ def load_config(path) -> dict:
     return cfg
 
 
-def config_hash(cfg) -> str:
+def _weight_file(spec, base_dir) -> Path:
+    path = Path(base_dir) / spec["path"]
+    if not path.is_file():
+        raise ValidationError(f"weight file {path} not found")
+    return path
+
+
+def config_hash(cfg, base_dir=".") -> str:
+    """Run key: the sha256 of the canonical config JSON, extended by the
+    sha256 of each ``file`` weight's bytes (paths relative to ``base_dir``),
+    so an edited weight file gets a fresh run. A config without file
+    weights hashes its JSON alone."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    digest = hashlib.sha256(canon.encode())
+    weights = cfg.get("weights", {})
+    for key in sorted(weights):
+        if weights[key]["kind"] == "file":
+            data = _weight_file(weights[key], base_dir).read_bytes()
+            digest.update(hashlib.sha256(data).digest())
+    return digest.hexdigest()[:12]
 
 
 # ---------------------------------------------------------------- builders
@@ -332,7 +389,7 @@ def _build_weight(spec, measure, rng, base_dir):
         return Perturbation(measure, vals)
     if kind == "file":
         from .io import read_measure
-        m_file, p_file = read_measure(Path(base_dir) / spec["path"])
+        m_file, p_file = read_measure(_weight_file(spec, base_dir))
         if p_file is None:
             raise ValidationError(f"{spec['path']} has no V column")
         if m_file.count != measure.count:
@@ -482,13 +539,21 @@ def _task_robin_diff(ctx, entry, out_dir):
 
 
 def _task_weyl_check(ctx, entry, out_dir):
-    summary, outputs = _task_two_weight_diff(ctx, entry, out_dir)
     m = ctx["measure"]
     d = m.nominal_dim
     theta = d / (d - m.ambient_dim + 4.0)
+    # the symbol of A at the atoms: a per-node field is interpolated
+    # through gamma; an anisotropic one fails here, since it needs normals
+    tensors = ctx["coeffs"].tensors
+    if tensors.ndim == 3:
+        n_dim = tensors.shape[-1]
+        tensors = (ctx["gamma"].matrix @ tensors.reshape(len(tensors), -1)
+                   ).reshape(m.count, n_dim, n_dim)
     # the fit is over singular values, which count both signs of V1 - V2
-    sides = [weyl_prediction(m, ctx["V1"], ctx["V2"], theta, side=side)
+    sides = [weyl_prediction(m, ctx["V1"], ctx["V2"], theta, coeffs=tensors,
+                             side=side)
              for side in "+-"]
+    summary, outputs = _task_two_weight_diff(ctx, entry, out_dir)
     coeff = {key: sides[0].coefficient_both[key] + sides[1].coefficient_both[key]
              for key in sides[0].coefficient_both}
     summary["theta_predicted"] = theta
@@ -534,7 +599,8 @@ def _execute(cfg, out_dir, t_value, base_dir):
         v2 = _build_weight(weights_spec["V2"], measure,
                            np.random.Generator(np.random.Philox(ss_v2)), base_dir)
 
-    analysis = dict(cfg.get("analysis", {}))
+    analysis = {k: v for k, v in cfg.get("analysis", {}).items()
+                if v is not None}
     margin = float(analysis.get("margin", 0.05))
     ctx = {
         "grid": grid, "coeffs": coeffs, "a": a, "measure": measure,
@@ -575,13 +641,13 @@ def _execute(cfg, out_dir, t_value, base_dir):
 def run_config(cfg, out_root, force=False, base_dir=".") -> tuple[dict, Path]:
     """Validate, execute, and write a manifest; returns (manifest, out_dir).
 
-    ``base_dir`` anchors relative file paths inside the config (it does not
-    enter the config hash). Re-running an already completed config is a
-    no-op unless ``force``; positivity failures double t up to 3 times,
-    each raise logged.
+    ``base_dir`` anchors relative file paths inside the config; the bytes
+    of those files enter the run key, the directory itself does not.
+    Re-running an already completed config is a no-op unless ``force``;
+    positivity failures double t up to 3 times, each raise logged.
     """
     validate_config(cfg)
-    digest = config_hash(cfg)
+    digest = config_hash(cfg, base_dir)
     out_root = Path(out_root)
     out_dir = out_root / digest
     manifest_path = out_dir / "manifest.json"
@@ -671,7 +737,8 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         fit = _first_fit(manifest)
         rows.append((value, fit))
 
-    sweep_dir = Path(out_root) / f"sweep-{config_hash(cfg)}-{axis.replace('.', '_')}"
+    sweep_dir = Path(out_root) / (
+        f"sweep-{config_hash(cfg, base_dir)}-{axis.replace('.', '_')}")
     sweep_dir.mkdir(parents=True, exist_ok=True)
     lines = ["axis_value,theta_hat,coeff_hat,r_squared"]
     for value, fit in rows:
@@ -750,88 +817,16 @@ def _suite_kyfan():
     )]
 
 
-def _suite_norms():
-    checks = []
-    m = segment_measure(np.array([[0.0], [1.0]]), 50)
-    one = Perturbation.constant(m, 1.0)
-    got = lp_theta_norm(one, 1.0)
-    want = 1.0 / (math.e - 1.0)
-    checks.append(("luxemburg constant-1 norm", abs(got - want) <= 1e-9,
-                   f"{got:.12f} vs {want:.12f}"))
-    got2 = lp_theta_norm(one, 2.0)
-    checks.append(("theta=2 power norm", abs(got2 - 1.0) <= 1e-12,
-                   f"{got2:.12f} vs 1"))
-    p = Perturbation(m, np.linspace(0.5, 2.0, 50))
-    n1 = lp_theta_norm(p, 1.0)
-    n3 = lp_theta_norm(Perturbation(m, 3.0 * p.values), 1.0)
-    checks.append(("luxemburg homogeneity", abs(n3 - 3.0 * n1) <= 1e-8 * n3,
-                   f"{n3:.9f} vs {3 * n1:.9f}"))
-    return checks
-
-
-def _suite_measures():
-    checks = []
-    got = solve_moran_dimension([1.0 / 3.0, 1.0 / 3.0])
-    want = math.log(2.0) / math.log(3.0)
-    checks.append(("moran dimension of {1/3, 1/3}", abs(got - want) <= 1e-10,
-                   f"{got:.12f} vs {want:.12f}"))
-    third = 1.0 / 3.0
-    maps = [
-        Similitude(third, np.eye(1), np.zeros(1)),
-        Similitude(third, np.eye(1), np.array([2.0 / 3.0])),
-    ]
-    cantor = ifs_measure(maps, depth=6)
-    checks.append(("cantor depth-6 mass", abs(cantor.mass - 1.0) <= 1e-12,
-                   f"mass {cantor.mass:.15f}"))
-    grid = Grid(np.array([[0.0, 2.0], [0.0, 1.0]]), (8, 6))
-    bnd = boundary_measure(grid)
-    checks.append(("boundary mass = perimeter", abs(bnd.mass - 6.0) <= 1e-12,
-                   f"mass {bnd.mass:.15f} vs 6"))
-    seg = segment_measure(np.array([[0.0, 0.0], [3.0, 4.0]]), 17)
-    checks.append(("segment mass = length", abs(seg.mass - 5.0) <= 1e-12,
-                   f"mass {seg.mass:.15f} vs 5"))
-    return checks
-
-
-def _suite_oracles():
-    checks = []
-    n = 40
-    grid = Grid(np.array([[0.0, 1.0]]), (n,))
-    coeffs = CoefficientField.isotropic(1.0, 1, t=1.0)
-    a = assemble_neumann(grid, coeffs)
-    h = 1.0 / n
-    k = np.arange(n)
-    want = 1.0 + (2.0 / h ** 2) * (1.0 - np.cos(k * np.pi / n))
-    got = np.sort(a.eigenvalues)
-    err = np.abs(got - np.sort(want)).max() / want.max()
-    checks.append(("1d neumann closed-form spectrum", err <= 1e-10,
-                   f"rel err {err:.3e}"))
-    got_w = weyl_density(np.eye(2), np.array([1.0, 0.0]), 1.0 / 3.0)
-    want_w = 4.0 ** (-1.0 / 3.0) / np.pi
-    checks.append(("laplacian weyl density", abs(got_w - want_w) <= 1e-8,
-                   f"{got_w:.10f} vs {want_w:.10f}"))
-    m = segment_measure(np.array([[0.13], [0.87]]), 33)
-    gamma = restriction_matrix(grid, m)
-    rowsum = np.asarray(gamma.matrix.sum(axis=1)).ravel()
-    err_r = np.abs(rowsum - 1.0).max()
-    checks.append(("restriction partition of unity", err_r <= 1e-12,
-                   f"max row defect {err_r:.3e}"))
-    return checks
-
-
 _SUITE_FNS = {
     "identities": _suite_identities,
     "kyfan": _suite_kyfan,
-    "norms": _suite_norms,
-    "measures": _suite_measures,
-    "oracles": _suite_oracles,
 }
 
 
 def run_verify(suite: str) -> int:
     if suite not in _SUITE_FNS:
         raise ValidationError(
-            f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}"
+            f"unknown suite {suite!r}; choose one of {', '.join(_SUITE_FNS)}"
         )
     checks = _SUITE_FNS[suite]()
     failed = 0
@@ -938,7 +933,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a built-in invariant suite")
-    p_verify.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
+    p_verify.add_argument("suite", help=f"one of: {', '.join(_SUITE_FNS)}")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_export = sub.add_parser("export", help="re-emit a manifest's summaries")

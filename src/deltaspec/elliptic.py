@@ -15,6 +15,7 @@ eigenvalues converge to ``t + (k pi)^2`` at rate O(h^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,7 +54,6 @@ class Grid:
 
     bbox: np.ndarray
     shape: tuple[int, ...]
-    node_cap: int = NODE_CAP_DEFAULT
 
     def __post_init__(self):
         bbox = np.asarray(self.bbox, dtype=float).reshape(-1, 2)
@@ -66,10 +66,10 @@ class Grid:
             raise ValidationError("need at least 3 nodes per axis")
         if np.any(bbox[:, 1] <= bbox[:, 0]):
             raise ValidationError("bbox upper bounds must exceed lower bounds")
-        size = int(np.prod(shape))
-        if size > self.node_cap:
+        size = math.prod(shape)  # Python ints: no wraparound on huge shapes
+        if size > NODE_CAP_DEFAULT:
             raise ValidationError(
-                f"{size} nodes exceeds the node cap {self.node_cap}"
+                f"{size} nodes exceeds the node cap {NODE_CAP_DEFAULT}"
             )
         self.bbox = bbox
         self.shape = shape
@@ -202,10 +202,6 @@ class OperatorMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self._eigh()[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigh()[1]
 
     def _eigh(self):
         if self._eig is None:

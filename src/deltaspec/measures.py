@@ -227,8 +227,12 @@ def ifs_measure(
 def segment_measure(endpoints: np.ndarray, count: int) -> DiscreteMeasure:
     """Midpoint-rule measure of a straight segment.
 
-    Weights sum to the segment length exactly; ``nominal_dim`` is 1.
+    Weights sum to the segment length exactly; ``nominal_dim`` is 1. At
+    most ``ATOM_CAP_DEFAULT`` atoms, as for :func:`ifs_measure`.
     """
+    if count > ATOM_CAP_DEFAULT:
+        raise ValidationError(
+            f"{count} segment atoms exceeds cap {ATOM_CAP_DEFAULT}")
     ends = np.asarray(endpoints, dtype=float).reshape(2, -1)
     a, b = ends[0], ends[1]
     length = float(np.linalg.norm(b - a))

@@ -117,8 +117,6 @@ class WeylPrediction:
 
     omega_values: np.ndarray
     theta: float
-    predicted_coefficient: float
-    prefactor_convention: str
     coefficient_both: dict[str, float]
 
 
@@ -187,6 +185,17 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _fit_window(total: int, window, head_drop: float) -> tuple[int, int]:
+    # 0-based slice bounds: drop the head fraction, or take the explicit
+    # 1-based inclusive window, which must hold at least 2 usable points
+    if window is None:
+        return int(math.floor(head_drop * total)), total
+    lo, hi = int(window[0]) - 1, int(window[1])
+    if lo < 0 or hi > total or hi - lo < 2:
+        raise ValidationError(f"window {window} out of range (1..{total})")
+    return lo, hi
+
+
 def fit_power_law(
     values: np.ndarray | None = None,
     counting: np.ndarray | None = None,
@@ -218,13 +227,7 @@ def fit_power_law(
                 f"only {total} usable values above the floor; need {MIN_USABLE}"
             )
         j = np.arange(1, total + 1, dtype=float)
-        if window is None:
-            lo = int(math.floor(head_drop * total))
-            hi = total
-        else:
-            lo, hi = int(window[0]) - 1, int(window[1])
-            if lo < 0 or hi > total or hi - lo < 2:
-                raise ValidationError(f"window {window} out of range (1..{total})")
+        lo, hi = _fit_window(total, window, head_drop)
         slope, intercept, r2 = _loglog_fit(j[lo:hi], s[lo:hi])
         if slope >= 0:
             raise NumericalError("singular values do not decay; no power law")
@@ -246,13 +249,7 @@ def fit_power_law(
         raise NumericalError(
             f"only {total} usable counting samples; need {MIN_USABLE}"
         )
-    if window is None:
-        lo = int(math.floor(head_drop * total))
-        hi = total
-    else:
-        lo, hi = int(window[0]) - 1, int(window[1])
-        if lo < 0 or hi > total or hi - lo < 2:
-            raise ValidationError(f"window {window} out of range (1..{total})")
+    lo, hi = _fit_window(total, window, head_drop)
     slope, intercept, r2 = _loglog_fit(lam[lo:hi], n[lo:hi])
     if slope >= 0:
         raise NumericalError("counting samples do not decay; no power law")
@@ -446,7 +443,6 @@ def weyl_prediction(
     p1: Perturbation,
     p2: Perturbation,
     theta: float,
-    convention: str = "without",
     coeffs: np.ndarray | None = None,
     normals: np.ndarray | None = None,
     side: str = "+",
@@ -456,17 +452,14 @@ def weyl_prediction(
     The measure must be a hypersurface (``nominal_dim == N - 1``). With no
     ``coeffs`` the symbol is the Laplacian, for which the fiber integral is
     direction-free and no normals are needed; anisotropic symbols require
-    per-atom ``normals``. Both prefactor conventions are computed and
-    recorded; ``convention`` picks which one lands in
-    ``predicted_coefficient``.
+    per-atom ``normals``. ``coeffs`` is one (N, N) tensor or one per atom.
+    Both prefactor conventions are recorded in ``coefficient_both``.
     """
     n_dim = m.ambient_dim
     if abs(m.nominal_dim - (n_dim - 1)) > 1e-12:
         raise ValidationError(
             "weyl_prediction needs a hypersurface measure (nominal_dim = N - 1)"
         )
-    if convention not in ("without", "with_2pi_d"):
-        raise ValidationError(f"unknown prefactor convention {convention!r}")
     if side not in ("+", "-"):
         raise ValidationError("side must be '+' or '-'")
 
@@ -499,8 +492,4 @@ def weyl_prediction(
         "without": base,
         "with_2pi_d": base * (2.0 * np.pi) ** (-d),
     }
-    return WeylPrediction(
-        omega_values=omega, theta=theta,
-        predicted_coefficient=both[convention],
-        prefactor_convention=convention, coefficient_both=both,
-    )
+    return WeylPrediction(omega_values=omega, theta=theta, coefficient_both=both)

@@ -1,11 +1,10 @@
 """Weight functions on a measure's atoms and the L_(theta) norm family.
 
-A :class:`Perturbation` is a real value V_k per atom, with the derived
-split F = |V|^(1/2), U = sgn V used by the sandwiched coupling operators.
-``lp_theta_norm`` evaluates the norm family that controls the spectral
-estimates: the plain L_theta norm for theta > 1, the L_1 norm for
-theta < 1, and the Orlicz/Luxemburg norm with
-Psi(s) = (1+s) log(1+s) - s in the borderline case theta = 1.
+A :class:`Perturbation` is a real value V_k per atom. ``lp_theta_norm``
+evaluates the norm family that controls the spectral estimates: the plain
+L_theta norm for theta > 1, the L_1 norm for theta < 1, and the
+Orlicz/Luxemburg norm with Psi(s) = (1+s) log(1+s) - s in the borderline
+case theta = 1.
 """
 
 from __future__ import annotations
@@ -41,20 +40,6 @@ class Perturbation:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("weight values must be finite")
         self.values = vals
-
-    @property
-    def F(self) -> np.ndarray:
-        """Pointwise |V|^(1/2)."""
-        return np.sqrt(np.abs(self.values))
-
-    @property
-    def U(self) -> np.ndarray:
-        """Pointwise sign of V in {-1, 0, 1}."""
-        return np.sign(self.values)
-
-    def integral(self) -> float:
-        """The measure integral of V."""
-        return float(self.measure.weights @ self.values)
 
     @classmethod
     def constant(cls, measure: DiscreteMeasure, value: float) -> "Perturbation":

@@ -15,7 +15,7 @@ import deltaspec
 from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
 from deltaspec.errors import ValidationError
 from deltaspec.io import write_measure
-from deltaspec.measures import segment_measure
+from deltaspec.measures import ATOM_CAP_DEFAULT, segment_measure
 from deltaspec.weights import Perturbation
 
 
@@ -145,17 +145,41 @@ def test_missing_and_malformed_config_exit_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("domain", "shape", ["abc"]),
-    ("measure", "count", "x"),
-    ("operator", "t", float("nan")),
-], ids=["shape", "count", "t"])
-def test_malformed_config_value_exits_2(tmp_path, capsys, section, key, value):
-    cfg = base_config()
-    cfg[section] = dict(cfg[section], **{key: value})
-    path = write_config(tmp_path, cfg)
+SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"domain": {"bbox": [[0.0, 1.0]], "shape": ["abc"]}},
+    {"measure": dict(SEGMENT_1D, count="x")},
+    {"operator": {"coefficients": 1.0, "t": float("nan")}},
+    {"seed": -1},
+    {"measure": {"kind": "ifs", "maps": 3, "depth": 2}},
+    {"weights": {"V1": {"kind": "file", "path": 5}}},
+    {"domain": {"bbox": [[0, 1, 2]], "shape": [48]}},
+    {"measure": dict(SEGMENT_1D, start=[0.25, 0.5])},
+    {"operator": {"coefficients": [[1.0, 0.0], [0.0]], "t": 1.0}},
+    {"analysis": {"window": 5}},
+    {"analysis": {"margin": [0.1]}},
+    {"analysis": {"head_drop": [0.1]}},
+    {"analysis": {"floor": [0.1]}},
+    {"weights": {"V1": {"kind": "step", "box": [0, 1, 2], "inside": 1.0}}},
+    {"measure": dict(SEGMENT_1D, count=ATOM_CAP_DEFAULT + 1)},
+    {"weights": {"V1": {"kind": "file", "path": "absent.csv"}}},
+], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
+        "start", "ragged_coefficients", "window", "margin", "head_drop",
+        "floor", "box", "segment_atom_cap", "missing_weight_file"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_null_analysis_values_mean_the_default(tmp_path):
+    cfg = base_config(analysis={"floor": None, "window": None,
+                                "head_drop": None, "margin": None})
+    manifest, _ = run_manifest(tmp_path, cfg)
+    default, _ = run_manifest(tmp_path, base_config(), name="default.json")
+    assert manifest["tasks"][0]["summary"] == default["tasks"][0]["summary"]
 
 
 def test_hopeless_positivity_exits_3(tmp_path, capsys):
@@ -266,6 +290,35 @@ def test_weyl_check_predicts_from_both_signs(tmp_path):
         assert swapped["coeff_ratio"][key] == pytest.approx(ratio, rel=1e-6)
 
 
+def test_weyl_check_predicts_from_the_operator_symbol(tmp_path, capsys):
+    # the symbol c Id scales the fiber integral by c^(-2), so the predicted
+    # coefficient by c^(-2 theta); a per-node field reaches the atoms
+    # through the restriction, and an anisotropic symbol needs normals
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [41, 11]},
+        measure={"kind": "segment", "start": [0.1, 0.2], "end": [1.5, 0.2],
+                 "count": 48},
+        weights={"V1": {"kind": "constant", "value": 2.0},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=["weyl_check"],
+    )
+    per_node = np.broadcast_to(2.0 * np.eye(2), (41 * 11, 2, 2)).tolist()
+    coeffs = {}
+    for label, value in (("1", 1.0), ("2", 2.0), ("field", per_node)):
+        cfg["operator"] = {"coefficients": value, "t": 1.0}
+        manifest, _ = run_manifest(tmp_path, cfg, name=f"cfg_{label}.json")
+        coeffs[label] = manifest["tasks"][0]["summary"]["weyl_coefficient"]
+    for key, val in coeffs["1"].items():
+        assert coeffs["2"][key] == pytest.approx(2.0 ** (-2.0 / 3.0) * val,
+                                                 rel=1e-12)
+        assert coeffs["field"][key] == pytest.approx(coeffs["2"][key],
+                                                     rel=1e-12)
+    cfg["operator"] = {"coefficients": [[2.0, 0.0], [0.0, 0.5]], "t": 1.0}
+    path = write_config(tmp_path, cfg, name="cfg_aniso.json")
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "normals" in capsys.readouterr().err
+
+
 def test_file_weight_resolves_relative_to_config(tmp_path):
     seg = segment_measure(np.array([[0.25], [0.75]]), 24)
     vals = np.linspace(0.1, 1.0, 24)
@@ -274,8 +327,27 @@ def test_file_weight_resolves_relative_to_config(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "runs"
     assert main(["run", str(path), "--out", str(out)]) == 0
-    written = (out / config_hash(cfg) / "measure.csv").read_text()
+    written = (out / config_hash(cfg, tmp_path) / "measure.csv").read_text()
     assert written.splitlines()[0].endswith(",V")
+
+
+def test_rewritten_weight_file_is_recomputed(tmp_path, capsys):
+    # the bytes of a file weight are part of the run key, so editing the
+    # file gives a fresh run instead of the cached answer for the old values
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    for value in (1.0, 5.0):
+        write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, value))
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert "already complete" not in capsys.readouterr().out
+    latest = out / config_hash(cfg, tmp_path)
+    first, = (p.parent for p in out.glob("*/manifest.json")
+              if p.parent != latest)
+    name = "resolvent_diff/singulars.csv"
+    assert (first / name).read_text() != (latest / name).read_text()
 
 
 def test_sweep_writes_combined_summary(tmp_path):
@@ -331,8 +403,7 @@ def test_export_formats(tmp_path, capsys):
     assert main(["export", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize(
-    "suite", ["identities", "kyfan", "norms", "measures", "oracles"])
+@pytest.mark.parametrize("suite", ["identities", "kyfan"])
 def test_verify_suites_pass(suite, capsys):
     assert main(["verify", suite]) == 0
     out = capsys.readouterr().out
@@ -366,7 +437,7 @@ def test_console_script_smoke(tmp_path):
     if exe is not None:
         commands.append([exe])
     for cmd in commands:
-        proc = subprocess.run(cmd + ["verify", "norms"], capture_output=True,
+        proc = subprocess.run(cmd + ["verify", "kyfan"], capture_output=True,
                               text=True, timeout=120, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout

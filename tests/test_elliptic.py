@@ -173,8 +173,12 @@ def test_grid_geometry():
 
 
 def test_grid_node_cap():
+    box = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (90, 90), node_cap=5000)
+        Grid(box, (90, 90))
+    # a product that wraps around in int64 must not slip under the cap
+    with pytest.raises(ValidationError):
+        Grid(box, (2**32, 2**32))
 
 
 def test_solve_matches_dense_solver():

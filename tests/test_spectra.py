@@ -274,7 +274,7 @@ def test_weyl_prediction_constant_weight_segment():
     pred = weyl_prediction(seg, p1, p2, theta)
     omega = 0.25**theta / np.pi
     expected = omega * 2.0**theta * seg.mass
-    assert pred.predicted_coefficient == pytest.approx(expected, rel=1e-12)
+    assert pred.coefficient_both["without"] == pytest.approx(expected, rel=1e-12)
     assert pred.coefficient_both["with_2pi_d"] == pytest.approx(
         expected / (2.0 * np.pi), rel=1e-12
     )
@@ -287,8 +287,8 @@ def test_weyl_prediction_sides():
     p2 = Perturbation.constant(seg, 0.0)  # V2 - V1 = -1
     plus = weyl_prediction(seg, p1, p2, 0.5, side="+")
     minus = weyl_prediction(seg, p1, p2, 0.5, side="-")
-    assert plus.predicted_coefficient == 0.0
-    assert minus.predicted_coefficient > 0.0
+    assert plus.coefficient_both["without"] == 0.0
+    assert minus.coefficient_both["without"] > 0.0
 
 
 def test_weyl_prediction_requires_hypersurface():
@@ -309,6 +309,6 @@ def test_weyl_prediction_anisotropic_needs_normals():
     normals = np.tile([0.0, 1.0], (6, 1))
     pred = weyl_prediction(seg, p1, p2, 0.5, coeffs=tensor, normals=normals)
     r = 0.5 / (4.0 * 1.0**1.5)
-    assert pred.predicted_coefficient == pytest.approx(
+    assert pred.coefficient_both["without"] == pytest.approx(
         math.sqrt(r) / np.pi * seg.mass, rel=1e-12
     )

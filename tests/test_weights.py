@@ -98,10 +98,6 @@ def test_perturbation_scalar_broadcast_and_views():
     m = _unit_mass_measure(5)
     p = Perturbation(m, np.array([4.0]))
     assert p.values.shape == (5,)
-    p2 = Perturbation(m, np.array([1.0, -4.0, 0.0, 9.0, -16.0]))
-    assert np.allclose(p2.F, [1.0, 2.0, 0.0, 3.0, 4.0])
-    assert np.array_equal(p2.U, [1.0, -1.0, 0.0, 1.0, -1.0])
-    assert p2.integral() == pytest.approx(0.2 * (1 - 4 + 0 + 9 - 16))
 
 
 def test_perturbation_validation():
