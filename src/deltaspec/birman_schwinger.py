@@ -5,12 +5,13 @@ nodes to atoms, and ``coupling_matrix`` the coupling
 ``C = gamma' D gamma`` with ``D = diag(w V / h^N)`` from ``atom_density``,
 the one place the ``h^N`` mass factor enters. Every perturbation in the
 package is such a coupling; a Robin condition is the coupling of the box
-boundary measure. ``bs_operator`` forms the symmetric sandwich
-``T = A^(-1/2) C A^(-1/2)`` whose spectrum decides both the positivity of
-the perturbed form (through ``positivity_margin``, the smallest eigenvalue
-of 1 + T) and the exact inverse identity evaluated in
-:mod:`deltaspec.resolvents`. ``bs_atom_gram`` is the atom-side Gram matrix
-carrying the same nonzero spectrum without any eigendecomposition of A.
+boundary measure. ``bs_operator`` bundles A, gamma and D into the
+Birman-Schwinger operator ``T = A^(-1/2) C A^(-1/2)``, whose spectrum
+decides the positivity of the perturbed form (``positivity_margin``, the
+smallest eigenvalue of 1 + T). T is never needed as an N x N matrix:
+``bs_atom_gram`` is the atoms-by-atoms core carrying its nonzero spectrum,
+built from one banded factor of A. The dense sandwich is formed only when
+``BSOperator.matrix`` is read, as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -53,27 +54,54 @@ class RestrictionMatrix:
 
 @dataclass(eq=False)
 class BSOperator:
-    """Symmetric sandwich T = A^(-1/2) C A^(-1/2) with C the measure coupling.
+    """The coupling C = gamma' D gamma of a weight, seen from A.
 
-    ``coupling`` keeps the sparse C = gamma' diag(w V) gamma / h^N around for
-    the independent direct-inversion paths in :mod:`deltaspec.resolvents`.
+    Carries A, the restriction gamma and the atom density D; ``coupling``
+    is the sparse C = gamma' diag(w V) gamma / h^N, kept for the direct
+    paths in :mod:`deltaspec.resolvents`. The dense sandwich
+    T = A^(-1/2) C A^(-1/2) is built only when ``matrix`` is read.
     """
 
-    matrix: np.ndarray
-    coupling: sp.csr_matrix
+    operator: OperatorMatrix
+    restriction: RestrictionMatrix
     perturbation: Perturbation
-    grid: Grid
-    # smallest eigenvalue of 1 + T, filled in by the first positivity_margin
+    density: np.ndarray
+    coupling: sp.csr_matrix
+    # the atom-side core, the smallest eigenvalue of 1 + T and the dense
+    # sandwich, each filled in on first use
+    _core: np.ndarray | None = field(default=None, init=False, repr=False)
     _margin: float | None = field(default=None, init=False, repr=False)
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        scale = np.abs(self.matrix).max()
-        if scale > 0 and np.abs(self.matrix - self.matrix.T).max() > 1e-12 * scale:
-            raise ValidationError("sandwich matrix lost symmetry")
+    @property
+    def grid(self) -> Grid:
+        return self.restriction.grid
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.size
+
+    @property
+    def core(self) -> np.ndarray:
+        """Atom-side core with the nonzero spectrum of T (see bs_atom_gram)."""
+        if self._core is None:
+            self._core = _atom_core(self.operator, self.restriction,
+                                    self.density)
+        return self._core
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense sandwich T = A^(-1/2) C A^(-1/2), built on first access.
+
+        Assembled from the atom-side factor ``A^(-1/2) gamma'`` scaled by
+        the signed density, which keeps the Gram symmetry exact.
+        """
+        if self._matrix is None:
+            x = inverse_power(self.operator, 0.5) \
+                @ self.restriction.matrix.T.toarray()
+            mat = (x * self.density) @ x.T
+            self._matrix = 0.5 * (mat + mat.T)
+        return self._matrix
 
 
 def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
@@ -150,21 +178,26 @@ def bs_operator(
     g: RestrictionMatrix,
     p: Perturbation,
 ) -> BSOperator:
-    """Sandwich T = A^(-1/2) C A^(-1/2), the coupling seen from the form
-    domain.
+    """Birman-Schwinger operator T = A^(-1/2) C A^(-1/2) of the weight p.
 
-    Algebraically the matrix equals ``(F gamma A^(-1/2))' U (F gamma
-    A^(-1/2))`` with F = |V|^(1/2), U = sgn V; it is assembled from the
-    atom-side factor to keep the Gram symmetry exact.
+    Nothing of size N x N is formed here; see :class:`BSOperator`.
     """
     if a.size != g.grid.size:
         raise ValidationError("operator and restriction grids differ in size")
-    # X = A^(-1/2) gamma' scaled by the signed measure density
-    x = inverse_power(a, 0.5) @ g.matrix.T.toarray()
-    mat = (x * atom_density(g, p)) @ x.T
-    mat = 0.5 * (mat + mat.T)
     c = coupling_matrix(g, p)
-    return BSOperator(matrix=mat, coupling=c, perturbation=p, grid=g.grid)
+    return BSOperator(operator=a, restriction=g, perturbation=p,
+                      density=atom_density(g, p), coupling=c)
+
+
+def _atom_core(a: OperatorMatrix, g: RestrictionMatrix, density: np.ndarray
+               ) -> np.ndarray:
+    # With A = L L' (banded) and Y = L^(-1) gamma' = Q_Y R (thin QR), T is
+    # orthogonally similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'. R D R' is
+    # min(N, k) square and needs no factor of G = gamma A^(-1) gamma' = R'R,
+    # which is singular whenever two atoms share their interpolation nodes.
+    r = np.linalg.qr(a.solve_lower(g.matrix.T.toarray()), mode="r")
+    core = (r * density) @ r.T
+    return 0.5 * (core + core.T)
 
 
 def bs_atom_gram(
@@ -172,22 +205,19 @@ def bs_atom_gram(
     g: RestrictionMatrix,
     p: Perturbation,
 ) -> np.ndarray:
-    """Atom-side Gram matrix with the same nonzero spectrum as T.
+    """Atom-side core with the same nonzero spectrum as T, for either sign.
 
-    For nonnegative V the sandwich T = A^(-1/2) C A^(-1/2) shares its
-    nonzero eigenvalues with ``D^(1/2) gamma A^(-1) gamma' D^(1/2)`` where
-    D = diag(w V / h^N) from :func:`atom_density`. That matrix is
-    atoms-by-atoms and needs only linear solves with A, no
-    eigendecomposition, which is what makes the fractal counting
-    experiments cheap on fine grids.
+    The core is ``R D R'`` with D = diag(w V / h^N) from
+    :func:`atom_density` and R the triangular factor of a thin QR of
+    ``L^(-1) gamma'``, A = L L' the banded Cholesky factor of A. It is
+    min(N, k) square, k the atom count; T has its eigenvalues plus N - k
+    zeros when k < N. It needs one banded factorization and k triangular
+    solves, no eigendecomposition of A, which is what makes the fractal
+    counting experiments cheap on fine grids.
     """
-    if np.any(p.values < 0):
-        raise ValidationError("bs_atom_gram requires a nonnegative weight")
-    gt = g.matrix.T.toarray()
-    sol = a.solve(gt)
-    root = np.sqrt(atom_density(g, p))
-    gram = (gt.T @ sol) * root[:, None] * root[None, :]
-    return 0.5 * (gram + gram.T)
+    if a.size != g.grid.size:
+        raise ValidationError("operator and restriction grids differ in size")
+    return _atom_core(a, g, atom_density(g, p))
 
 
 def positivity_margin(t_op: BSOperator) -> float:
@@ -195,12 +225,16 @@ def positivity_margin(t_op: BSOperator) -> float:
 
     This is a diagnostic: experiments should proceed only when the margin
     exceeds their configured threshold (0.05 by default downstream).
-    Nonnegative weights always give T >= 0 and hence a margin >= 1, so
-    callers on that fast path may skip the eigenvalue work entirely. The
-    margin is computed once per operator and kept on it.
+    Nonnegative weights always give T >= 0 and hence a margin >= 1. The
+    margin is the smallest eigenvalue of the atom-side core (one
+    eigensolve of size min(N, k)), with the zero eigenvalues T has beyond
+    the core when k < N; it is computed once per operator and kept on it.
     """
     if t_op._margin is None:
-        w_min = float(sla.eigh(t_op.matrix, eigvals_only=True,
+        core = t_op.core
+        w_min = float(sla.eigh(core, eigvals_only=True,
                                subset_by_index=[0, 0])[0])
+        if core.shape[0] < t_op.size:
+            w_min = min(w_min, 0.0)
         t_op._margin = 1.0 + w_min
     return t_op._margin

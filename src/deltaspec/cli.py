@@ -48,10 +48,8 @@ import numpy as np
 
 from . import __version__
 from .birman_schwinger import (
-    atom_density,
     bs_atom_gram,
     bs_operator,
-    coupling_matrix,
     positivity_margin,
     restriction_matrix,
 )
@@ -77,8 +75,6 @@ from .measures import (
     union_measure,
 )
 from .resolvents import (
-    _direct_inverse,
-    _relative_residual,
     power_difference,
     resolvent_difference,
     two_weight_difference,
@@ -128,7 +124,10 @@ def _is_numeric(value, integer):
     if isinstance(value, bool) or not isinstance(value, int if integer
                                                  else (int, float)):
         return False
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 SCALAR = [()]  # the allowed shapes of a bare number
@@ -407,6 +406,11 @@ def _build_weight(spec, measure, rng, base_dir):
 def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     """Write a task's spectrum artifacts; return (summary, outputs, spectrum).
 
+    ``mat`` is the small symmetric core carrying the task's nonzero
+    spectrum (the r x r core of a resolvent report, the atom-side core of
+    the Birman-Schwinger operator); ``rank_bound`` in the summary is its
+    size, the most values the spectrum can keep.
+
     ``terms`` maps labels to the descending singular values of expansion
     terms, each written as ``singulars_<label>.csv``. ``default_floor`` is
     the task's noise floor: the resolvent tasks anchor it to the scale of
@@ -444,6 +448,7 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
         "fit": fit_to_dict(fit),
         "floor": sp_rep.floor,
         "values_kept": int(sp_rep.singulars.size),
+        "rank_bound": int(mat.shape[0]),
     }
     return summary, outputs, sp_rep
 
@@ -452,12 +457,13 @@ def _inverse_scale_floor(ctx, power=1):
     return FLOOR_FACTOR / ctx["coeffs"].t ** power
 
 
-def _write_report(rep, out_dir, ctx, power=1):
+def _write_report(rep, out_dir, ctx, power=1, with_terms=True):
     # the difference of a ResolventReport, its term spectra and its residual
-    terms = {label: rep.singular_values(label) for label in rep.terms}
+    terms = {label: rep.singular_values(label)
+             for label in rep.term_cores} if with_terms else None
     summary, outputs, _ = _write_spectrum(
-        rep.difference, out_dir, ctx["analysis"],
-        _inverse_scale_floor(ctx, power), terms)
+        rep.core, out_dir, ctx["analysis"], _inverse_scale_floor(ctx, power),
+        terms)
     summary["residual"] = rep.residual
     return summary, outputs
 
@@ -466,8 +472,7 @@ def _task_resolvent_diff(ctx, entry, out_dir):
     t_op = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
     rep = resolvent_difference(ctx["a"], t_op, ctx["margin"])
     summary, outputs = _write_report(rep, out_dir, ctx)
-    summary["margin"] = None if np.all(ctx["V1"].values >= 0) \
-        else positivity_margin(t_op)
+    summary["margin"] = positivity_margin(t_op)
     return summary, outputs
 
 
@@ -490,11 +495,7 @@ def _task_power_diff(ctx, entry, out_dir):
 
 
 def _task_krein_feller(ctx, entry, out_dir):
-    v1 = ctx["V1"]
-    if np.all(v1.values >= 0):
-        mat = bs_atom_gram(ctx["a"], ctx["gamma"], v1)
-    else:
-        mat = bs_operator(ctx["a"], ctx["gamma"], v1).matrix
+    mat = bs_atom_gram(ctx["a"], ctx["gamma"], ctx["V1"])
     summary, outputs, sp_rep = _write_spectrum(mat, out_dir, ctx["analysis"],
                                                None)
     counting_fit = None
@@ -515,27 +516,14 @@ def _task_krein_feller(ctx, entry, out_dir):
 
 def _task_robin_diff(ctx, entry, out_dir):
     # the Robin realizations are A + Ci, Ci the couplings of V1 and V2 on
-    # the measure; two_weight_difference would add an eigendecomposition of
-    # A and three term spectra that this task does not report
+    # the boundary measure: the two-weight difference with the weights
+    # swapped, (A + C1)^(-1) - (A + C2)^(-1), without its term spectra
     if ctx["V2"] is None:
         raise ValidationError("robin_diff needs weights.V2")
-    a, gamma = ctx["a"], ctx["gamma"]
-    inv1, inv2 = (_direct_inverse(a, coupling_matrix(gamma, ctx[key]))
-                  for key in ("V1", "V2"))
-    # second resolvent identity on the atom side: X1 (D2 - D1) X2' with
-    # Xi = (A + Ci)^(-1) gamma' and Di = diag(w Vi / h^N)
-    gt = gamma.matrix.T.toarray()
-    x1, x2 = inv1 @ gt, inv2 @ gt
-    ambient = float(np.linalg.norm(inv1) + np.linalg.norm(inv2))
-    diff = inv1 - inv2
-    del inv1, inv2
-    diff = 0.5 * (diff + diff.T)
-    gap = atom_density(gamma, ctx["V2"]) - atom_density(gamma, ctx["V1"])
-    expansion = (x1 * gap) @ x2.T
-    summary, outputs, _ = _write_spectrum(diff, out_dir, ctx["analysis"],
-                                          _inverse_scale_floor(ctx))
-    summary["residual"] = _relative_residual(expansion, diff, ambient=ambient)
-    return summary, outputs
+    t1, t2 = (bs_operator(ctx["a"], ctx["gamma"], ctx[key])
+              for key in ("V1", "V2"))
+    rep = two_weight_difference(ctx["a"], t2, t1, ctx["margin"])
+    return _write_report(rep, out_dir, ctx, with_terms=False)
 
 
 def _task_weyl_check(ctx, entry, out_dir):

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtbtrs
 
-from .errors import PositivityError, ValidationError
+from .errors import NumericalError, PositivityError, ValidationError
 from .measures import DiscreteMeasure
 
 if TYPE_CHECKING:
@@ -162,42 +163,65 @@ class CoefficientField:
 class OperatorMatrix:
     """Symmetric positive-definite operator with cached factorizations.
 
-    The Cholesky factor (used for linear solves) and the full
-    eigendecomposition (used for fractional inverse powers) are computed
-    lazily on first use and cached; instances are immutable afterwards.
+    The matrix is kept sparse. Every linear solve goes through its banded
+    Cholesky factor, computed on first use; a matrix that is not positive
+    definite raises :class:`PositivityError` there. The dense ``matrix``
+    and its full eigendecomposition (used for fractional inverse powers,
+    the small-N oracle) are built only when first asked for. Instances are
+    immutable afterwards.
     """
 
-    def __init__(self, matrix: np.ndarray, t: float, grid: Grid | None = None):
-        matrix = np.asarray(matrix, dtype=float)
-        scale = np.abs(matrix).max()
+    def __init__(self, matrix, t: float, grid: Grid | None = None):
+        mat = sp.csr_matrix(matrix, dtype=float)
+        scale = abs(mat).max()
         if scale == 0:
             raise ValidationError("operator matrix is zero")
-        if np.abs(matrix - matrix.T).max() > 1e-12 * scale:
+        if abs(mat - mat.T).max() > 1e-12 * scale:
             raise ValidationError("operator matrix is not symmetric (rel 1e-12)")
-        self.matrix = 0.5 * (matrix + matrix.T)
+        self.sparse = (0.5 * (mat + mat.T)).tocsr()
         self.t = float(t)
         self.grid = grid
-        self._cho = None
+        self._factor = None
+        self._dense = None
         self._eig = None
         self._pow_cache: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.sparse.shape[0]
 
-    def _cholesky(self):
-        if self._cho is None:
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built on first access."""
+        if self._dense is None:
+            self._dense = self.sparse.toarray()
+        return self._dense
+
+    def _cholesky(self) -> np.ndarray:
+        # lower factor L (A = L L') in LAPACK lower band storage
+        if self._factor is None:
+            lower = sp.tril(self.sparse).tocoo()
+            offset = lower.row - lower.col
+            band = np.zeros((int(offset.max(initial=0)) + 1, self.size))
+            band[offset, lower.col] = lower.data
             try:
-                self._cho = sla.cho_factor(self.matrix, lower=True)
+                self._factor = sla.cholesky_banded(band, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise PositivityError(
                     "operator matrix is not positive definite"
                 ) from exc
-        return self._cho
+        return self._factor
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs through the cached Cholesky factor."""
-        return sla.cho_solve(self._cholesky(), rhs)
+        """Solve A x = rhs through the cached banded Cholesky factor."""
+        return sla.cho_solve_banded((self._cholesky(), True), rhs)
+
+    def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply L^(-1) for the banded factor A = L L' (one triangular solve)."""
+        x, info = dtbtrs(self._cholesky(), rhs, uplo="L")
+        if info != 0:
+            raise NumericalError(f"banded triangular solve failed (info {info})")
+        return x
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -288,8 +312,7 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
         stiff = stiff + g_ops[0].T @ cross @ g_ops[1] \
             + g_ops[1].T @ cross @ g_ops[0]
 
-    mat = stiff.toarray()
-    mat[np.diag_indices(size)] += coeffs.t
+    mat = stiff + coeffs.t * sp.identity(size, format="csr")
     return OperatorMatrix(mat, t=coeffs.t, grid=grid)
 
 
@@ -313,8 +336,8 @@ def assemble_robin(
     from .birman_schwinger import coupling_matrix, restriction_matrix
 
     gamma = restriction_matrix(grid, boundary_p.measure)
-    mat = assemble_neumann(grid, coeffs).matrix \
-        + coupling_matrix(gamma, boundary_p).toarray()
+    mat = assemble_neumann(grid, coeffs).sparse \
+        + coupling_matrix(gamma, boundary_p)
     robin = OperatorMatrix(mat, t=coeffs.t, grid=grid)
     robin._cholesky()
     return robin

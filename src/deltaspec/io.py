@@ -86,7 +86,10 @@ def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None
     expected = [f"x_{i + 1}" for i in range(n)] + ["weight"] + (["V"] if has_v else [])
     if header != expected:
         raise ValidationError(f"unexpected measure CSV header {header}")
-    data = np.array([[float(v) for v in row] for row in rows])
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValidationError("ragged measure CSV")
 

@@ -208,6 +208,13 @@ def ifs_measure(
     dims = {s.dim for s in maps}
     if len(dims) > 1:
         raise ValidationError("similitudes act on different ambient dimensions")
+    # two or more maps reach the atom cap by this depth; one map repeats its
+    # fixed point, so a deeper word adds nothing but a longer loop
+    max_depth = int(atom_cap).bit_length()
+    if depth > max_depth:
+        raise ValidationError(
+            f"depth {depth} exceeds {max_depth}, the bit length of the atom "
+            f"cap {atom_cap}")
     n_atoms = len(maps) ** depth
     if n_atoms > atom_cap:
         raise ValidationError(

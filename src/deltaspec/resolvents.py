@@ -1,21 +1,37 @@
-"""Exact perturbation identities for inverses and their powers.
+"""Resolvent differences from a banded factor of A and a small core.
 
-With the Birman-Schwinger sandwich T = A^(-1/2) C A^(-1/2) the perturbed
-matrix factors as ``A + C = A^(1/2) (1 + T) A^(1/2)``, so
+Restrict gamma to the atoms where a weight is nonzero and let D be the atom
+density there, C = gamma' D gamma, X = A^(-1) gamma' and G = gamma X. The
+Woodbury identity
 
-    (A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)
+    A^(-1) - (A + C)^(-1) = X M X',    M = D (1 + G D)^(-1),
 
-holds at matrix level. Every report in this module evaluates a difference
-two ways: through that identity (and its expansions) and through direct
-dense inversion of the assembled ``A + C``, and records the relative
-Frobenius disagreement of the two paths as ``residual``. The ``difference``
-field always stores the direct-path matrix and the labeled ``terms`` carry
-their signs, so they sum to the identity-path evaluation.
+holds at matrix level, and every difference this module reports, powers
+included, has its range in span{A^(-j) gamma' : j <= m}, of dimension at
+most m rank(gamma). Each report builds an orthonormal basis Q of that span
+(block Arnoldi: a banded solve with A alternating with reorthogonalization)
+and evaluates the difference two ways, as r x r cores on Q:
+
+* the identity path, through the Woodbury core M and its expansion into
+  labeled terms whose cores sum to the identity-path core;
+* the direct path, ``Q' (A + C)^(-m) Q - Q' A^(-m) Q`` from a banded
+  factor of the assembled A + C, which uses no Woodbury algebra.
+
+``residual`` is the relative Frobenius disagreement of the two cores, which
+equals that of the N x N matrices since Q is orthonormal. Reported spectra
+come from the cores; the N x N ``difference``, ``terms`` and
+``expansion()`` are formed only when asked for. When 2 m k reaches N
+(Lebesgue measure has k = N) the nodes serve as atoms: gamma = 1, D is
+the N x N coupling C itself, and Q is the node basis.
+No report eigendecomposes A. ``perturbed_inverse`` keeps the dense
+identity ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,36 +49,67 @@ __all__ = [
     "two_weight_difference",
 ]
 
+# Krylov directions below this fraction of their block's scale are taken as
+# numerically dependent; keeping a spurious one would only add a zero value
+RANK_TOL = 1e-12
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.T)
+
+
+def _embed(basis: np.ndarray, core: np.ndarray) -> np.ndarray:
+    return _sym((basis @ core) @ basis.T)
+
 
 @dataclass(eq=False)
 class ResolventReport:
     """A difference of (powers of) inverses with its labeled decomposition.
 
-    ``difference`` is the direct-path matrix; ``terms`` map labels to signed
-    matrices summing to the identity-path evaluation; ``residual`` is the
-    relative Frobenius distance between the two paths.
+    ``basis`` is the orthonormal N x r matrix Q spanning the difference;
+    ``core`` is the direct-path difference on it (the difference is
+    ``Q core Q'``); ``term_cores`` map labels to signed cores summing to
+    the identity-path core; ``residual`` is the relative Frobenius distance
+    between the two paths. ``difference`` and ``terms`` give the same
+    matrices at size N x N, and ``expansion()`` the identity-path sum.
     """
 
-    difference: np.ndarray
-    terms: dict[str, np.ndarray]
+    basis: np.ndarray
+    core: np.ndarray
+    term_cores: dict[str, np.ndarray]
     residual: float
     _sv_cache: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def rank_bound(self) -> int:
+        """Column count of the basis: no term has more nonzero values."""
+        return self.basis.shape[1]
+
+    @cached_property
+    def difference(self) -> np.ndarray:
+        """The direct-path difference as an N x N matrix."""
+        return _embed(self.basis, self.core)
+
+    @property
+    def terms(self) -> dict[str, np.ndarray]:
+        """The signed terms as N x N matrices, formed on each access."""
+        return {label: _embed(self.basis, core)
+                for label, core in self.term_cores.items()}
+
     def expansion(self) -> np.ndarray:
         """Sum of the labeled terms (the identity-path evaluation)."""
-        out = None
-        for mat in self.terms.values():
-            out = mat.copy() if out is None else out + mat
-        return out
+        return _embed(self.basis, sum(self.term_cores.values()))
 
     def singular_values(self, label: str = "difference") -> np.ndarray:
         """Descending singular values of one labeled term (or the difference).
 
-        Symmetric inputs use their eigenvalue magnitudes; results are cached.
+        They are the eigenvalue magnitudes of the symmetric r x r core; the
+        N - r values outside the basis are exactly zero and not listed.
+        Results are cached.
         """
         if label not in self._sv_cache:
-            mat = self.difference if label == "difference" else self.terms[label]
-            sv = np.sort(np.abs(sla.eigvalsh(mat)))[::-1]
+            core = self.core if label == "difference" else self.term_cores[label]
+            sv = np.sort(np.abs(sla.eigvalsh(core)))[::-1]
             self._sv_cache[label] = sv
         return self._sv_cache[label]
 
@@ -90,32 +137,72 @@ def _require_margin(t_op: BSOperator, threshold: float) -> None:
         )
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
+def _atom_side(a: OperatorMatrix, m: int, *t_ops: BSOperator):
+    """Restriction rows, coupling cores, X, G and the basis Q for power m.
 
-
-def _identity_setup(a: OperatorMatrix, threshold: float, *t_ops: BSOperator
-                    ) -> tuple[np.ndarray, list]:
-    """Shared start of every identity path.
-
-    Checks that each T has a positivity margin above ``threshold``; returns
-    A^(-1/2) and the Cholesky factor of each 1 + T.
+    On the atoms where some weight is nonzero, each coupling is
+    C_i = gamma' S_i gamma with S_i = diag(D_i), X = A^(-1) gamma',
+    G = gamma X, and Q spans span{A^(-j) gamma' : j <= m}. When 2 m k
+    reaches N that span is not small against the grid, and the nodes
+    serve as atoms instead: gamma = 1, S_i = C_i and Q = 1 (the node
+    basis), which also keeps G at N x N when there are more atoms than
+    nodes.
     """
+    restriction = t_ops[0].restriction
+    if any(t_op.restriction is not restriction for t_op in t_ops):
+        raise ValidationError("the weights live on different restrictions")
+    if a.size != restriction.grid.size:
+        raise ValidationError("operator and restriction grids differ in size")
+    keep = np.zeros(restriction.measure.count, dtype=bool)
     for t_op in t_ops:
-        _require_margin(t_op, threshold)
-    chos = [sla.cho_factor(np.eye(t_op.size) + t_op.matrix, lower=True)
-            for t_op in t_ops]
-    return inverse_power(a, 0.5), chos
+        keep |= t_op.density != 0
+    if not keep.any():  # all weights zero: every difference is exactly zero
+        keep[:] = True
+    if 2 * m * np.count_nonzero(keep) >= a.size:
+        nodes = np.eye(a.size)
+        x = a.solve(nodes)
+        return (sp.identity(a.size, format="csr"),
+                [t_op.coupling.toarray() for t_op in t_ops], x, _sym(x), nodes)
+    gamma = restriction.matrix[keep]
+    x = a.solve(gamma.T.toarray())
+    return (gamma, [np.diag(t_op.density[keep]) for t_op in t_ops], x,
+            _sym(gamma @ x), _krylov_basis(a, x, m))
 
 
-def _direct_inverse(a: OperatorMatrix, coupling: sp.spmatrix) -> np.ndarray:
-    """(A + C)^(-1) by dense Cholesky of the assembled matrix, unsymmetrized."""
-    mat = a.matrix + coupling.toarray()
-    try:
-        cho = sla.cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise PositivityError("assembled A + C is not positive definite") from exc
-    return sla.cho_solve(cho, np.eye(a.size))
+def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """M = S (1 + G S)^(-1) = (1 + S G)^(-1) S; no factor of the possibly
+    singular G is taken."""
+    return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
+
+
+def _krylov_basis(a: OperatorMatrix, x: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block Arnoldi.
+
+    Each block is A^(-1) applied to the last one, projected twice off the
+    basis so far; its SVD keeps the directions above RANK_TOL of the
+    block's scale, which are projected once more (a weak direction carries
+    back about eps/s of the basis) and orthonormalized.
+    """
+    q = np.zeros((a.size, 0))
+    block = x
+    for j in range(m):
+        if j:
+            block = a.solve(block)
+        scale = float(np.sqrt((block * block).sum(axis=0)).max())
+        for _ in range(2):
+            block = block - q @ (q.T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        block = u[:, s > RANK_TOL * scale]
+        if block.shape[1] == 0:  # the span is exhausted
+            break
+        block = np.linalg.qr(block - q @ (q.T @ block))[0]
+        q = np.hstack([q, block])
+    return q
+
+
+def _shifted(a: OperatorMatrix, t_op: BSOperator) -> OperatorMatrix:
+    """The assembled A + C, for the direct path's own banded factor."""
+    return OperatorMatrix(a.sparse + t_op.coupling, t=a.t, grid=a.grid)
 
 
 def perturbed_inverse(
@@ -123,8 +210,14 @@ def perturbed_inverse(
     t_op: BSOperator,
     margin_threshold: float = MARGIN_DEFAULT,
 ) -> np.ndarray:
-    """Evaluate (A + C)^(-1) as ``A^(-1/2) (1 + T)^(-1) A^(-1/2)``."""
-    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
+    """Evaluate (A + C)^(-1) densely as ``A^(-1/2) (1 + T)^(-1) A^(-1/2)``.
+
+    This is the small-N oracle: it eigendecomposes A and factors the dense
+    1 + T.
+    """
+    _require_margin(t_op, margin_threshold)
+    a_half = inverse_power(a, 0.5)
+    cho = sla.cho_factor(np.eye(t_op.size) + t_op.matrix, lower=True)
     return _sym(a_half @ sla.cho_solve(cho, a_half))
 
 
@@ -135,23 +228,26 @@ def resolvent_difference(
 ) -> ResolventReport:
     """Difference of inverses ``A^(-1) - (A + C)^(-1)`` both ways.
 
-    The identity path expands into the leading term
-    R1 = A^(-1/2) T A^(-1/2) (algebraically equal to A^(-1) C A^(-1))
-    minus the correction R2 = A^(-1/2) T (1+T)^(-1) T A^(-1/2); the direct
-    path inverts the assembled matrix. Nonnegative V makes the difference
+    The identity path is ``X M X'``, expanded into the leading term
+    R1 = X D X' = A^(-1) C A^(-1) minus the correction
+    R2 = X (M G D) X' = A^(-1/2) T (1+T)^(-1) T A^(-1/2); the direct path
+    factors the assembled A + C. Nonnegative V makes the difference
     positive semidefinite.
     """
-    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
-    tt = t_op.matrix
-    r1 = a_half @ tt @ a_half
-    r2 = a_half @ _sym(tt @ sla.cho_solve(cho, tt)) @ a_half
-    b_inv = inverse_power(a, 1.0)
-    direct = b_inv - _sym(_direct_inverse(a, t_op.coupling))
+    _require_margin(t_op, margin_threshold)
+    gamma, (s,), x, g, q = _atom_side(a, 1, t_op)
+    mm = _woodbury(g, s)
+    p = q.T @ x
+    r1 = p @ s @ p.T
+    r2 = p @ (mm @ g @ s) @ p.T
+    inv = q.T @ a.solve(q)
+    direct = inv - q.T @ _shifted(a, t_op).solve(q)
     residual = _relative_residual(r1 - r2, direct,
-                                  ambient=float(np.linalg.norm(b_inv)))
+                                  ambient=float(np.linalg.norm(inv)))
     return ResolventReport(
-        difference=direct,
-        terms={"R1": _sym(r1), "R2": -_sym(r2)},
+        basis=q,
+        core=_sym(direct),
+        term_cores={"R1": _sym(r1), "R2": -_sym(r2)},
         residual=residual,
     )
 
@@ -164,29 +260,29 @@ def two_weight_difference(
 ) -> ResolventReport:
     """Difference of the two perturbed inverses, expansion against direct.
 
-    The expansion is ``A^(-1/2) (T1 - T2) A^(-1/2) - Z1 + Z2`` with
-    ``Zi = A^(-1/2) Ti (1 + Ti)^(-1) Ti A^(-1/2)``. It equals
-    ``(A + C2)^(-1) - (A + C1)^(-1)``, which the direct path computes by
-    dense inversion; in particular V1 >= V2 pointwise makes the result
-    positive semidefinite, and T2 = 0 reduces it to
-    :func:`resolvent_difference` of T1 exactly.
+    The identity path is ``X (M1 - M2) X'`` on the joint support, expanded
+    as ``main - Z1 + Z2`` with main = X (D1 - D2) X' =
+    A^(-1/2) (T1 - T2) A^(-1/2) and Zi = X (Mi G Di) X' =
+    A^(-1/2) Ti (1 + Ti)^(-1) Ti A^(-1/2). It equals
+    ``(A + C2)^(-1) - (A + C1)^(-1)``, which the direct path computes from
+    banded factors of both assembled matrices; in particular V1 >= V2
+    pointwise makes the result positive semidefinite, and T2 = 0 reduces
+    it to :func:`resolvent_difference` of T1.
     """
-    a_half, chos = _identity_setup(a, margin_threshold, t1, t2)
-    main = a_half @ (t1.matrix - t2.matrix) @ a_half
-    zs = []
-    for t_op, cho in zip((t1, t2), chos):
-        tt = t_op.matrix
-        core = tt @ sla.cho_solve(cho, tt)
-        zs.append(_sym(a_half @ _sym(core) @ a_half))
-    d2 = _sym(_direct_inverse(a, t2.coupling))
-    d1 = _sym(_direct_inverse(a, t1.coupling))
-    direct = d2 - d1
-    expansion = main - zs[0] + zs[1]
-    ambient = float(np.linalg.norm(d1) + np.linalg.norm(d2))
-    residual = _relative_residual(expansion, direct, ambient=ambient)
+    for t_op in (t1, t2):
+        _require_margin(t_op, margin_threshold)
+    gamma, (s1, s2), x, g, q = _atom_side(a, 1, t1, t2)
+    p = q.T @ x
+    main = p @ (s1 - s2) @ p.T
+    z1, z2 = (p @ (_woodbury(g, s) @ g @ s) @ p.T for s in (s1, s2))
+    inv1, inv2 = (q.T @ _shifted(a, t_op).solve(q) for t_op in (t1, t2))
+    direct = inv2 - inv1
+    ambient = float(np.linalg.norm(inv1) + np.linalg.norm(inv2))
+    residual = _relative_residual(main - z1 + z2, direct, ambient=ambient)
     return ResolventReport(
-        difference=direct,
-        terms={"main": _sym(main), "Z1": -zs[0], "Z2": zs[1]},
+        basis=q,
+        core=_sym(direct),
+        term_cores={"main": _sym(main), "Z1": -_sym(z1), "Z2": _sym(z2)},
         residual=residual,
     )
 
@@ -199,68 +295,63 @@ def power_difference(
 ) -> ResolventReport:
     """Difference of inverse powers ``(A + C)^(-m) - A^(-m)``, grouped.
 
-    With B = A^(-1), W = A^(-1/2) T A^(-1/2) and the resolvent written as
-    B - W + W' (W' carries the (1+T)^(-1) correction), expanding the m-th
-    power and grouping by the number of plain W factors gives
+    With B = A^(-1), W = A^(-1/2) T A^(-1/2) = X D X' and the resolvent
+    written as B - W + W' (W' carries the (1+T)^(-1) correction), expanding
+    the m-th power and grouping by the number of plain W factors gives
 
         H2 = - sum_{i+j=m-1} B^i W B^j        (one W),
         H3 = + sum_{i+j+k=m-2} B^i W B^j W B^k  (two W),
         H4 = everything else,
 
-    where H4 is computed as the identity-path difference minus H2 and H3
-    rather than by enumerating the remaining words. The direct path takes
-    the m-th matrix power of the dense inverse of A + C.
+    where H4 is the identity-path difference minus H2 and H3. The identity
+    path telescopes, with E = X M X':
+    ``(B - E)^m - B^m = - sum_i (B - E)^i E B^(m-1-i)``. The direct path
+    applies the banded factor of A + C m times to the basis.
     """
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    a_half, (cho,) = _identity_setup(a, margin_threshold, t_op)
-    w = _sym(a_half @ t_op.matrix @ a_half)
-    p_id = _sym(a_half @ sla.cho_solve(cho, a_half))
-    del cho
+    _require_margin(t_op, margin_threshold)
+    gamma, (s,), x, g, q = _atom_side(a, m, t_op)
+    mm = _woodbury(g, s)
 
-    b = inverse_power(a, 1.0)
-    b_pow = [None, b]  # index = power; B^0 matmuls are skipped
-    for _ in range(2, m):
-        b_pow.append(b_pow[-1] @ b)
+    # ys[j] = B^j Q and xs[j] = B^j gamma' for j = 1..m, so that
+    # Q' B^i W B^j Q = p[i+1]' D p[j+1] with p[j] = gamma B^j Q, and
+    # X' B^j X = gamma xs[j+2]
+    ys, xs = [None, a.solve(q)], [None, x]
+    for _ in range(m - 1):
+        ys.append(a.solve(ys[-1]))
+        xs.append(a.solve(xs[-1]))
+    p = [None] + [gamma @ y for y in ys[1:]]
+    bm = q.T @ ys[m]  # Q' B^m Q
 
-    def left_mul(i, mat):
-        return mat if i == 0 else b_pow[i] @ mat
-
-    wb = [w] + [w @ b_pow[j] for j in range(1, m)]  # wb[j] = W B^j
-
-    h2 = np.zeros_like(b)
-    for i in range(m):
-        j = m - 1 - i
-        h2 -= left_mul(i, wb[j])
-    h3 = np.zeros_like(b)
+    h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
+    h3 = np.zeros_like(bm)
     for i in range(m - 1):
         for j in range(m - 1 - i):
             k = m - 2 - i - j
-            h3 += left_mul(i, wb[j] @ wb[k])
+            h3 += p[i + 1].T @ s @ (gamma @ xs[j + 2]) @ s @ p[k + 1]
 
-    del wb
-    bm = b_pow[-1] @ b
-    del b_pow
-    pm = p_id.copy()
-    for _ in range(m - 1):
-        pm = pm @ p_id
-    d_id = pm - bm
-    del pm, p_id
+    # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
+    d_id = np.zeros_like(bm)
+    bu = ys[1]
+    for i in range(m):
+        f = gamma @ bu
+        d_id -= f.T @ mm @ p[m - i]
+        if i < m - 1:
+            bu = a.solve(bu - x @ (mm @ f))
     h4 = d_id - h2 - h3
 
-    ambient = float(np.linalg.norm(bm))
-    av_inv = _sym(_direct_inverse(a, t_op.coupling))
-    dm = av_inv.copy()
-    for _ in range(m - 1):
-        dm = dm @ av_inv
-    del av_inv
-    direct = dm - bm
-    del dm, bm
-
-    residual = _relative_residual(d_id, direct, ambient=ambient)
+    shifted = _shifted(a, t_op)
+    yc = q
+    for _ in range(m):
+        yc = shifted.solve(yc)
+    direct = q.T @ yc - bm
+    residual = _relative_residual(d_id, direct,
+                                  ambient=float(np.linalg.norm(bm)))
     return ResolventReport(
-        difference=_sym(direct),
-        terms={"H2": _sym(h2), "H3": _sym(h3), "H4": _sym(h4)},
+        basis=q,
+        core=_sym(direct),
+        term_cores={"H2": _sym(h2), "H3": _sym(h3), "H4": _sym(h4)},
         residual=residual,
     )

@@ -140,12 +140,23 @@ def test_atom_gram_matches_sandwich_spectrum():
     assert np.allclose(g_eig, t_eig[:18], rtol=1e-10, atol=1e-13)
 
 
-def test_atom_gram_rejects_signed_weight():
-    g, a = _setup_1d(16)
-    m = segment_measure(np.array([[0.2], [0.8]]), 5)
+def test_atom_gram_carries_signed_spectrum():
+    # the core serves either sign: its eigenvalues are the nonzero ones of
+    # T, and its smallest one gives the positivity margin
+    g, a = _setup_1d(40)
+    m = segment_measure(np.array([[0.2], [0.8]]), 12)
     gam = restriction_matrix(g, m)
-    with pytest.raises(ValidationError):
-        bs_atom_gram(a, gam, Perturbation(m, np.array([1.0, 1, 1, 1, -2.0])))
+    rng = np.random.Generator(np.random.Philox(17))
+    p = Perturbation(m, 2.0 * rng.standard_normal(12))
+    gram = bs_atom_gram(a, gam, p)
+    assert gram.shape == (12, 12)
+    t_op = bs_operator(a, gam, p)
+    t_eig = np.linalg.eigvalsh(t_op.matrix)
+    nonzero = t_eig[np.abs(t_eig) > 1e-10 * np.abs(t_eig).max()]
+    assert np.allclose(np.linalg.eigvalsh(gram), nonzero, rtol=1e-10,
+                       atol=1e-13 * np.abs(t_eig).max())
+    assert positivity_margin(t_op) == pytest.approx(1.0 + t_eig.min(),
+                                                    rel=1e-10)
 
 
 def test_grid_measure_dimension_mismatch():

@@ -165,9 +165,13 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"weights": {"V1": {"kind": "step", "box": [0, 1, 2], "inside": 1.0}}},
     {"measure": dict(SEGMENT_1D, count=ATOM_CAP_DEFAULT + 1)},
     {"weights": {"V1": {"kind": "file", "path": "absent.csv"}}},
+    {"measure": dict(SEGMENT_1D, count=10**400)},
+    {"measure": {"kind": "ifs", "depth": 10**9,
+                 "maps": [{"ratio": 0.5, "translation": [0.5]}]}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
-        "floor", "box", "segment_atom_cap", "missing_weight_file"])
+        "floor", "box", "segment_atom_cap", "missing_weight_file",
+        "huge_integer", "one_map_ifs_depth"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
@@ -218,8 +222,11 @@ def test_summary_on_disk_equals_manifest_for_every_task(tmp_path):
         on_disk = json.loads((run_dir / entry["outputs"]["summary"]).read_text())
         assert on_disk == entry["summary"], entry["name"]
     summaries = {entry["name"]: entry["summary"] for entry in manifest["tasks"]}
-    assert summaries["resolvent_diff"]["margin"] is None  # nonnegative V1
+    # nonnegative V1: T >= 0 and k < N, so the smallest eigenvalue is 0
+    assert summaries["resolvent_diff"]["margin"] == pytest.approx(1.0)
     assert summaries["power_diff"]["m"] == 2
+    for name, summary in summaries.items():
+        assert summary["values_kept"] <= summary["rank_bound"], name
 
 
 @pytest.mark.parametrize("task", TASK_NAMES)
@@ -329,6 +336,18 @@ def test_file_weight_resolves_relative_to_config(tmp_path):
     assert main(["run", str(path), "--out", str(out)]) == 0
     written = (out / config_hash(cfg, tmp_path) / "measure.csv").read_text()
     assert written.splitlines()[0].endswith(",V")
+
+
+def test_non_number_weight_cell_exits_2(tmp_path, capsys):
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, 1.0))
+    lines = (tmp_path / "v.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+    (tmp_path / "v.csv").write_text("\n".join(lines) + "\n")
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_rewritten_weight_file_is_recomputed(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Exact inverse-perturbation identities checked matrix against matrix."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from deltaspec import (
     PositivityError,
     ValidationError,
     assemble_neumann,
+    boundary_measure,
     bs_operator,
     inverse_power,
     perturbed_inverse,
@@ -20,6 +23,9 @@ from deltaspec import (
     segment_measure,
     two_weight_difference,
 )
+from deltaspec import birman_schwinger, elliptic, resolvents
+from deltaspec.cli import config_hash, main
+from deltaspec.io import read_measure
 
 
 def _setup(n=64, t=1.0):
@@ -181,3 +187,115 @@ def test_singular_values_labels_and_cache():
         assert rep.singular_values(label).shape == (48,)
     with pytest.raises(KeyError):
         rep.singular_values("H9")
+
+
+# ------------------------------------------------ atom-side against dense
+
+CROSS_CASES = {
+    # name: (bbox, shape, segment endpoints, atoms); both use a Krylov basis
+    "1d": ([[0.0, 1.0]], (128,), [[0.2], [0.8]], 16),
+    "2d": ([[0.0, 1.0], [0.0, 1.0]], (17, 17), [[0.2, 0.45], [0.8, 0.45]], 24),
+}
+
+
+def _cross_setup(case, signed):
+    bbox, shape, ends, atoms = CROSS_CASES[case]
+    g = Grid(np.array(bbox), shape)
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, len(shape), t=1.0))
+    m = segment_measure(np.array(ends), atoms)
+    gam = restriction_matrix(g, m)
+    rng = np.random.Generator(np.random.Philox(41 + len(shape)))
+    v2 = rng.standard_normal(atoms)
+    v2 = 0.4 * v2 if signed else np.abs(v2)
+    v1 = v2 + 0.5 * np.abs(rng.standard_normal(atoms))
+    t1, t2 = (bs_operator(a, gam, Perturbation(m, v)) for v in (v1, v2))
+    return a, t1, t2
+
+
+def _assert_kept_agree(got, want_matrix, floor=1e-11):
+    # the values above the floor, in norm-relative terms: both paths carry
+    # rounding of the size of the inverses, far below the kept values' head
+    want = np.sort(np.abs(np.linalg.eigvalsh(want_matrix)))[::-1]
+    kept = want[want > floor]
+    assert np.count_nonzero(got > floor) == kept.size
+    assert np.max(np.abs(got[:kept.size] - kept)) <= 1e-10 * kept[0]
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["nonneg", "signed"])
+@pytest.mark.parametrize("case", sorted(CROSS_CASES))
+def test_engine_matches_dense_inverses(case, signed):
+    a, t1, t2 = _cross_setup(case, signed)
+    inv = np.linalg.inv
+    a_inv = inv(a.matrix)
+    for oracle in ("identity", "numpy"):
+        p1, p2 = (perturbed_inverse(a, t_op) if oracle == "identity"
+                  else inv(a.matrix + t_op.coupling.toarray())
+                  for t_op in (t1, t2))
+        _assert_kept_agree(resolvent_difference(a, t1).singular_values(),
+                           a_inv - p1)
+        _assert_kept_agree(
+            two_weight_difference(a, t1, t2).singular_values(), p2 - p1)
+        for m_pow in (2, 3):
+            _assert_kept_agree(
+                power_difference(a, t1, m_pow).singular_values(),
+                np.linalg.matrix_power(p1, m_pow)
+                - np.linalg.matrix_power(a_inv, m_pow))
+
+
+@pytest.mark.parametrize("v1", [{"kind": "constant", "value": 1.0},
+                                {"kind": "random", "scale": 0.5}],
+                         ids=["nonneg", "signed"])
+def test_robin_diff_matches_dense_inverses(tmp_path, v1):
+    cfg = {
+        "schema_version": 1, "seed": 5,
+        "domain": {"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 17]},
+        "operator": {"coefficients": 1.0, "t": 1.0},
+        "measure": {"kind": "boundary"},
+        "weights": {"V1": v1, "V2": {"kind": "constant", "value": 3.0}},
+        "tasks": ["robin_diff"],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
+    run_dir = tmp_path / "runs" / config_hash(cfg)
+    g = Grid(np.array(cfg["domain"]["bbox"]), (17, 17))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    bnd = boundary_measure(g)
+    gam = restriction_matrix(g, bnd)
+    _, p1 = read_measure(run_dir / "measure.csv")
+    t1, t2 = (bs_operator(a, gam, Perturbation(bnd, vals))
+              for vals in (p1.values, np.full(bnd.count, 3.0)))
+    got = np.loadtxt(run_dir / "robin_diff" / "singulars.csv", delimiter=",",
+                     skiprows=1)[:, 1]
+    for inv1, inv2 in (
+            (perturbed_inverse(a, t1), perturbed_inverse(a, t2)),
+            (np.linalg.inv(a.matrix + t1.coupling.toarray()),
+             np.linalg.inv(a.matrix + t2.coupling.toarray()))):
+        _assert_kept_agree(got, inv1 - inv2)
+
+
+def test_cli_two_weight_diff_takes_no_inverse_power(tmp_path, monkeypatch):
+    calls = []
+    original = elliptic.inverse_power
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (elliptic, birman_schwinger, resolvents):
+        monkeypatch.setattr(module, "inverse_power", counting)
+    bbox, shape, ends, atoms = CROSS_CASES["2d"]
+    cfg = {
+        "schema_version": 1, "seed": 0,
+        "domain": {"bbox": bbox, "shape": list(shape)},
+        "operator": {"coefficients": 1.0, "t": 1.0},
+        "measure": {"kind": "segment", "start": ends[0], "end": ends[1],
+                    "count": atoms},
+        "weights": {"V1": {"kind": "constant", "value": 2.0},
+                    "V2": {"kind": "random", "scale": 0.3}},
+        "tasks": ["two_weight_diff"],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
+    assert calls == []
