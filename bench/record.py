@@ -1,16 +1,15 @@
 """Record one point of the deltaspec performance trajectory as BENCH_<n>.json.
 
-    python3 bench/record.py [--seed N] [--seconds S] [--tier1-log FILE]
+    python3 bench/record.py
 
 Run from a deltaspec checkout. For each of the four workloads of
 ``perfbench/run.py`` the script runs ``--trace 0`` (end-to-end metrics)
-and ``--trace 1`` (per-layer metrics and counters) and keeps the JSON line
-each run prints. It then reads the wall time of every acceptance criterion
-from the ``[criterion N]`` verdict lines of a tier-1 test run: the log
-given by ``--tier1-log``, or a tier-1 run it makes itself (the command in
-ROADMAP.md). The file also holds a machine fingerprint (cores, BLAS name,
-version and threads, numpy and scipy versions) and the line count of
-``src/``.
+and ``--trace 1`` (per-layer metrics and counters), each at seed 1 for
+15 s, and keeps the JSON line each run prints. It then runs the tier-1
+suite (the command in ROADMAP.md) and reads the wall time of every
+acceptance criterion from its ``[criterion N]`` verdict lines. The file
+also holds a machine fingerprint (cores, BLAS name, version and threads,
+numpy and scipy versions) and the line count of ``src/``.
 
 The output is ``BENCH_<n>.json`` at the root of the checkout, n one more
 than the highest existing file. When an earlier file exists the script
@@ -20,7 +19,6 @@ does not gate on it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -31,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("segment2d-weyl", "identity-draws", "cantor-kf", "robin2d")
+SEED = 1
+SECONDS = 15.0
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # pytest -q prints a verdict line after the progress dots of its file
 VERDICT = re.compile(r"\[criterion (\d+)\] (PASS|FAIL) \((.*)\)$", re.M)
@@ -67,9 +67,9 @@ def src_lines() -> dict:
     return {"total": sum(counts.values()), "files": counts}
 
 
-def run_workload(name: str, trace: int, seed: int, seconds: float) -> dict:
+def run_workload(name: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-           name, "--seed", str(seed), "--seconds", str(seconds), "--trace",
+           name, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace",
            str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           check=False)
@@ -88,9 +88,7 @@ def criteria(log: str) -> dict:
     return out
 
 
-def tier1_log(path: str | None) -> tuple[str, float | None]:
-    if path is not None:
-        return Path(path).read_text(), None
+def tier1_log() -> tuple[str, float]:
     env = dict(os.environ)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + old if old else "")
@@ -122,24 +120,15 @@ def report_change(old: dict, new: dict) -> None:
           f"{new['src_lines']['total']}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--tier1-log", default=None,
-                        help="read the verdict lines from this log instead "
-                             "of running the tier-1 suite")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     record = {"created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
               "machine": fingerprint(), "src_lines": src_lines(),
-              "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+              "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for name in WORKLOADS:
         record["workloads"][name] = {
-            f"trace{trace}": run_workload(name, trace, args.seed, args.seconds)
-            for trace in (0, 1)}
+            f"trace{trace}": run_workload(name, trace) for trace in (0, 1)}
         print(f"{name}: done", file=sys.stderr)
-    log, tier1_s = tier1_log(args.tier1_log)
+    log, tier1_s = tier1_log()
     record["criteria"] = criteria(log)
     record["tier1_wall_s"] = tier1_s
     summary = re.findall(r"^=*\s*(\d+ (?:passed|failed).*?)\s*=*$", log, re.M)

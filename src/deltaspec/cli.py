@@ -517,12 +517,15 @@ def _task_krein_feller(ctx, entry, out_dir):
 def _task_robin_diff(ctx, entry, out_dir):
     # the Robin realizations are A + Ci, Ci the couplings of V1 and V2 on
     # the boundary measure: the two-weight difference with the weights
-    # swapped, (A + C1)^(-1) - (A + C2)^(-1), without its term spectra
+    # swapped, (A + C1)^(-1) - (A + C2)^(-1), without its term spectra.
+    # A Robin density is admissible when A + Ci is positive definite, so
+    # no margin threshold applies: only the banded factor of A + Ci can
+    # raise PositivityError
     if ctx["V2"] is None:
         raise ValidationError("robin_diff needs weights.V2")
     t1, t2 = (bs_operator(ctx["a"], ctx["gamma"], ctx[key])
               for key in ("V1", "V2"))
-    rep = two_weight_difference(ctx["a"], t2, t1, ctx["margin"])
+    rep = two_weight_difference(ctx["a"], t2, t1, margin_threshold=-np.inf)
     return _write_report(rep, out_dir, ctx, with_terms=False)
 
 

@@ -17,13 +17,17 @@ and evaluates the difference two ways, as r x r cores on Q:
 * the direct path, ``Q' (A + C)^(-m) Q - Q' A^(-m) Q`` from a banded
   factor of the assembled A + C, which uses no Woodbury algebra.
 
-``residual`` is the relative Frobenius disagreement of the two cores, which
-equals that of the N x N matrices since Q is orthonormal. Reported spectra
-come from the cores; the N x N ``difference``, ``terms`` and
-``expansion()`` are formed only when asked for. When 2 m k reaches N
-(Lebesgue measure has k = N) the nodes serve as atoms: gamma = 1, D is
-the N x N coupling C itself, and Q is the node basis.
-No report eigendecomposes A. ``perturbed_inverse`` keeps the dense
+Both cores live on Q, so their disagreement equals that of the N x N
+matrices only if Q spans the difference's range. That span is also
+span{(A + C)^(-j) gamma' : j <= m}, and each report checks it from the
+banded factor of A + C alone: ``residual`` is the larger of the relative
+Frobenius disagreement of the two cores and the relative part of those
+columns outside Q. Reported spectra come from the cores; the N x N
+``difference``, ``terms`` and ``expansion()`` are formed only when asked
+for. When there are at least as many atoms as nodes (Lebesgue measure has
+k = N) an atom-side G would be no smaller than N x N, and the nodes serve
+as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
+basis. No report eigendecomposes A. ``perturbed_inverse`` keeps the dense
 identity ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N
 oracle.
 """
@@ -69,9 +73,10 @@ class ResolventReport:
     ``basis`` is the orthonormal N x r matrix Q spanning the difference;
     ``core`` is the direct-path difference on it (the difference is
     ``Q core Q'``); ``term_cores`` map labels to signed cores summing to
-    the identity-path core; ``residual`` is the relative Frobenius distance
-    between the two paths. ``difference`` and ``terms`` give the same
-    matrices at size N x N, and ``expansion()`` the identity-path sum.
+    the identity-path core; ``residual`` is the larger of the relative
+    Frobenius distance between the two paths and the relative part of the
+    difference's range outside Q. ``difference`` and ``terms`` give the
+    same matrices at size N x N, and ``expansion()`` the identity-path sum.
     """
 
     basis: np.ndarray
@@ -103,13 +108,14 @@ class ResolventReport:
     def singular_values(self, label: str = "difference") -> np.ndarray:
         """Descending singular values of one labeled term (or the difference).
 
-        They are the eigenvalue magnitudes of the symmetric r x r core; the
-        N - r values outside the basis are exactly zero and not listed.
+        All N of them: the eigenvalue magnitudes of the symmetric r x r
+        core, then N - r exact zeros for the directions outside the basis.
         Results are cached.
         """
         if label not in self._sv_cache:
             core = self.core if label == "difference" else self.term_cores[label]
-            sv = np.sort(np.abs(sla.eigvalsh(core)))[::-1]
+            sv = np.zeros(self.basis.shape[0])
+            sv[:len(core)] = np.sort(np.abs(sla.eigvalsh(core)))[::-1]
             self._sv_cache[label] = sv
         return self._sv_cache[label]
 
@@ -142,11 +148,10 @@ def _atom_side(a: OperatorMatrix, m: int, *t_ops: BSOperator):
 
     On the atoms where some weight is nonzero, each coupling is
     C_i = gamma' S_i gamma with S_i = diag(D_i), X = A^(-1) gamma',
-    G = gamma X, and Q spans span{A^(-j) gamma' : j <= m}. When 2 m k
-    reaches N that span is not small against the grid, and the nodes
-    serve as atoms instead: gamma = 1, S_i = C_i and Q = 1 (the node
-    basis), which also keeps G at N x N when there are more atoms than
-    nodes.
+    G = gamma X, and Q spans span{A^(-j) gamma' : j <= m}. With at least
+    as many atoms as nodes that G would be no smaller than N x N, and the
+    nodes serve as atoms instead: gamma = 1, S_i = C_i and Q = 1 (the
+    node basis).
     """
     restriction = t_ops[0].restriction
     if any(t_op.restriction is not restriction for t_op in t_ops):
@@ -158,7 +163,7 @@ def _atom_side(a: OperatorMatrix, m: int, *t_ops: BSOperator):
         keep |= t_op.density != 0
     if not keep.any():  # all weights zero: every difference is exactly zero
         keep[:] = True
-    if 2 * m * np.count_nonzero(keep) >= a.size:
+    if np.count_nonzero(keep) >= a.size:
         nodes = np.eye(a.size)
         x = a.solve(nodes)
         return (sp.identity(a.size, format="csr"),
@@ -205,6 +210,27 @@ def _shifted(a: OperatorMatrix, t_op: BSOperator) -> OperatorMatrix:
     return OperatorMatrix(a.sparse + t_op.coupling, t=a.t, grid=a.grid)
 
 
+def _basis_gap(q: np.ndarray, gamma, shifted: OperatorMatrix, m: int = 1
+               ) -> float:
+    """Relative part of span{(A + C)^(-j) gamma' : j <= m} outside Q.
+
+    That span holds the range of the difference and is computed from the
+    banded factor of A + C alone, so a basis that misses part of the
+    range shows here while the two cores on Q still agree. The node
+    basis spans everything.
+    """
+    if q.shape[1] == q.shape[0]:
+        return 0.0
+    gap = 0.0
+    y = gamma.T.toarray()
+    for _ in range(m):
+        y = shifted.solve(y)
+        norm = float(np.linalg.norm(y))
+        if norm > 0:
+            gap = max(gap, float(np.linalg.norm(y - q @ (q.T @ y))) / norm)
+    return gap
+
+
 def perturbed_inverse(
     a: OperatorMatrix,
     t_op: BSOperator,
@@ -241,9 +267,11 @@ def resolvent_difference(
     r1 = p @ s @ p.T
     r2 = p @ (mm @ g @ s) @ p.T
     inv = q.T @ a.solve(q)
-    direct = inv - q.T @ _shifted(a, t_op).solve(q)
-    residual = _relative_residual(r1 - r2, direct,
-                                  ambient=float(np.linalg.norm(inv)))
+    shifted = _shifted(a, t_op)
+    direct = inv - q.T @ shifted.solve(q)
+    residual = max(_relative_residual(r1 - r2, direct,
+                                      ambient=float(np.linalg.norm(inv))),
+                   _basis_gap(q, gamma, shifted))
     return ResolventReport(
         basis=q,
         core=_sym(direct),
@@ -275,10 +303,13 @@ def two_weight_difference(
     p = q.T @ x
     main = p @ (s1 - s2) @ p.T
     z1, z2 = (p @ (_woodbury(g, s) @ g @ s) @ p.T for s in (s1, s2))
-    inv1, inv2 = (q.T @ _shifted(a, t_op).solve(q) for t_op in (t1, t2))
+    shifted = [_shifted(a, t_op) for t_op in (t1, t2)]
+    inv1, inv2 = (q.T @ op.solve(q) for op in shifted)
     direct = inv2 - inv1
     ambient = float(np.linalg.norm(inv1) + np.linalg.norm(inv2))
-    residual = _relative_residual(main - z1 + z2, direct, ambient=ambient)
+    residual = max(_relative_residual(main - z1 + z2, direct,
+                                      ambient=ambient),
+                   *(_basis_gap(q, gamma, op) for op in shifted))
     return ResolventReport(
         basis=q,
         core=_sym(direct),
@@ -347,8 +378,9 @@ def power_difference(
     for _ in range(m):
         yc = shifted.solve(yc)
     direct = q.T @ yc - bm
-    residual = _relative_residual(d_id, direct,
-                                  ambient=float(np.linalg.norm(bm)))
+    residual = max(_relative_residual(d_id, direct,
+                                      ambient=float(np.linalg.norm(bm))),
+                   _basis_gap(q, gamma, shifted, m))
     return ResolventReport(
         basis=q,
         core=_sym(direct),

@@ -73,8 +73,10 @@ def _draw_pair(a, gam, seed, nonneg):
 
 
 def _path_residual(rep):
-    return (np.linalg.norm(rep.expansion() - rep.difference)
-            / np.linalg.norm(rep.difference))
+    # both N x N matrices are formed on the report's basis, so the report's
+    # own residual adds the check that the basis spans the difference
+    return max(np.linalg.norm(rep.expansion() - rep.difference)
+               / np.linalg.norm(rep.difference), rep.residual)
 
 
 def _psd_floor(mat):

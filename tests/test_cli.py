@@ -270,6 +270,33 @@ def test_robin_diff_matches_dense_inverses_and_reports_residual(tmp_path):
     assert np.allclose(got, want[:got.size], rtol=1e-9, atol=1e-12 * want[0])
 
 
+def test_robin_diff_admits_signed_density_below_margin_threshold(tmp_path):
+    # a Robin density is admissible while A + C is positive definite: a
+    # positivity margin of 0.03, below the 0.05 threshold of the other
+    # tasks, runs at its own t, and a negative margin doubles t
+    grid = deltaspec.Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (12, 12))
+    a = deltaspec.assemble_neumann(
+        grid, deltaspec.CoefficientField.isotropic(1.0, 2))
+    bnd = deltaspec.boundary_measure(grid)
+    gam = deltaspec.restriction_matrix(grid, bnd)
+
+    def margin(value):
+        return deltaspec.positivity_margin(deltaspec.bs_operator(
+            a, gam, Perturbation.constant(bnd, value)))
+
+    top = 1.0 - margin(-1.0)  # the largest eigenvalue of T at V = 1
+    for target, raises in ((0.03, 0), (-0.5, 1)):
+        value = -(1.0 - target) / top
+        assert margin(value) == pytest.approx(target, abs=1e-9)
+        cfg = box_config(tasks=["robin_diff"],
+                         weights={"V1": {"kind": "constant", "value": value},
+                                  "V2": {"kind": "constant", "value": 1.0}})
+        (tmp_path / str(raises)).mkdir()
+        manifest, _ = run_manifest(tmp_path / str(raises), cfg)
+        assert len(manifest["t_raises"]) == raises
+        assert manifest["tasks"][0]["summary"]["residual"] <= 1e-10
+
+
 def test_weyl_check_predicts_from_both_signs(tmp_path):
     # singular values count both signs of V1 - V2, so swapping the weights
     # changes neither the fit nor the prediction; for a gap of 1 on a

@@ -192,8 +192,10 @@ def test_singular_values_labels_and_cache():
 # ------------------------------------------------ atom-side against dense
 
 CROSS_CASES = {
-    # name: (bbox, shape, segment endpoints, atoms); both use a Krylov basis
+    # name: (bbox, shape, segment endpoints, atoms); "1d-nodes" has more
+    # atoms than nodes and so uses the node basis, the others a Krylov basis
     "1d": ([[0.0, 1.0]], (128,), [[0.2], [0.8]], 16),
+    "1d-nodes": ([[0.0, 1.0]], (24,), [[0.2], [0.8]], 32),
     "2d": ([[0.0, 1.0], [0.0, 1.0]], (17, 17), [[0.2, 0.45], [0.8, 0.45]], 24),
 }
 
