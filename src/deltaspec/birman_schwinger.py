@@ -9,8 +9,9 @@ boundary measure. ``bs_operator`` bundles A, gamma and D into the
 Birman-Schwinger operator ``T = A^(-1/2) C A^(-1/2)``, whose spectrum
 decides the positivity of the perturbed form (``positivity_margin``, the
 smallest eigenvalue of 1 + T). T is never needed as an N x N matrix:
-``bs_atom_gram`` is the atoms-by-atoms core carrying its nonzero spectrum,
-built from one banded factor of A. The dense sandwich is formed only when
+``BSOperator.core`` is the atoms-by-atoms core carrying its nonzero
+spectrum, built from one banded factor of A, and ``bs_atom_gram`` returns
+it for a weight. The dense sandwich is formed only when
 ``BSOperator.matrix`` is read, as the oracle of the tests.
 """
 
@@ -74,19 +75,24 @@ class BSOperator:
     _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
-    def grid(self) -> Grid:
-        return self.restriction.grid
-
-    @property
     def size(self) -> int:
         return self.operator.size
 
     @property
     def core(self) -> np.ndarray:
-        """Atom-side core with the nonzero spectrum of T (see bs_atom_gram)."""
+        """Atom-side core with the nonzero spectrum of T (see bs_atom_gram).
+
+        With A = L L' (banded) and Y = L^(-1) gamma' = Q_Y R (thin QR), T
+        is orthogonally similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'.
+        R D R' is min(N, k) square and needs no factor of
+        G = gamma A^(-1) gamma' = R'R, which is singular whenever two atoms
+        share their interpolation nodes.
+        """
         if self._core is None:
-            self._core = _atom_core(self.operator, self.restriction,
-                                    self.density)
+            y = self.operator.solve_lower(self.restriction.matrix.T.toarray())
+            r = np.linalg.qr(y, mode="r")
+            core = (r * self.density) @ r.T
+            self._core = 0.5 * (core + core.T)
         return self._core
 
     @property
@@ -189,17 +195,6 @@ def bs_operator(
                       density=atom_density(g, p), coupling=c)
 
 
-def _atom_core(a: OperatorMatrix, g: RestrictionMatrix, density: np.ndarray
-               ) -> np.ndarray:
-    # With A = L L' (banded) and Y = L^(-1) gamma' = Q_Y R (thin QR), T is
-    # orthogonally similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'. R D R' is
-    # min(N, k) square and needs no factor of G = gamma A^(-1) gamma' = R'R,
-    # which is singular whenever two atoms share their interpolation nodes.
-    r = np.linalg.qr(a.solve_lower(g.matrix.T.toarray()), mode="r")
-    core = (r * density) @ r.T
-    return 0.5 * (core + core.T)
-
-
 def bs_atom_gram(
     a: OperatorMatrix,
     g: RestrictionMatrix,
@@ -215,9 +210,7 @@ def bs_atom_gram(
     solves, no eigendecomposition of A, which is what makes the fractal
     counting experiments cheap on fine grids.
     """
-    if a.size != g.grid.size:
-        raise ValidationError("operator and restriction grids differ in size")
-    return _atom_core(a, g, atom_density(g, p))
+    return bs_operator(a, g, p).core
 
 
 def positivity_margin(t_op: BSOperator) -> float:

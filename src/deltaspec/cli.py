@@ -48,6 +48,7 @@ import numpy as np
 
 from . import __version__
 from .birman_schwinger import (
+    MARGIN_DEFAULT,
     bs_atom_gram,
     bs_operator,
     positivity_margin,
@@ -62,6 +63,7 @@ from .elliptic import (
 from .errors import NumericalError, PositivityError, ValidationError
 from .io import (
     fit_to_dict,
+    read_json,
     write_counting,
     write_json,
     write_measure,
@@ -274,24 +276,21 @@ def validate_config(cfg) -> None:
     _check_keys(analysis, "analysis", [],
                 ["floor", "window", "head_drop", "margin"])
     # null asks for the default, as an absent key does
-    _check_numbers({k: v for k, v in analysis.items() if v is not None},
-                   "analysis", {"floor": SCALAR, "window": [(2,)],
-                                "head_drop": SCALAR, "margin": SCALAR},
+    given = {k: v for k, v in analysis.items() if v is not None}
+    _check_numbers(given, "analysis", {"floor": SCALAR, "window": [(2,)],
+                                       "head_drop": SCALAR, "margin": SCALAR},
                    integers=["window"])
+    if not 0 <= given.get("head_drop", 0) < 1:
+        raise ValidationError("analysis.head_drop must lie in [0, 1)")
+    if given.get("floor", 0) < 0:
+        raise ValidationError("analysis.floor must be nonnegative")
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file {path} not found")
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = read_json(path, "config")
     validate_config(cfg)
     return cfg
 
@@ -592,7 +591,7 @@ def _execute(cfg, out_dir, t_value, base_dir):
 
     analysis = {k: v for k, v in cfg.get("analysis", {}).items()
                 if v is not None}
-    margin = float(analysis.get("margin", 0.05))
+    margin = float(analysis.get("margin", MARGIN_DEFAULT))
     ctx = {
         "grid": grid, "coeffs": coeffs, "a": a, "measure": measure,
         "gamma": gamma, "V1": v1, "V2": v2, "analysis": analysis,
@@ -642,9 +641,11 @@ def run_config(cfg, out_root, force=False, base_dir=".") -> tuple[dict, Path]:
     out_root = Path(out_root)
     out_dir = out_root / digest
     manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists() and not force:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+    if not force:
+        try:
+            manifest = read_json(manifest_path, "manifest")
+        except ValidationError:  # missing or unreadable: no completed run
+            manifest = {}
         if manifest.get("config_hash") == digest:
             print(f"run {digest} already complete at {out_dir}; use --force "
                   "to recompute")
@@ -832,11 +833,7 @@ def run_verify(suite: str) -> int:
 
 
 def run_export(manifest_path: str, fmt: str) -> int:
-    path = Path(manifest_path)
-    if not path.exists():
-        raise ValidationError(f"manifest {path} not found")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path, "manifest")
     if fmt == "json":
         json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

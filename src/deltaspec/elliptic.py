@@ -171,7 +171,7 @@ class OperatorMatrix:
     immutable afterwards.
     """
 
-    def __init__(self, matrix, t: float, grid: Grid | None = None):
+    def __init__(self, matrix):
         mat = sp.csr_matrix(matrix, dtype=float)
         scale = abs(mat).max()
         if scale == 0:
@@ -179,12 +179,9 @@ class OperatorMatrix:
         if abs(mat - mat.T).max() > 1e-12 * scale:
             raise ValidationError("operator matrix is not symmetric (rel 1e-12)")
         self.sparse = (0.5 * (mat + mat.T)).tocsr()
-        self.t = float(t)
-        self.grid = grid
         self._factor = None
         self._dense = None
         self._eig = None
-        self._pow_cache: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -313,7 +310,7 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
             + g_ops[1].T @ cross @ g_ops[0]
 
     mat = stiff + coeffs.t * sp.identity(size, format="csr")
-    return OperatorMatrix(mat, t=coeffs.t, grid=grid)
+    return OperatorMatrix(mat)
 
 
 def assemble_robin(
@@ -338,24 +335,19 @@ def assemble_robin(
     gamma = restriction_matrix(grid, boundary_p.measure)
     mat = assemble_neumann(grid, coeffs).sparse \
         + coupling_matrix(gamma, boundary_p)
-    robin = OperatorMatrix(mat, t=coeffs.t, grid=grid)
+    robin = OperatorMatrix(mat)
     robin._cholesky()
     return robin
 
 
 def inverse_power(a: OperatorMatrix, s: float) -> np.ndarray:
-    """Spectral inverse power A^(-s) through the cached eigendecomposition."""
+    """Spectral inverse power A^(-s), formed on each call from the cached
+    eigendecomposition."""
     if s <= 0:
         raise ValidationError("inverse power exponent must be positive")
-    s = float(s)
-    cached = a._pow_cache.get(s)
-    if cached is not None:
-        return cached
     w, q = a._eigh()
-    out = (q * w ** (-s)) @ q.T
-    out = 0.5 * (out + out.T)
-    a._pow_cache[s] = out
-    return out
+    out = (q * w ** (-float(s))) @ q.T
+    return 0.5 * (out + out.T)
 
 
 def lebesgue_measure(grid: Grid) -> DiscreteMeasure:

@@ -23,6 +23,7 @@ from .weights import Perturbation
 __all__ = [
     "FLOAT_FMT",
     "fit_to_dict",
+    "read_json",
     "read_measure",
     "write_counting",
     "write_json",
@@ -93,11 +94,7 @@ def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValidationError("ragged measure CSV")
 
-    side_path = _sidecar_path(path)
-    if not side_path.exists():
-        raise ValidationError(f"measure sidecar {side_path} is missing")
-    with open(side_path) as fh:
-        side = json.load(fh)
+    side = read_json(_sidecar_path(path), "measure sidecar")
     bbox = side.get("bbox")
     m = DiscreteMeasure(
         atoms=data[:, :n],
@@ -145,6 +142,26 @@ def fit_to_dict(fit: PowerLawFit | None) -> dict | None:
         "kind": fit.kind,
         "slope": fit.slope,
     }
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """Read the JSON object in a file; ``what`` names the file in errors.
+
+    A path that is missing or not a regular file, text that is not JSON
+    and JSON that is not an object all raise :class:`ValidationError`.
+    """
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a regular file" if path.exists() else "not found"
+        raise ValidationError(f"{what} {path} {state}")
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # undecodable bytes as well as bad JSON
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} does not hold a JSON object")
+    return obj
 
 
 def write_json(obj, path: str | Path) -> Path:

@@ -12,17 +12,22 @@ most m rank(gamma). Each report builds an orthonormal basis Q of that span
 (block Arnoldi: a banded solve with A alternating with reorthogonalization)
 and evaluates the difference two ways, as r x r cores on Q:
 
-* the identity path, through the Woodbury core M and its expansion into
-  labeled terms whose cores sum to the identity-path core;
-* the direct path, ``Q' (A + C)^(-m) Q - Q' A^(-m) Q`` from a banded
-  factor of the assembled A + C, which uses no Woodbury algebra.
+* the identity path, through the Woodbury cores and their expansion into
+  labeled terms;
+* the direct path, ``Q' P^(-m) Q - Q' M^(-m) Q`` with P and M each A or
+  an assembled A + C_i, factored on its own, which uses no Woodbury
+  algebra.
 
-Both cores live on Q, so their disagreement equals that of the N x N
-matrices only if Q spans the difference's range. That span is also
-span{(A + C)^(-j) gamma' : j <= m}, and each report checks it from the
-banded factor of A + C alone: ``residual`` is the larger of the relative
-Frobenius disagreement of the two cores and the relative part of those
-columns outside Q. Reported spectra come from the cores; the N x N
+``resolvent_difference`` is the two-weight difference against the zero
+weight, whose side is A itself, and ``power_difference`` telescopes its
+identity path; all three hand their identity-path core and terms to
+``_report``, the one place that factors an A + C_i, forms the direct core
+and takes the residual. Both cores live on Q, so their disagreement equals
+that of the N x N matrices only if Q spans the difference's range. That
+span is also span{(A + C_i)^(-j) gamma' : j <= m}, which ``_report`` checks
+from the banded factor of each A + C_i alone: ``residual`` is the larger of
+the relative Frobenius disagreement of the two cores and the relative part
+of those columns outside Q. Reported spectra come from the cores; the N x N
 ``difference``, ``terms`` and ``expansion()`` are formed only when asked
 for. When there are at least as many atoms as nodes (Lebesgue measure has
 k = N) an atom-side G would be no smaller than N x N, and the nodes serve
@@ -85,11 +90,6 @@ class ResolventReport:
     residual: float
     _sv_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def rank_bound(self) -> int:
-        """Column count of the basis: no term has more nonzero values."""
-        return self.basis.shape[1]
-
     @cached_property
     def difference(self) -> np.ndarray:
         """The direct-path difference as an N x N matrix."""
@@ -120,18 +120,6 @@ class ResolventReport:
         return self._sv_cache[label]
 
 
-def _relative_residual(a: np.ndarray, b: np.ndarray, ambient: float = 0.0
-                       ) -> float:
-    # ``ambient`` is the norm scale of the inverses entering the difference;
-    # when both paths sit at or below its rounding floor the difference is
-    # numerically zero and the paths agree to working precision.
-    gap = float(np.linalg.norm(a - b))
-    scale = float(np.linalg.norm(b))
-    if max(scale, float(np.linalg.norm(a))) <= 1e-11 * ambient:
-        return 0.0
-    return gap / scale if scale > 0 else gap
-
-
 def _require_margin(t_op: BSOperator, threshold: float) -> None:
     # nonnegative weights make T PSD, margin >= 1: nothing to check
     if np.all(t_op.perturbation.values >= 0):
@@ -143,16 +131,19 @@ def _require_margin(t_op: BSOperator, threshold: float) -> None:
         )
 
 
-def _atom_side(a: OperatorMatrix, m: int, *t_ops: BSOperator):
+def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
+               *t_ops: BSOperator):
     """Restriction rows, coupling cores, X, G and the basis Q for power m.
 
-    On the atoms where some weight is nonzero, each coupling is
-    C_i = gamma' S_i gamma with S_i = diag(D_i), X = A^(-1) gamma',
-    G = gamma X, and Q spans span{A^(-j) gamma' : j <= m}. With at least
-    as many atoms as nodes that G would be no smaller than N x N, and the
-    nodes serve as atoms instead: gamma = 1, S_i = C_i and Q = 1 (the
-    node basis).
+    Every weight must first pass the margin threshold. On the atoms where
+    some weight is nonzero, each coupling is C_i = gamma' S_i gamma with
+    S_i = diag(D_i), X = A^(-1) gamma', G = gamma X, and Q spans
+    span{A^(-j) gamma' : j <= m}. With at least as many atoms as nodes that
+    G would be no smaller than N x N, and the nodes serve as atoms instead:
+    gamma = 1, S_i = C_i and Q = 1 (the node basis).
     """
+    for t_op in t_ops:
+        _require_margin(t_op, margin_threshold)
     restriction = t_ops[0].restriction
     if any(t_op.restriction is not restriction for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
@@ -205,30 +196,52 @@ def _krylov_basis(a: OperatorMatrix, x: np.ndarray, m: int) -> np.ndarray:
     return q
 
 
-def _shifted(a: OperatorMatrix, t_op: BSOperator) -> OperatorMatrix:
-    """The assembled A + C, for the direct path's own banded factor."""
-    return OperatorMatrix(a.sparse + t_op.coupling, t=a.t, grid=a.grid)
+def _report(a, q, gamma, m, plus, minus, identity, terms, a_core=None
+            ) -> ResolventReport:
+    """The direct path, the residual and the report of one difference.
 
-
-def _basis_gap(q: np.ndarray, gamma, shifted: OperatorMatrix, m: int = 1
-               ) -> float:
-    """Relative part of span{(A + C)^(-j) gamma' : j <= m} outside Q.
-
-    That span holds the range of the difference and is computed from the
-    banded factor of A + C alone, so a basis that misses part of the
-    range shows here while the two cores on Q still agree. The node
-    basis spans everything.
+    The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q``, where ``plus`` and
+    ``minus`` name P and M: the weight whose A + C gets its own banded
+    factor here, or None for A itself, whose core the caller may hand over
+    as ``a_core``. ``residual`` is the larger of the relative Frobenius
+    disagreement of the identity-path core ``identity`` with the direct
+    core, and, for each A + C, the relative part of
+    span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
     """
-    if q.shape[1] == q.shape[0]:
-        return 0.0
-    gap = 0.0
-    y = gamma.T.toarray()
-    for _ in range(m):
-        y = shifted.solve(y)
-        norm = float(np.linalg.norm(y))
-        if norm > 0:
-            gap = max(gap, float(np.linalg.norm(y - q @ (q.T @ y))) / norm)
-    return gap
+    cores, gap = [], 0.0
+    for t_op in (plus, minus):
+        if t_op is None and a_core is not None:
+            cores.append(a_core)
+            continue
+        op = a if t_op is None else OperatorMatrix(a.sparse + t_op.coupling)
+        y = q
+        for _ in range(m):
+            y = op.solve(y)
+        cores.append(q.T @ y)
+        if t_op is None or q.shape[1] == q.shape[0]:
+            continue
+        y = gamma.T.toarray()
+        for _ in range(m):
+            y = op.solve(y)
+            norm = float(np.linalg.norm(y))
+            if norm > 0:
+                gap = max(gap, float(np.linalg.norm(y - q @ (q.T @ y))) / norm)
+    direct = cores[0] - cores[1]
+    # the inverses' norm scale: when both paths sit at or below its
+    # rounding floor the difference is numerically zero and they agree
+    ambient = float(np.linalg.norm(cores[0]) + np.linalg.norm(cores[1]))
+    scale = float(np.linalg.norm(direct))
+    if max(scale, float(np.linalg.norm(identity))) <= 1e-11 * ambient:
+        disagreement = 0.0
+    else:
+        disagreement = float(np.linalg.norm(identity - direct))
+        disagreement /= scale if scale > 0 else 1.0
+    return ResolventReport(
+        basis=q,
+        core=_sym(direct),
+        term_cores={label: _sym(core) for label, core in terms.items()},
+        residual=max(disagreement, gap),
+    )
 
 
 def perturbed_inverse(
@@ -247,6 +260,20 @@ def perturbed_inverse(
     return _sym(a_half @ sla.cho_solve(cho, a_half))
 
 
+def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
+                ) -> ResolventReport:
+    # (A + C2)^(-1) - (A + C1)^(-1) as main - Z1 + Z2 (see
+    # two_weight_difference); t2 None is the zero weight, whose coupling
+    # core and Z2 vanish and whose side of the difference is A itself
+    t_ops = (t1,) if t2 is None else (t1, t2)
+    gamma, cores, x, g, q = _atom_side(a, 1, margin_threshold, *t_ops)
+    p = q.T @ x
+    main = cores[0] - cores[1] if t2 is not None else cores[0]
+    z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
+    terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
+    return _report(a, q, gamma, 1, t2, t1, sum(terms.values()), terms)
+
+
 def resolvent_difference(
     a: OperatorMatrix,
     t_op: BSOperator,
@@ -254,30 +281,14 @@ def resolvent_difference(
 ) -> ResolventReport:
     """Difference of inverses ``A^(-1) - (A + C)^(-1)`` both ways.
 
-    The identity path is ``X M X'``, expanded into the leading term
+    This is the two-weight difference against the zero weight. The
+    identity path is ``X M X'``, expanded into the leading term
     R1 = X D X' = A^(-1) C A^(-1) minus the correction
     R2 = X (M G D) X' = A^(-1/2) T (1+T)^(-1) T A^(-1/2); the direct path
     factors the assembled A + C. Nonnegative V makes the difference
     positive semidefinite.
     """
-    _require_margin(t_op, margin_threshold)
-    gamma, (s,), x, g, q = _atom_side(a, 1, t_op)
-    mm = _woodbury(g, s)
-    p = q.T @ x
-    r1 = p @ s @ p.T
-    r2 = p @ (mm @ g @ s) @ p.T
-    inv = q.T @ a.solve(q)
-    shifted = _shifted(a, t_op)
-    direct = inv - q.T @ shifted.solve(q)
-    residual = max(_relative_residual(r1 - r2, direct,
-                                      ambient=float(np.linalg.norm(inv))),
-                   _basis_gap(q, gamma, shifted))
-    return ResolventReport(
-        basis=q,
-        core=_sym(direct),
-        term_cores={"R1": _sym(r1), "R2": -_sym(r2)},
-        residual=residual,
-    )
+    return _two_weight(a, t_op, None, margin_threshold, labels=("R1", "R2"))
 
 
 def two_weight_difference(
@@ -297,25 +308,7 @@ def two_weight_difference(
     pointwise makes the result positive semidefinite, and T2 = 0 reduces
     it to :func:`resolvent_difference` of T1.
     """
-    for t_op in (t1, t2):
-        _require_margin(t_op, margin_threshold)
-    gamma, (s1, s2), x, g, q = _atom_side(a, 1, t1, t2)
-    p = q.T @ x
-    main = p @ (s1 - s2) @ p.T
-    z1, z2 = (p @ (_woodbury(g, s) @ g @ s) @ p.T for s in (s1, s2))
-    shifted = [_shifted(a, t_op) for t_op in (t1, t2)]
-    inv1, inv2 = (q.T @ op.solve(q) for op in shifted)
-    direct = inv2 - inv1
-    ambient = float(np.linalg.norm(inv1) + np.linalg.norm(inv2))
-    residual = max(_relative_residual(main - z1 + z2, direct,
-                                      ambient=ambient),
-                   *(_basis_gap(q, gamma, op) for op in shifted))
-    return ResolventReport(
-        basis=q,
-        core=_sym(direct),
-        term_cores={"main": _sym(main), "Z1": -_sym(z1), "Z2": _sym(z2)},
-        residual=residual,
-    )
+    return _two_weight(a, t1, t2, margin_threshold)
 
 
 def power_difference(
@@ -342,8 +335,7 @@ def power_difference(
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    _require_margin(t_op, margin_threshold)
-    gamma, (s,), x, g, q = _atom_side(a, m, t_op)
+    gamma, (s,), x, g, q = _atom_side(a, m, margin_threshold, t_op)
     mm = _woodbury(g, s)
 
     # ys[j] = B^j Q and xs[j] = B^j gamma' for j = 1..m, so that
@@ -371,19 +363,5 @@ def power_difference(
         d_id -= f.T @ mm @ p[m - i]
         if i < m - 1:
             bu = a.solve(bu - x @ (mm @ f))
-    h4 = d_id - h2 - h3
-
-    shifted = _shifted(a, t_op)
-    yc = q
-    for _ in range(m):
-        yc = shifted.solve(yc)
-    direct = q.T @ yc - bm
-    residual = max(_relative_residual(d_id, direct,
-                                      ambient=float(np.linalg.norm(bm))),
-                   _basis_gap(q, gamma, shifted, m))
-    return ResolventReport(
-        basis=q,
-        core=_sym(direct),
-        term_cores={"H2": _sym(h2), "H3": _sym(h3), "H4": _sym(h4)},
-        residual=residual,
-    )
+    terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
+    return _report(a, q, gamma, m, t_op, None, d_id, terms, a_core=bm)

@@ -186,13 +186,16 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _fit_window(total: int, window, head_drop: float) -> tuple[int, int]:
-    # 0-based slice bounds: drop the head fraction, or take the explicit
-    # 1-based inclusive window, which must hold at least 2 usable points
+    # 0-based slice bounds: the explicit 1-based inclusive window, or all
+    # points past the head fraction; either must lie within the usable
+    # points and hold at least 2 of them
     if window is None:
-        return int(math.floor(head_drop * total)), total
-    lo, hi = int(window[0]) - 1, int(window[1])
+        lo, hi = int(math.floor(head_drop * total)), total
+    else:
+        lo, hi = int(window[0]) - 1, int(window[1])
     if lo < 0 or hi > total or hi - lo < 2:
-        raise ValidationError(f"window {window} out of range (1..{total})")
+        raise ValidationError(
+            f"fit window ({lo + 1}, {hi}) out of range (1..{total})")
     return lo, hi
 
 
@@ -210,7 +213,8 @@ def fit_power_law(
     ``head_drop`` fraction of usable points (preasymptotic head) and
     everything within ``100 x floor`` of the noise level; ``window``
     overrides it with a 1-based inclusive index range into the usable
-    points. Requires at least 30 usable values.
+    points. Requires at least 30 usable values, and a window of either
+    kind holding at least 2 of them (else ``ValidationError``).
     """
     if (values is None) == (counting is None):
         raise ValidationError("pass exactly one of values= or counting=")

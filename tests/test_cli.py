@@ -168,14 +168,47 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"measure": dict(SEGMENT_1D, count=10**400)},
     {"measure": {"kind": "ifs", "depth": 10**9,
                  "maps": [{"ratio": 0.5, "translation": [0.5]}]}},
+    {"analysis": {"head_drop": 1.0}},
+    {"analysis": {"head_drop": -0.5}},
+    {"analysis": {"floor": -1.0}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
-        "huge_integer", "one_map_ifs_depth"])
+        "huge_integer", "one_map_ifs_depth", "head_drop_one",
+        "head_drop_negative", "negative_floor"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", None),
+    ("export", "{not json"),
+    ("export", "[1, 2]"),
+], ids=["run_directory", "export_not_json", "export_not_object"])
+def test_unreadable_json_input_exits_2(tmp_path, capsys, command, text):
+    # a directory, or a file that holds no JSON object
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_cached_manifest_is_recomputed(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    manifest_path = out / config_hash(base_config()) / "manifest.json"
+    text = manifest_path.read_text()
+    manifest_path.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert "already complete" not in capsys.readouterr().out
+    assert json.loads(manifest_path.read_text())["config"] == base_config()
 
 
 def test_null_analysis_values_mean_the_default(tmp_path):

@@ -244,6 +244,30 @@ def test_engine_matches_dense_inverses(case, signed):
                 - np.linalg.matrix_power(a_inv, m_pow))
 
 
+def test_residual_catches_a_short_basis(monkeypatch):
+    # a basis that misses one direction of the difference's range: the two
+    # cores on it may still agree, so the basis check must flag it. The
+    # dropped column is the weakest direction of range(gamma'), the first
+    # Krylov block (the whole basis at m = 1). Dropping the last column at
+    # m = 2 or 3 instead loses under 1e-8 of the difference, and the
+    # residual rightly stays that small.
+    a, t1, t2 = _cross_setup("1d", signed=True)
+    full = resolvents._krylov_basis
+
+    def short(a, x, m):
+        return np.delete(full(a, x, m), full(a, x, 1).shape[1] - 1, axis=1)
+
+    monkeypatch.setattr(resolvents, "_krylov_basis", short)
+    reports = {
+        "resolvent_difference": resolvent_difference(a, t1),
+        "two_weight_difference": two_weight_difference(a, t1, t2),
+        "power_difference m=2": power_difference(a, t1, 2),
+        "power_difference m=3": power_difference(a, t1, 3),
+    }
+    for name, rep in reports.items():
+        assert rep.residual > 1e-6, name
+
+
 @pytest.mark.parametrize("v1", [{"kind": "constant", "value": 1.0},
                                 {"kind": "random", "scale": 0.5}],
                          ids=["nonneg", "signed"])
