@@ -214,6 +214,8 @@ def _validate_weight_spec(spec, where, dim):
         _check_keys(spec, where, ["kind", "box", "inside"], ["outside"])
     elif kind == "random":
         _check_keys(spec, where, ["kind"], ["scale", "nonneg"])
+        if not isinstance(spec.get("nonneg", False), bool):
+            raise ValidationError(f"{where}.nonneg must be true or false")
     elif kind == "file":
         _check_keys(spec, where, ["kind", "path"])
         if not isinstance(spec["path"], str):
@@ -354,7 +356,9 @@ def _build_measure(spec, grid):
             return ifs_measure(maps, int(spec["depth"]))
         return ifs_measure(maps, int(spec["depth"]), atom_cap=int(cap))
     if kind == "segment":
-        ends = np.array([spec["start"], spec["end"]], dtype=float)
+        # in 1D either end may be a bare number or a one-entry list
+        ends = np.array([np.ravel(spec[key]) for key in ("start", "end")],
+                        dtype=float)
         return segment_measure(ends, int(spec["count"]))
     if kind == "boundary":
         return boundary_measure(grid)
@@ -529,6 +533,8 @@ def _task_robin_diff(ctx, entry, out_dir):
 
 
 def _task_weyl_check(ctx, entry, out_dir):
+    if ctx["V2"] is None:  # checked before the prediction reads it
+        raise ValidationError(f"{entry['name']} needs weights.V2")
     m = ctx["measure"]
     d = m.nominal_dim
     theta = d / (d - m.ambient_dim + 4.0)
@@ -832,24 +838,49 @@ def run_verify(suite: str) -> int:
 # ---------------------------------------------------------------- export
 
 
+def _export_number(value, where) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float) or _is_numeric(value, integer=True):
+        return "%.17g" % value
+    raise ValidationError(f"{where} must be a number or null")
+
+
+def _export_row(entry, where) -> str:
+    # one manifest task entry as a csv row; any other shape exits 2
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where} must be an object")
+    name = entry.get("name", "")
+    summary = entry.get("summary", {})
+    if not isinstance(name, str):
+        raise ValidationError(f"{where}.name must be a string")
+    if not isinstance(summary, dict):
+        raise ValidationError(f"{where}.summary must be an object")
+    fit = summary.get("fit") or {}
+    if not isinstance(fit, dict):
+        raise ValidationError(f"{where}.summary.fit must be an object or null")
+    cells = [name] + [_export_number(fit.get(key), f"{where}.summary.fit.{key}")
+                      for key in ("theta", "coeff", "r_squared")]
+    cells.append(_export_number(summary.get("residual"),
+                                f"{where}.summary.residual"))
+    return ",".join(cells)
+
+
 def run_export(manifest_path: str, fmt: str) -> int:
     manifest = read_json(manifest_path, "manifest")
     if fmt == "json":
         json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
-    # csv: one row per task with the headline fit numbers
+    # csv: one row per task with the headline fit numbers, all checked
+    # before the first line is printed
+    tasks = manifest.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise ValidationError("manifest tasks must be a list")
+    rows = [_export_row(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
     print("task,theta_hat,coeff_hat,r_squared,residual")
-    for entry in manifest.get("tasks", []):
-        summary = entry.get("summary", {})
-        fit = summary.get("fit") or {}
-        cells = [entry.get("name", "")]
-        for key in ("theta", "coeff", "r_squared"):
-            val = fit.get(key)
-            cells.append("" if val is None else "%.17g" % val)
-        res = summary.get("residual")
-        cells.append("" if res is None else "%.17g" % res)
-        print(",".join(cells))
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -11,12 +11,13 @@ segments, box-boundary surface measures, Lebesgue measure on a grid
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 if TYPE_CHECKING:
     from .elliptic import Grid
@@ -159,6 +160,60 @@ class AhlforsReport:
     worst_center: np.ndarray
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f between xa and xb by Brent's method.
+
+    A line-for-line port of the iteration behind SciPy's ``brentq``
+    (same bracket updates, tolerance ``(xtol + rtol |x|) / 2`` and step
+    rules), so it returns the same float for the same f. f(xa) and f(xb)
+    must differ in sign; NumericalError when they do not or after
+    ``maxiter`` steps without convergence.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalError("brentq: f(a) and f(b) have the same sign")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise NumericalError(f"brentq: no convergence in {maxiter} iterations")
+
+
 def solve_moran_dimension(ratios: Sequence[float]) -> float:
     """Solve ``sum(rho_j ** d) == 1`` for d >= 0.
 
@@ -166,8 +221,6 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     For m equal ratios rho the solution is ``log m / log(1/rho)``.
     A single map gives the degenerate answer d = 0 (one-point attractor).
     """
-    from scipy.optimize import brentq
-
     rho = np.asarray(list(ratios), dtype=float)
     if rho.size == 0:
         raise ValidationError("need at least one contraction ratio")
@@ -183,7 +236,7 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     hi = np.log(rho.size) / np.log(1.0 / rho.max()) + 1.0
     while f(hi) > 0:
         hi *= 2.0
-    d = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+    d = _brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
     assert abs(f(d)) <= 1e-12
     return float(d)
 
@@ -314,13 +367,18 @@ def union_measure(m1: DiscreteMeasure, m2: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def _min_spacing(atoms: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
+    # exact nearest-neighbour spacing, chunked like _diameter; the self
+    # distances are masked by index, so duplicate atoms still give 0
     if atoms.shape[0] < 2:
         return 0.0
-    tree = cKDTree(atoms)
-    d, _ = tree.query(atoms, k=2)
-    return float(d[:, 1].min())
+    best = np.inf
+    for lo in range(0, atoms.shape[0], 512):
+        chunk = atoms[lo:lo + 512]
+        d2 = ((chunk[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2)
+        rows = np.arange(chunk.shape[0])
+        d2[rows, lo + rows] = np.inf
+        best = min(best, float(d2.min()))
+    return float(np.sqrt(best))
 
 
 def _diameter(atoms: np.ndarray) -> float:

@@ -121,8 +121,9 @@ class ResolventReport:
 
 
 def _require_margin(t_op: BSOperator, threshold: float) -> None:
-    # nonnegative weights make T PSD, margin >= 1: nothing to check
-    if np.all(t_op.perturbation.values >= 0):
+    # nonnegative weights make T PSD, margin >= 1, and no margin is at or
+    # below -inf: nothing to check
+    if threshold == -np.inf or np.all(t_op.perturbation.values >= 0):
         return
     margin = positivity_margin(t_op)
     if margin <= threshold:

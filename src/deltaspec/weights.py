@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _brentq
 
 __all__ = [
     "Perturbation",
@@ -71,8 +71,6 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
         return float(w @ v)
 
     # Luxemburg case. g(lam) = sum w Psi(|V|/lam) decreases from +inf to 0.
-    from scipy.optimize import brentq
-
     def g(lam):
         return float(w @ _psi(v / lam))
 
@@ -84,7 +82,7 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
         lo /= 2.0
         if lo < 1e-300:
             break
-    lam = brentq(lambda x: g(x) - 1.0, lo, hi, rtol=1e-12, xtol=1e-300)
+    lam = _brentq(lambda x: g(x) - 1.0, lo, hi, rtol=1e-12, xtol=1e-300)
     # report the infimum from the feasible side: nudge up until g <= 1
     for _ in range(8):
         if g(lam) <= 1.0:

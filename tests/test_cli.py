@@ -6,10 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import deltaspec
 from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
@@ -171,15 +176,28 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"analysis": {"head_drop": 1.0}},
     {"analysis": {"head_drop": -0.5}},
     {"analysis": {"floor": -1.0}},
+    {"domain": {"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [12, 12]},
+     "measure": {"kind": "boundary"}, "tasks": ["weyl_check"]},
+    {"weights": {"V1": {"kind": "random", "nonneg": "false"}}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
         "huge_integer", "one_map_ifs_depth", "head_drop_one",
-        "head_drop_negative", "negative_floor"])
+        "head_drop_negative", "negative_floor", "weyl_check_without_v2",
+        "nonneg_string"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_segment_end_may_be_a_bare_number_in_1d(tmp_path):
+    # a 1D point is one number or a one-entry list, each end on its own
+    _, listed = run_manifest(tmp_path, base_config())
+    _, mixed = run_manifest(tmp_path, base_config(
+        measure=dict(SEGMENT_1D, start=0.25)), name="mixed.json")
+    assert ((mixed / "measure.csv").read_bytes()
+            == (listed / "measure.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command, text", [
@@ -480,6 +498,146 @@ def test_export_formats(tmp_path, capsys):
     assert dumped == json.loads(manifest_path.read_text())
 
     assert main(["export", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("manifest", [
+    {"tasks": 5},
+    {"tasks": [1]},
+    {"tasks": [{"summary": 3}]},
+    {"tasks": [{"name": 7, "summary": {}}]},
+    {"tasks": [{"summary": {"fit": [1.0]}}]},
+    {"tasks": [{"summary": {"fit": {"theta": "0.5"}}}]},
+    {"tasks": [{"summary": {"residual": 10 ** 400}}]},
+], ids=["tasks_not_list", "task_not_object", "summary_not_object",
+        "name_not_string", "fit_not_object", "theta_not_number",
+        "residual_huge_integer"])
+def test_export_malformed_manifest_exits_2(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["export", str(path), "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert out == ""  # nothing is printed before the manifest is checked
+
+
+def cantor_config(**overrides):
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.0]], "shape": [256]},
+        measure={"kind": "ifs", "depth": 5, "maps": [
+            {"ratio": 1.0 / 3.0, "translation": [0.0]},
+            {"ratio": 1.0 / 3.0, "translation": [2.0 / 3.0]}]},
+    )
+    cfg.update(overrides)
+    return cfg
+
+
+# SciPy subpackages no run path may load; pytest itself has loaded them,
+# so each run is made in a fresh interpreter
+UNUSED_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.stats",
+                "scipy.spatial")
+
+
+@pytest.mark.parametrize("task", TASK_NAMES)
+def test_run_loads_only_linalg_and_sparse_from_scipy(tmp_path, task):
+    cfg = (cantor_config if task == "krein_feller" else box_config)(
+        tasks=[task])
+    path = write_config(tmp_path, cfg)
+    script = (
+        "import json, sys\n"
+        "from deltaspec.cli import main\n"
+        f"code = main(['run', {str(path)!r}, '--out', "
+        f"{str(tmp_path / 'runs')!r}])\n"
+        f"print(json.dumps([code, [m for m in {UNUSED_SCIPY!r} "
+        "if m in sys.modules]]))\n")
+    src_root = str(Path(deltaspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == []
+    if task == "krein_feller":  # the periodogram and the Moran root ran
+        manifest = json.loads(
+            (tmp_path / "runs" / config_hash(cfg) / "manifest.json")
+            .read_text())
+        assert manifest["tasks"][0]["summary"]["log_periodic"] is not None
+
+
+# Values a mutated config key may take. Every integer is small or beyond
+# the float range, so no mutation asks for a huge grid or atom count.
+FUZZ_NUMBERS = st.one_of(
+    st.integers(-3, 16), st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, 1e-300, 1e300, -1e300, 10 ** 400]))
+# config keys, so an added key is sometimes one the schema knows
+FUZZ_KEYS = ["analysis", "weights", "V2", "window", "head_drop", "floor",
+             "margin", "scale", "nonneg", "outside", "m", "atom_cap", "kind",
+             "value", "extra"]
+FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), FUZZ_NUMBERS,
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.text(max_size=4), st.sampled_from(TASK_NAMES),
+        st.sampled_from(["constant", "random", "step", "ifs", "segment"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _config_paths(obj, prefix=()):
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _config_paths(value, prefix + (key,))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_configs(draw):
+    make = draw(st.sampled_from([base_config, box_config, cantor_config]))
+    cfg = make(tasks=draw(st.lists(st.sampled_from(TASK_NAMES), min_size=1,
+                                   max_size=2)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_config_paths(cfg))[1:]))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["drop", "retype", "renumber", "add_key"]))
+        if op == "add_key" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = draw(FUZZ_VALUES)
+        elif op == "drop":
+            del parent[path[-1]]
+        elif op == "renumber" and _is_number(parent[path[-1]]):
+            parent[path[-1]] = draw(FUZZ_NUMBERS)  # out-of-range numbers
+        else:
+            parent[path[-1]] = draw(FUZZ_VALUES)
+    return cfg
+
+
+@given(cfg=mutated_configs())
+@settings(max_examples=60, deadline=5000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_configs_exit_cleanly(cfg):
+    # any config ends in exit 0, 2, 3 or 4 with a message, never an
+    # exception out of main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "runs")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()
 
 
 @pytest.mark.parametrize("suite", ["identities", "kyfan"])

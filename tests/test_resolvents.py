@@ -176,6 +176,47 @@ def test_margin_guard_raises():
         power_difference(a, t_op, 2)
 
 
+def test_margin_is_computed_only_where_it_can_fail(tmp_path, monkeypatch):
+    # robin_diff passes threshold -inf, which no margin can fail: no
+    # eigensolve. The same signed weight against a finite threshold is
+    # checked once, and still raises below it
+    calls = []
+
+    def counting(t_op):
+        calls.append(t_op)
+        return birman_schwinger.positivity_margin(t_op)
+
+    monkeypatch.setattr(resolvents, "positivity_margin", counting)
+    g = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (12, 12))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    bnd = boundary_measure(g)
+    gam = restriction_matrix(g, bnd)
+    t1 = bs_operator(a, gam, _signed_perturbation(bnd, 4, scale=0.5))
+    t2 = bs_operator(a, gam, Perturbation.constant(bnd, 3.0))
+    two_weight_difference(a, t2, t1, margin_threshold=-np.inf)
+    assert calls == []
+    two_weight_difference(a, t2, t1)
+    assert calls == [t1]
+    margin = birman_schwinger.positivity_margin(t1)
+    with pytest.raises(PositivityError):
+        two_weight_difference(a, t2, t1, margin_threshold=margin + 1e-3)
+
+    cfg = {
+        "schema_version": 1, "seed": 4,
+        "domain": {"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [12, 12]},
+        "operator": {"coefficients": 1.0, "t": 1.0},
+        "measure": {"kind": "boundary"},
+        "weights": {"V1": {"kind": "random", "scale": 0.5},
+                    "V2": {"kind": "constant", "value": 3.0}},
+        "tasks": ["robin_diff"],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls.clear()
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 0
+    assert calls == []
+
+
 def test_singular_values_labels_and_cache():
     g, a, m, gam = _setup(48)
     t_op = bs_operator(a, gam, _signed_perturbation(m, 3))

@@ -20,6 +20,7 @@ from deltaspec import (
     weyl_prediction,
 )
 from deltaspec import Grid
+from deltaspec.spectra import _lomb_scargle
 
 
 def _exact_sv(theta, coeff, count):
@@ -213,6 +214,27 @@ def test_log_periodic_synthetic_oscillation():
     assert rep.period == pytest.approx(p0, rel=0.05)
     assert rep.maxmin_ratio == pytest.approx(3.0, rel=0.15)
     assert abs(rep.residual.mean()) < 1e-10 * np.abs(rep.residual).max()
+
+
+def test_lomb_scargle_matches_scipy():
+    from scipy.signal import lombscargle
+
+    rng = np.random.default_rng(3)
+    for i in range(60):
+        n = int(rng.integers(30, 300))
+        if i % 2:
+            x = np.sort(rng.uniform(-12.0, 2.0, n))
+        else:  # the log of a geometric counting grid, as in the CLI
+            x = np.log(np.geomspace(10.0 ** rng.uniform(-9, -3), 1.0, n))
+        y = rng.standard_normal(n) + 3.0 * np.sin(x / rng.uniform(0.2, 1.0))
+        y = (y - y.mean()) * 10.0 ** rng.uniform(-3, 3)
+        span = x.max() - x.min()
+        freqs = 2.0 * np.pi / np.linspace(span / 10.0, span, 400)
+        want = lombscargle(x, y, freqs)
+        got = _lomb_scargle(x, y, freqs)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * want.max())
+        assert np.argmax(got) == np.argmax(want)
 
 
 def test_log_periodic_needs_two_decades():
