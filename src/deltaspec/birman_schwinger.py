@@ -17,6 +17,7 @@ it for a weight. The dense sandwich is formed only when
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,22 +146,18 @@ def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
         axis_idx.append(np.column_stack([i0, i0 + 1]))
         axis_wts.append(np.column_stack([1.0 - frac, frac]))
 
+    # one entry per atom and cell corner: the product of the axis weights
+    # at the corner's node, flattened in the grid's C order
     k = atoms.shape[0]
-    rows, cols, vals = [], [], []
-    if grid.ambient_dim == 1:
-        for a in range(2):
-            rows.append(np.arange(k))
-            cols.append(axis_idx[0][:, a])
-            vals.append(axis_wts[0][:, a])
-    else:
-        ny = grid.shape[1]
-        for a in range(2):
-            for b in range(2):
-                rows.append(np.arange(k))
-                cols.append(axis_idx[0][:, a] * ny + axis_idx[1][:, b])
-                vals.append(axis_wts[0][:, a] * axis_wts[1][:, b])
+    axes = range(grid.ambient_dim)
+    corners = list(itertools.product((0, 1), repeat=grid.ambient_dim))
+    cols = [np.ravel_multi_index([axis_idx[i][:, c[i]] for i in axes],
+                                 grid.shape) for c in corners]
+    vals = [np.prod([axis_wts[i][:, c[i]] for i in axes], axis=0)
+            for c in corners]
     mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate(vals),
+         (np.tile(np.arange(k), len(corners)), np.concatenate(cols))),
         shape=(k, grid.size),
     )
     mat.sum_duplicates()

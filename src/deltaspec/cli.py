@@ -1,11 +1,13 @@
 """Declarative experiment runner.
 
 A JSON config describes a grid, an operator, a measure, weight vectors,
-and a task list; ``run`` executes the tasks and writes CSV/JSON artifacts
-under a directory named by the run key (the config hash, extended by the
-bytes of any weight file). ``sweep`` repeats a run over
-one scalar config field, ``verify`` executes built-in invariant suites,
-``export`` re-emits a manifest's summaries as CSV or JSON.
+and a task list. ``run`` checks the config and builds the run's inputs
+in one pass, so an input error exits 2 before any output is written; it
+then executes the tasks and writes CSV/JSON artifacts under a directory
+named by the run key (the config hash, extended by the bytes of any
+weight file). ``sweep`` repeats a run over one scalar config field,
+``verify`` executes built-in invariant suites, ``export`` re-emits a
+manifest's summaries as CSV or JSON.
 
 Config schema (version 1)::
 
@@ -23,10 +25,11 @@ Config schema (version 1)::
     }
 
 Measure kinds: ifs | segment | boundary | lebesgue | union. Weight kinds:
-constant | step | random | file. Unknown keys anywhere are errors. All
-randomness derives from the single seed through counter-based generators,
-so a fixed config yields byte-identical numeric CSVs. The output root is
-``$DELTASPEC_OUT`` or ``./runs``; ``--out`` overrides both.
+constant | step | random | file; a file's atoms must be the measure's
+atoms. Unknown keys anywhere are errors. All randomness derives from the
+single seed through counter-based generators, so a fixed config yields
+byte-identical numeric CSVs. The output root is ``$DELTASPEC_OUT`` or
+``./runs``; ``--out`` overrides both.
 
 Exit codes: 0 success, 2 validation failure, 3 positivity failure after
 the capped t-raises, 4 numerical failure, 1 failed verify suite.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -49,7 +53,6 @@ import numpy as np
 from . import __version__
 from .birman_schwinger import (
     MARGIN_DEFAULT,
-    bs_atom_gram,
     bs_operator,
     positivity_margin,
     restriction_matrix,
@@ -64,12 +67,15 @@ from .errors import NumericalError, PositivityError, ValidationError
 from .io import (
     fit_to_dict,
     read_json,
+    read_measure,
     write_counting,
     write_json,
     write_measure,
     write_singular_values,
 )
 from .measures import (
+    ATOM_CAP_DEFAULT,
+    DiscreteMeasure,
     Similitude,
     boundary_measure,
     ifs_measure,
@@ -96,17 +102,11 @@ __all__ = ["main", "config_hash", "load_config", "run_config", "sweep_config"]
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "DELTASPEC_OUT"
 MAX_T_RAISES = 3
-TASK_NAMES = (
-    "resolvent_diff",
-    "two_weight_diff",
-    "power_diff",
-    "krein_feller",
-    "robin_diff",
-    "weyl_check",
-)
 
 
 # ---------------------------------------------------------------- config
+#
+# Each function below checks one config section and builds its object.
 
 
 def _check_keys(obj, where, required, optional=()):
@@ -135,13 +135,6 @@ def _is_numeric(value, integer):
 SCALAR = [()]  # the allowed shapes of a bare number
 
 
-def _fits(shape, allowed):
-    # None in an allowed shape matches any length
-    return any(len(shape) == len(a) and all(w in (None, n)
-                                            for w, n in zip(a, shape))
-               for a in allowed)
-
-
 def _check_numbers(obj, where, shapes, integers=()):
     # each key present must hold finite numbers (integers where listed)
     # nested to one of its allowed shapes, () being a bare number, so a
@@ -157,18 +150,61 @@ def _check_numbers(obj, where, shapes, integers=()):
                 shape = np.shape(value)
             except ValueError:  # ragged nesting
                 pass
-        if shape is None or not _fits(shape, allowed):
-            texts = [f"shape {a}".replace("None", "n") if a else f"one {kind}"
-                     for a in allowed]
+        if shape not in allowed:
+            texts = [f"shape {a}" if a else f"one {kind}" for a in allowed]
             raise ValidationError(
                 f"{where}.{key} must be finite {kind}s, "
                 f"{' or '.join(texts)}; got {value!r}")
 
 
-def _validate_measure_spec(spec, where, point):
+def _point(dim):
+    # one entry per axis; a bare number also names the one axis of 1D
+    return [(dim,), ()] if dim == 1 else [(dim,)]
+
+
+def _grid(spec) -> Grid:
+    _check_keys(spec, "domain", ["bbox", "shape"])
+    _check_numbers(spec, "domain", {"bbox": [(1, 2), (2, 2), (2,), (4,)]})
+    dim = np.size(spec["bbox"]) // 2
+    _check_numbers(spec, "domain", {"shape": _point(dim)}, integers=["shape"])
+    return Grid(np.asarray(spec["bbox"], dtype=float), spec["shape"])
+
+
+def _coeffs(spec, grid) -> CoefficientField:
+    # the symbol of A at the configured t; a field has one tensor per node
+    _check_keys(spec, "operator", [], ["coefficients", "t"])
+    dim = grid.ambient_dim
+    _check_numbers(spec, "operator", {
+        "coefficients": SCALAR + [(dim, dim), (grid.size, dim, dim)],
+        "t": SCALAR,
+    })
+    arr = np.asarray(spec.get("coefficients", 1.0), dtype=float)
+    t_value = float(spec.get("t", 1.0))
+    if arr.ndim == 0:
+        return CoefficientField.isotropic(float(arr), dim, t=t_value)
+    return CoefficientField(arr, t=t_value)
+
+
+def _similitude(spec, where, dim) -> Similitude:
+    _check_keys(spec, where, ["ratio", "translation"], ["rotation"])
+    _check_numbers(spec, where, {
+        "ratio": SCALAR, "translation": _point(dim), "rotation": SCALAR})
+    rot = np.eye(dim)
+    if "rotation" in spec:
+        if dim != 2:
+            raise ValidationError("map rotation angles only apply in 2D")
+        ang = float(spec["rotation"])
+        rot = np.array([[math.cos(ang), -math.sin(ang)],
+                        [math.sin(ang), math.cos(ang)]])
+    return Similitude(ratio=float(spec["ratio"]), rotation=rot,
+                      translation=np.atleast_1d(spec["translation"]))
+
+
+def _measure(spec, where, grid) -> DiscreteMeasure:
     _check_keys(spec, where, ["kind"], [
         "maps", "depth", "start", "end", "count", "parts", "atom_cap",
     ])
+    point = _point(grid.ambient_dim)
     _check_numbers(spec, where, {
         "start": point, "end": point, "count": SCALAR, "depth": SCALAR,
         "atom_cap": SCALAR,
@@ -179,30 +215,44 @@ def _validate_measure_spec(spec, where, point):
         maps = spec["maps"]
         if not isinstance(maps, list) or not maps:
             raise ValidationError(f"{where}.maps must be a nonempty list")
-        for i, m in enumerate(maps):
-            _check_keys(m, f"{where}.maps[{i}]", ["ratio", "translation"],
-                        ["rotation"])
-            _check_numbers(m, f"{where}.maps[{i}]", {
-                "ratio": SCALAR, "translation": point, "rotation": SCALAR})
-    elif kind == "segment":
+        maps = [_similitude(m, f"{where}.maps[{i}]", grid.ambient_dim)
+                for i, m in enumerate(maps)]
+        return ifs_measure(maps, spec["depth"],
+                           atom_cap=spec.get("atom_cap", ATOM_CAP_DEFAULT))
+    if kind == "segment":
         _check_keys(spec, where, ["kind", "start", "end", "count"])
-    elif kind in ("boundary", "lebesgue"):
+        # in 1D either end may be a bare number or a one-entry list
+        ends = np.array([np.ravel(spec[key]) for key in ("start", "end")],
+                        dtype=float)
+        return segment_measure(ends, spec["count"])
+    if kind == "boundary":
         _check_keys(spec, where, ["kind"])
-    elif kind == "union":
+        return boundary_measure(grid)
+    if kind == "lebesgue":
+        _check_keys(spec, where, ["kind"])
+        return lebesgue_measure(grid)
+    if kind == "union":
         _check_keys(spec, where, ["kind", "parts"])
         parts = spec["parts"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValidationError(f"{where}.parts must list exactly 2 specs")
-        for i, part in enumerate(parts):
-            _validate_measure_spec(part, f"{where}.parts[{i}]", point)
-    else:
-        raise ValidationError(f"unknown measure kind {kind!r} in {where}")
+        return union_measure(*(_measure(part, f"{where}.parts[{i}]", grid)
+                               for i, part in enumerate(parts)))
+    raise ValidationError(f"unknown measure kind {kind!r} in {where}")
 
 
-def _validate_weight_spec(spec, where, dim):
+def _weight_file(spec, base_dir) -> Path:
+    path = Path(base_dir) / spec["path"]
+    if not path.is_file():
+        raise ValidationError(f"weight file {path} not found")
+    return path
+
+
+def _weight(spec, where, measure, grid, rng, base_dir) -> Perturbation:
     _check_keys(spec, where, ["kind"], [
         "value", "box", "inside", "outside", "scale", "nonneg", "path",
     ])
+    dim = grid.ambient_dim
     _check_numbers(spec, where, {
         "value": SCALAR, "box": [(dim, 2), (2 * dim,)], "inside": SCALAR,
         "outside": SCALAR, "scale": SCALAR,
@@ -210,21 +260,41 @@ def _validate_weight_spec(spec, where, dim):
     kind = spec["kind"]
     if kind == "constant":
         _check_keys(spec, where, ["kind", "value"])
-    elif kind == "step":
+        return Perturbation.constant(measure, float(spec["value"]))
+    if kind == "step":
         _check_keys(spec, where, ["kind", "box", "inside"], ["outside"])
-    elif kind == "random":
+        box = np.asarray(spec["box"], dtype=float).reshape(dim, 2)
+        inside = np.all((measure.atoms >= box[:, 0])
+                        & (measure.atoms <= box[:, 1]), axis=1)
+        return Perturbation(measure, np.where(
+            inside, float(spec["inside"]), float(spec.get("outside", 0.0))))
+    if kind == "random":
         _check_keys(spec, where, ["kind"], ["scale", "nonneg"])
         if not isinstance(spec.get("nonneg", False), bool):
             raise ValidationError(f"{where}.nonneg must be true or false")
-    elif kind == "file":
+        vals = rng.standard_normal(measure.count) * float(spec.get("scale", 1.0))
+        return Perturbation(measure,
+                            np.abs(vals) if spec.get("nonneg") else vals)
+    if kind == "file":
         _check_keys(spec, where, ["kind", "path"])
         if not isinstance(spec["path"], str):
             raise ValidationError(f"{where}.path must be a string")
-    else:
-        raise ValidationError(f"unknown weight kind {kind!r} in {where}")
+        m_file, p_file = read_measure(_weight_file(spec, base_dir))
+        if p_file is None:
+            raise ValidationError(f"{spec['path']} has no V column")
+        # the values belong to the file's atoms, so those must be the
+        # measure's atoms, each coordinate to 1e-12 of the bbox span
+        span = grid.bbox[:, 1] - grid.bbox[:, 0]
+        if (m_file.atoms.shape != measure.atoms.shape or np.any(
+                np.abs(m_file.atoms - measure.atoms) > 1e-12 * span)):
+            raise ValidationError(
+                f"the {m_file.count} atoms of {spec['path']} are not the "
+                f"{measure.count} atoms of the measure")
+        return Perturbation(measure, p_file.values)
+    raise ValidationError(f"unknown weight kind {kind!r} in {where}")
 
 
-def _validate_task_spec(entry, where):
+def _task(entry, where) -> dict:
     if isinstance(entry, str):
         entry = {"name": entry}
     _check_keys(entry, where, ["name"], ["m"])
@@ -240,9 +310,30 @@ def _validate_task_spec(entry, where):
     return entry
 
 
-def validate_config(cfg) -> None:
-    """Raise ValidationError on any structural problem; no silent defaults
-    for unknown keys."""
+def _weyl(measure, coeffs, gamma, weights) -> dict:
+    # weyl_check's predicted order and counting coefficient, from inputs
+    # alone. The symbol of A at the atoms: a per-node field is interpolated
+    # through gamma; an anisotropic one fails here, since it needs normals
+    d = measure.nominal_dim
+    theta = d / (d - measure.ambient_dim + 4.0)
+    tensors = coeffs.tensors
+    if tensors.ndim == 3:
+        n_dim = tensors.shape[-1]
+        tensors = (gamma.matrix @ tensors.reshape(len(tensors), -1)
+                   ).reshape(measure.count, n_dim, n_dim)
+    # the fit is over singular values, which count both signs of V1 - V2
+    sides = [weyl_prediction(measure, weights["V1"], weights["V2"], theta,
+                             coeffs=tensors, side=side)
+             for side in "+-"]
+    coeff = {key: sides[0].coefficient_both[key] + sides[1].coefficient_both[key]
+             for key in sides[0].coefficient_both}
+    return {"theta_predicted": theta, "weyl_coefficient": coeff}
+
+
+def validate_config(cfg, base_dir=".") -> dict:
+    """Check a config and build the inputs of its run: everything that
+    does not depend on the shift t. Raises ValidationError on any problem,
+    unknown keys included; ``base_dir`` anchors ``file`` weight paths."""
     _check_keys(cfg, "config",
                 ["schema_version", "domain", "operator", "measure", "tasks"],
                 ["weights", "analysis", "seed"])
@@ -251,29 +342,34 @@ def validate_config(cfg) -> None:
             f"unsupported schema_version {cfg['schema_version']!r}; "
             f"this tool reads version {SCHEMA_VERSION}"
         )
-    _check_keys(cfg["domain"], "domain", ["bbox", "shape"])
-    _check_numbers(cfg["domain"], "domain",
-                   {"bbox": [(1, 2), (2, 2), (2,), (4,)]})
-    dim = np.size(cfg["domain"]["bbox"]) // 2
-    # one entry per axis; a bare number also names the one axis of 1D
-    point = [(dim,), ()] if dim == 1 else [(dim,)]
-    _check_numbers(cfg["domain"], "domain", {"shape": point},
-                   integers=["shape"])
-    _check_keys(cfg["operator"], "operator", [], ["coefficients", "t"])
-    _check_numbers(cfg["operator"], "operator", {
-        "coefficients": SCALAR + [(dim, dim), (None, dim, dim)],
-        "t": SCALAR,
-    })
-    _validate_measure_spec(cfg["measure"], "measure", point)
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
+    grid = _grid(cfg["domain"])
+    coeffs = _coeffs(cfg["operator"], grid)
+    measure = _measure(cfg["measure"], "measure", grid)
+    gamma = restriction_matrix(grid, measure)
+
     weights = cfg.get("weights", {})
     _check_keys(weights, "weights", [], ["V1", "V2"])
-    for key, spec in weights.items():
-        _validate_weight_spec(spec, f"weights.{key}", dim)
+    # one counter-based stream per weight; V1 is zero when absent
+    streams = dict(zip(("V1", "V2"), np.random.SeedSequence(seed).spawn(2)))
+    built = {key: _weight(spec, f"weights.{key}", measure, grid,
+                          np.random.Generator(np.random.Philox(streams[key])),
+                          base_dir)
+             for key, spec in {"V1": {"kind": "constant", "value": 0.0},
+                               **weights}.items()}
+
     tasks = cfg["tasks"]
     if not isinstance(tasks, list) or not tasks:
         raise ValidationError("tasks must be a nonempty list")
-    for i, entry in enumerate(tasks):
-        _validate_task_spec(entry, f"tasks[{i}]")
+    entries = [_task(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
+    names = [entry["name"] for entry in entries]
+    for name in names:
+        if name in ("two_weight_diff", "robin_diff", "weyl_check") \
+                and "V2" not in built:
+            raise ValidationError(f"{name} needs weights.V2")
+
     analysis = cfg.get("analysis", {})
     _check_keys(analysis, "analysis", [],
                 ["floor", "window", "head_drop", "margin"])
@@ -286,22 +382,21 @@ def validate_config(cfg) -> None:
         raise ValidationError("analysis.head_drop must lie in [0, 1)")
     if given.get("floor", 0) < 0:
         raise ValidationError("analysis.floor must be nonnegative")
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+
+    return {
+        "grid": grid, "coeffs": coeffs, "measure": measure, "gamma": gamma,
+        "weights": built, "tasks": entries, "analysis": given,
+        "margin": float(given.get("margin", MARGIN_DEFAULT)),
+        "weyl": (_weyl(measure, coeffs, gamma, built)
+                 if "weyl_check" in names else None),
+    }
 
 
 def load_config(path) -> dict:
+    """Read a config file and check it, file weights relative to it."""
     cfg = read_json(path, "config")
-    validate_config(cfg)
+    validate_config(cfg, Path(path).resolve().parent)
     return cfg
-
-
-def _weight_file(spec, base_dir) -> Path:
-    path = Path(base_dir) / spec["path"]
-    if not path.is_file():
-        raise ValidationError(f"weight file {path} not found")
-    return path
 
 
 def config_hash(cfg, base_dir=".") -> str:
@@ -317,90 +412,6 @@ def config_hash(cfg, base_dir=".") -> str:
             data = _weight_file(weights[key], base_dir).read_bytes()
             digest.update(hashlib.sha256(data).digest())
     return digest.hexdigest()[:12]
-
-
-# ---------------------------------------------------------------- builders
-
-
-def _build_grid(spec) -> Grid:
-    return Grid(np.asarray(spec["bbox"], dtype=float), spec["shape"])
-
-
-def _build_coeffs(spec, dim, t_value) -> CoefficientField:
-    raw = spec.get("coefficients", 1.0)
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        return CoefficientField.isotropic(float(arr), dim, t=t_value)
-    return CoefficientField(arr, t=t_value)
-
-
-def _build_similitude(m_spec, dim):
-    rot = np.eye(dim)
-    if "rotation" in m_spec:
-        if dim != 2:
-            raise ValidationError("map rotation angles only apply in 2D")
-        ang = float(m_spec["rotation"])
-        rot = np.array([[math.cos(ang), -math.sin(ang)],
-                        [math.sin(ang), math.cos(ang)]])
-    return Similitude(ratio=float(m_spec["ratio"]), rotation=rot,
-                      translation=np.atleast_1d(m_spec["translation"]))
-
-
-def _build_measure(spec, grid):
-    kind = spec["kind"]
-    if kind == "ifs":
-        dim = grid.ambient_dim
-        maps = [_build_similitude(ms, dim) for ms in spec["maps"]]
-        cap = spec.get("atom_cap")
-        if cap is None:
-            return ifs_measure(maps, int(spec["depth"]))
-        return ifs_measure(maps, int(spec["depth"]), atom_cap=int(cap))
-    if kind == "segment":
-        # in 1D either end may be a bare number or a one-entry list
-        ends = np.array([np.ravel(spec[key]) for key in ("start", "end")],
-                        dtype=float)
-        return segment_measure(ends, int(spec["count"]))
-    if kind == "boundary":
-        return boundary_measure(grid)
-    if kind == "lebesgue":
-        return lebesgue_measure(grid)
-    if kind == "union":
-        parts = [_build_measure(p, grid) for p in spec["parts"]]
-        return union_measure(parts[0], parts[1])
-    raise ValidationError(f"unknown measure kind {kind!r}")
-
-
-def _build_weight(spec, measure, rng, base_dir):
-    kind = spec["kind"]
-    if kind == "constant":
-        return Perturbation.constant(measure, float(spec["value"]))
-    if kind == "step":
-        box = np.asarray(spec["box"], dtype=float).reshape(-1, 2)
-        if box.shape[0] != measure.ambient_dim:
-            raise ValidationError("step box dimension does not match measure")
-        inside = np.all(
-            (measure.atoms >= box[:, 0]) & (measure.atoms <= box[:, 1]), axis=1
-        )
-        vals = np.where(inside, float(spec["inside"]),
-                        float(spec.get("outside", 0.0)))
-        return Perturbation(measure, vals)
-    if kind == "random":
-        vals = rng.standard_normal(measure.count) * float(spec.get("scale", 1.0))
-        if spec.get("nonneg", False):
-            vals = np.abs(vals)
-        return Perturbation(measure, vals)
-    if kind == "file":
-        from .io import read_measure
-        m_file, p_file = read_measure(_weight_file(spec, base_dir))
-        if p_file is None:
-            raise ValidationError(f"{spec['path']} has no V column")
-        if m_file.count != measure.count:
-            raise ValidationError(
-                f"{spec['path']} carries {m_file.count} values for "
-                f"{measure.count} atoms"
-            )
-        return Perturbation(measure, p_file.values)
-    raise ValidationError(f"unknown weight kind {kind!r}")
 
 
 # ---------------------------------------------------------------- tasks
@@ -456,51 +467,41 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     return summary, outputs, sp_rep
 
 
-def _inverse_scale_floor(ctx, power=1):
-    return FLOOR_FACTOR / ctx["coeffs"].t ** power
-
-
 def _write_report(rep, out_dir, ctx, power=1, with_terms=True):
     # the difference of a ResolventReport, its term spectra and its residual
     terms = {label: rep.singular_values(label)
              for label in rep.term_cores} if with_terms else None
     summary, outputs, _ = _write_spectrum(
-        rep.core, out_dir, ctx["analysis"], _inverse_scale_floor(ctx, power),
-        terms)
+        rep.core, out_dir, ctx["analysis"],
+        FLOOR_FACTOR / ctx["coeffs"].t ** power, terms)
     summary["residual"] = rep.residual
     return summary, outputs
 
 
 def _task_resolvent_diff(ctx, entry, out_dir):
-    t_op = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
-    rep = resolvent_difference(ctx["a"], t_op, ctx["margin"])
+    rep = resolvent_difference(ctx["a"], ctx["T"]["V1"], ctx["margin"])
     summary, outputs = _write_report(rep, out_dir, ctx)
-    summary["margin"] = positivity_margin(t_op)
+    summary["margin"] = positivity_margin(ctx["T"]["V1"])
     return summary, outputs
 
 
 def _task_two_weight_diff(ctx, entry, out_dir):
-    if ctx["V2"] is None:
-        raise ValidationError(f"{entry['name']} needs weights.V2")
-    t1 = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
-    t2 = bs_operator(ctx["a"], ctx["gamma"], ctx["V2"])
-    rep = two_weight_difference(ctx["a"], t1, t2, ctx["margin"])
+    rep = two_weight_difference(ctx["a"], ctx["T"]["V1"], ctx["T"]["V2"],
+                                ctx["margin"])
     return _write_report(rep, out_dir, ctx)
 
 
 def _task_power_diff(ctx, entry, out_dir):
     m = int(entry.get("m", 2))
-    t_op = bs_operator(ctx["a"], ctx["gamma"], ctx["V1"])
-    rep = power_difference(ctx["a"], t_op, m, ctx["margin"])
+    rep = power_difference(ctx["a"], ctx["T"]["V1"], m, ctx["margin"])
     summary, outputs = _write_report(rep, out_dir, ctx, power=m)
     summary["m"] = m
     return summary, outputs
 
 
 def _task_krein_feller(ctx, entry, out_dir):
-    mat = bs_atom_gram(ctx["a"], ctx["gamma"], ctx["V1"])
-    summary, outputs, sp_rep = _write_spectrum(mat, out_dir, ctx["analysis"],
-                                               None)
+    summary, outputs, sp_rep = _write_spectrum(ctx["T"]["V1"].core, out_dir,
+                                               ctx["analysis"], None)
     counting_fit = None
     log_periodic = None
     if sp_rep.counting.shape[0] >= 30:
@@ -524,41 +525,19 @@ def _task_robin_diff(ctx, entry, out_dir):
     # A Robin density is admissible when A + Ci is positive definite, so
     # no margin threshold applies: only the banded factor of A + Ci can
     # raise PositivityError
-    if ctx["V2"] is None:
-        raise ValidationError("robin_diff needs weights.V2")
-    t1, t2 = (bs_operator(ctx["a"], ctx["gamma"], ctx[key])
-              for key in ("V1", "V2"))
-    rep = two_weight_difference(ctx["a"], t2, t1, margin_threshold=-np.inf)
+    rep = two_weight_difference(ctx["a"], ctx["T"]["V2"], ctx["T"]["V1"],
+                                margin_threshold=-np.inf)
     return _write_report(rep, out_dir, ctx, with_terms=False)
 
 
 def _task_weyl_check(ctx, entry, out_dir):
-    if ctx["V2"] is None:  # checked before the prediction reads it
-        raise ValidationError(f"{entry['name']} needs weights.V2")
-    m = ctx["measure"]
-    d = m.nominal_dim
-    theta = d / (d - m.ambient_dim + 4.0)
-    # the symbol of A at the atoms: a per-node field is interpolated
-    # through gamma; an anisotropic one fails here, since it needs normals
-    tensors = ctx["coeffs"].tensors
-    if tensors.ndim == 3:
-        n_dim = tensors.shape[-1]
-        tensors = (ctx["gamma"].matrix @ tensors.reshape(len(tensors), -1)
-                   ).reshape(m.count, n_dim, n_dim)
-    # the fit is over singular values, which count both signs of V1 - V2
-    sides = [weyl_prediction(m, ctx["V1"], ctx["V2"], theta, coeffs=tensors,
-                             side=side)
-             for side in "+-"]
     summary, outputs = _task_two_weight_diff(ctx, entry, out_dir)
-    coeff = {key: sides[0].coefficient_both[key] + sides[1].coefficient_both[key]
-             for key in sides[0].coefficient_both}
-    summary["theta_predicted"] = theta
-    summary["weyl_coefficient"] = coeff
+    summary.update(ctx["weyl"])
     fit = summary["fit"]
     if fit is not None:
         summary["coeff_ratio"] = {
             key: fit["coeff"] / val if val else None
-            for key, val in coeff.items()
+            for key, val in ctx["weyl"]["weyl_coefficient"].items()
         }
     return summary, outputs
 
@@ -571,54 +550,24 @@ _TASK_FNS = {
     "robin_diff": _task_robin_diff,
     "weyl_check": _task_weyl_check,
 }
+TASK_NAMES = tuple(_TASK_FNS)
 
 
 # ---------------------------------------------------------------- run
 
 
-def _execute(cfg, out_dir, t_value, base_dir):
-    grid = _build_grid(cfg["domain"])
-    coeffs = _build_coeffs(cfg["operator"], grid.ambient_dim, t_value)
-    a = assemble_neumann(grid, coeffs)
-    measure = _build_measure(cfg["measure"], grid)
-    gamma = restriction_matrix(grid, measure)
-
-    seed = cfg.get("seed", 0)
-    ss = np.random.SeedSequence(seed)
-    ss_v1, ss_v2, _ = ss.spawn(3)
-    weights_spec = cfg.get("weights", {})
-    v1_spec = weights_spec.get("V1", {"kind": "constant", "value": 0.0})
-    v1 = _build_weight(v1_spec, measure,
-                       np.random.Generator(np.random.Philox(ss_v1)), base_dir)
-    v2 = None
-    if "V2" in weights_spec:
-        v2 = _build_weight(weights_spec["V2"], measure,
-                           np.random.Generator(np.random.Philox(ss_v2)), base_dir)
-
-    analysis = {k: v for k, v in cfg.get("analysis", {}).items()
-                if v is not None}
-    margin = float(analysis.get("margin", MARGIN_DEFAULT))
-    ctx = {
-        "grid": grid, "coeffs": coeffs, "a": a, "measure": measure,
-        "gamma": gamma, "V1": v1, "V2": v2, "analysis": analysis,
-        "margin": margin,
-    }
-
-    shared = {"measure_csv": str(out_dir / "measure.csv")}
-    shared["measure_sidecar"] = str(write_measure(
-        measure, out_dir / "measure.csv", perturbation=v1))
-    if v2 is not None:
-        shared["measure_v2_csv"] = str(out_dir / "measure_v2.csv")
-        shared["measure_v2_sidecar"] = str(write_measure(
-            measure, out_dir / "measure_v2.csv", perturbation=v2))
-
-    def relativize(paths):
-        return {k: str(Path(v).relative_to(out_dir)) for k, v in paths.items()}
+def _execute(inputs, out_dir, t_value):
+    """Run the tasks at shift t; return the manifest's task entries. Each
+    weight gets one Birman-Schwinger operator, which every task shares."""
+    coeffs = dataclasses.replace(inputs["coeffs"], t=t_value)
+    a = assemble_neumann(inputs["grid"], coeffs)
+    ctx = dict(inputs, coeffs=coeffs, a=a, T={
+        key: bs_operator(a, inputs["gamma"], p)
+        for key, p in inputs["weights"].items()})
 
     task_entries = []
     counts = {}
-    for raw in cfg["tasks"]:
-        entry = {"name": raw} if isinstance(raw, str) else dict(raw)
+    for entry in inputs["tasks"]:
         name = entry["name"]
         counts[name] = counts.get(name, 0) + 1
         dir_name = name if counts[name] == 1 else f"{name}_{counts[name]}"
@@ -628,21 +577,23 @@ def _execute(cfg, out_dir, t_value, base_dir):
         task_entries.append({
             "name": name,
             "params": {k: v for k, v in entry.items() if k != "name"},
-            "outputs": relativize(outputs),
+            "outputs": {k: str(Path(v).relative_to(out_dir))
+                        for k, v in outputs.items()},
             "summary": summary,
         })
-    return task_entries, relativize(shared)
+    return task_entries
 
 
 def run_config(cfg, out_root, force=False, base_dir=".") -> tuple[dict, Path]:
-    """Validate, execute, and write a manifest; returns (manifest, out_dir).
+    """Build the inputs, execute, and write a manifest; returns (manifest,
+    out_dir). Input errors raise before the run key or any output exists.
 
     ``base_dir`` anchors relative file paths inside the config; the bytes
     of those files enter the run key, the directory itself does not.
     Re-running an already completed config is a no-op unless ``force``;
     positivity failures double t up to 3 times, each raise logged.
     """
-    validate_config(cfg)
+    inputs = validate_config(cfg, base_dir)
     digest = config_hash(cfg, base_dir)
     out_root = Path(out_root)
     out_dir = out_root / digest
@@ -657,12 +608,19 @@ def run_config(cfg, out_root, force=False, base_dir=".") -> tuple[dict, Path]:
                   "to recompute")
             return manifest, out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    shared = {}
+    for key, p in inputs["weights"].items():
+        stem = "measure" if key == "V1" else "measure_v2"
+        sidecar = write_measure(inputs["measure"], out_dir / f"{stem}.csv",
+                                perturbation=p)
+        shared[f"{stem}_csv"] = f"{stem}.csv"
+        shared[f"{stem}_sidecar"] = sidecar.name
 
-    t_value = float(cfg["operator"].get("t", 1.0))
+    t_value = inputs["coeffs"].t
     t_raises = []
     for attempt in range(MAX_T_RAISES + 1):
         try:
-            task_entries, shared = _execute(cfg, out_dir, t_value, base_dir)
+            task_entries = _execute(inputs, out_dir, t_value)
             break
         except PositivityError as exc:
             if attempt == MAX_T_RAISES:
@@ -728,7 +686,6 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     for value in values:
         variant = copy.deepcopy(cfg)
         _set_axis(variant, axis, value)
-        validate_config(variant)
         manifest, _ = run_config(variant, out_root, force=force,
                                  base_dir=base_dir)
         manifests.append(manifest)
@@ -894,7 +851,7 @@ def _out_root(args) -> Path:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_json(args.config, "config")  # run_config checks it
     base_dir = str(Path(args.config).resolve().parent)
     run_config(cfg, _out_root(args), force=args.force, base_dir=base_dir)
     return 0

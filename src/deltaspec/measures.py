@@ -366,29 +366,20 @@ def union_measure(m1: DiscreteMeasure, m2: DiscreteMeasure) -> DiscreteMeasure:
     )
 
 
-def _min_spacing(atoms: np.ndarray) -> float:
-    # exact nearest-neighbour spacing, chunked like _diameter; the self
-    # distances are masked by index, so duplicate atoms still give 0
-    if atoms.shape[0] < 2:
-        return 0.0
-    best = np.inf
+def _spacing_and_diameter(atoms: np.ndarray) -> tuple[float, float]:
+    # exact nearest-neighbour spacing and max pairwise distance in one
+    # pass, chunked to keep memory flat; the self distances are masked by
+    # index for the spacing, so duplicate atoms still give 0
+    nearest, farthest = np.inf, 0.0
     for lo in range(0, atoms.shape[0], 512):
         chunk = atoms[lo:lo + 512]
         d2 = ((chunk[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2)
+        farthest = max(farthest, float(d2.max()))
         rows = np.arange(chunk.shape[0])
         d2[rows, lo + rows] = np.inf
-        best = min(best, float(d2.min()))
-    return float(np.sqrt(best))
-
-
-def _diameter(atoms: np.ndarray) -> float:
-    # exact max pairwise distance, chunked to keep memory flat
-    best = 0.0
-    for lo in range(0, atoms.shape[0], 512):
-        chunk = atoms[lo:lo + 512]
-        d2 = ((chunk[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2)
-        best = max(best, float(d2.max()))
-    return np.sqrt(best)
+        nearest = min(nearest, float(d2.min()))
+    spacing = float(np.sqrt(nearest)) if atoms.shape[0] > 1 else 0.0
+    return spacing, float(np.sqrt(farthest))
 
 
 def estimate_ahlfors_constants(
@@ -407,8 +398,7 @@ def estimate_ahlfors_constants(
     if d <= 0:
         raise ValidationError("regularity dimension d must be positive")
     atoms, weights = m.atoms, m.weights
-    h_min = _min_spacing(atoms)
-    diam = _diameter(atoms)
+    h_min, diam = _spacing_and_diameter(atoms)
     if radii is None:
         rs = []
         r = diam

@@ -130,32 +130,24 @@ def _counting_grid(values: np.ndarray, num: int = 160) -> np.ndarray:
 
 
 def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
-    """Full spectral report of a matrix.
+    """Full spectral report of a symmetric matrix.
 
-    Symmetric inputs are eigendecomposed; anything else is routed to the
-    singular-value path (positives/negatives stay empty). Magnitudes at or
-    below the floor (default ``1e-11 * ||K||``) are discarded as numerical
-    noise. Counting samples live on a log-spaced lambda grid.
+    The matrix is eigendecomposed; one that is not symmetric (to 1e-10 of
+    its largest entry) raises ValidationError. Magnitudes at or below the
+    floor (default ``1e-11 * ||K||``) are discarded as numerical noise.
+    Counting samples live on a log-spaced lambda grid.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValidationError("spectrum expects a square matrix")
-    scale = np.abs(k).max()
-    symmetric = scale == 0 or np.abs(k - k.T).max() <= 1e-10 * scale
-    if symmetric:
-        eig = sla.eigvalsh(0.5 * (k + k.T))
-        norm = np.abs(eig).max() if eig.size else 0.0
-        lvl = FLOOR_FACTOR * norm if floor is None else floor
-        pos = np.sort(eig[eig > lvl])[::-1]
-        neg = np.sort(-eig[eig < -lvl])[::-1]  # magnitudes, descending
-        sing = np.sort(np.concatenate([pos, neg]))[::-1]
-    else:
-        sv = sla.svdvals(k)
-        norm = sv.max() if sv.size else 0.0
-        lvl = FLOOR_FACTOR * norm if floor is None else floor
-        pos = np.array([])
-        neg = np.array([])
-        sing = sv[sv > lvl]
+    if np.abs(k - k.T).max(initial=0.0) > 1e-10 * np.abs(k).max(initial=0.0):
+        raise ValidationError("spectrum expects a symmetric matrix")
+    eig = sla.eigvalsh(0.5 * (k + k.T))
+    norm = np.abs(eig).max() if eig.size else 0.0
+    lvl = FLOOR_FACTOR * norm if floor is None else floor
+    pos = np.sort(eig[eig > lvl])[::-1]
+    neg = np.sort(-eig[eig < -lvl])[::-1]  # magnitudes, descending
+    sing = np.sort(np.concatenate([pos, neg]))[::-1]
 
     if sing.size:
         grid = _counting_grid(sing)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deltaspec
+from deltaspec import birman_schwinger, cli
 from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
 from deltaspec.errors import ValidationError
 from deltaspec.io import write_measure
@@ -189,6 +190,57 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+SEGMENT_2D = {"kind": "segment", "start": [0.1, 0.2], "end": [1.5, 0.2],
+              "count": 12}
+TWO_WEIGHTS = {"V1": {"kind": "constant", "value": 2.0},
+               "V2": {"kind": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"domain": {"bbox": [[0.0, 1.0]], "shape": [6000]}},
+    {"measure": dict(SEGMENT_1D, end=[1.5])},
+    {"operator": {"coefficients": [[[1.0]]] * 10, "t": 1.0}},
+    {"tasks": ["resolvent_diff", "two_weight_diff"]},
+    {"weights": TWO_WEIGHTS, "tasks": ["resolvent_diff", "weyl_check"]},
+    {"domain": {"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [17, 5]},
+     "operator": {"coefficients": [[2.0, 0.0], [0.0, 0.5]], "t": 1.0},
+     "measure": SEGMENT_2D, "weights": TWO_WEIGHTS,
+     "tasks": ["resolvent_diff", "weyl_check"]},
+    {"weights": {"V1": {"kind": "file", "path": "elsewhere.csv"}}},
+], ids=["node_cap", "atom_outside_bbox", "coefficient_count",
+        "v2_for_second_task", "weyl_check_1d", "weyl_check_anisotropic",
+        "file_atoms_elsewhere"])
+def test_input_error_exits_2_before_any_output(tmp_path, capsys, overrides):
+    # errors that only building the inputs finds are still found before
+    # the run directory exists or any task computes
+    seg = segment_measure(np.array([[0.1], [0.9]]), 24)
+    write_measure(seg, tmp_path / "elsewhere.csv",
+                  Perturbation.constant(seg, 1.0))
+    path = write_config(tmp_path, base_config(**overrides))
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_tasks_share_one_operator_per_weight(tmp_path, monkeypatch):
+    # patched in both modules, so an operator built inside bs_atom_gram
+    # counts as well
+    calls = []
+    original = birman_schwinger.bs_operator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "bs_operator", counting)
+    monkeypatch.setattr(birman_schwinger, "bs_operator", counting)
+    run_manifest(tmp_path, base_config(
+        tasks=["resolvent_diff", {"name": "power_diff", "m": 2},
+               "krein_feller"]))
+    assert len(calls) == 1
 
 
 def test_segment_end_may_be_a_bare_number_in_1d(tmp_path):

@@ -223,12 +223,14 @@ def test_min_spacing_is_the_nearest_neighbour_distance():
     for k, n_dim in ((2, 1), (700, 2), (1100, 1)):  # one and several chunks
         atoms = rng.uniform(0.0, 1.0, (k, n_dim))
         d = np.sqrt(((atoms[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2))
+        diam = d.max()
         np.fill_diagonal(d, np.inf)
-        assert measures._min_spacing(atoms) == pytest.approx(d.min(),
-                                                             rel=1e-12)
+        spacing, diameter = measures._spacing_and_diameter(atoms)
+        assert spacing == pytest.approx(d.min(), rel=1e-12)
+        assert diameter == pytest.approx(diam, rel=1e-12)
     dup = np.vstack([atoms, atoms[600:601]])  # a repeated atom is spacing 0
-    assert measures._min_spacing(dup) == 0.0
-    assert measures._min_spacing(atoms[:1]) == 0.0
+    assert measures._spacing_and_diameter(dup)[0] == 0.0
+    assert measures._spacing_and_diameter(atoms[:1]) == (0.0, 0.0)
 
 
 def test_union_rejects_dimension_mismatch():
