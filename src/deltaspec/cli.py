@@ -97,7 +97,7 @@ from .spectra import (
 )
 from .weights import Perturbation
 
-__all__ = ["main", "config_hash", "load_config", "run_config", "sweep_config"]
+__all__ = ["main", "config_hash", "run_config", "sweep_config"]
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "DELTASPEC_OUT"
@@ -319,8 +319,8 @@ def _weyl(measure, coeffs, gamma, weights) -> dict:
     tensors = coeffs.tensors
     if tensors.ndim == 3:
         n_dim = tensors.shape[-1]
-        tensors = (gamma.matrix @ tensors.reshape(len(tensors), -1)
-                   ).reshape(measure.count, n_dim, n_dim)
+        tensors = gamma.apply(tensors.reshape(len(tensors), -1)
+                              ).reshape(measure.count, n_dim, n_dim)
     # the fit is over singular values, which count both signs of V1 - V2
     sides = [weyl_prediction(measure, weights["V1"], weights["V2"], theta,
                              coeffs=tensors, side=side)
@@ -390,13 +390,6 @@ def validate_config(cfg, base_dir=".") -> dict:
         "weyl": (_weyl(measure, coeffs, gamma, built)
                  if "weyl_check" in names else None),
     }
-
-
-def load_config(path) -> dict:
-    """Read a config file and check it, file weights relative to it."""
-    cfg = read_json(path, "config")
-    validate_config(cfg, Path(path).resolve().parent)
-    return cfg
 
 
 def config_hash(cfg, base_dir=".") -> str:
@@ -584,16 +577,20 @@ def _execute(inputs, out_dir, t_value):
     return task_entries
 
 
-def run_config(cfg, out_root, force=False, base_dir=".") -> tuple[dict, Path]:
+def run_config(cfg, out_root, force=False, base_dir=".", inputs=None
+               ) -> tuple[dict, Path]:
     """Build the inputs, execute, and write a manifest; returns (manifest,
     out_dir). Input errors raise before the run key or any output exists.
 
     ``base_dir`` anchors relative file paths inside the config; the bytes
     of those files enter the run key, the directory itself does not.
-    Re-running an already completed config is a no-op unless ``force``;
-    positivity failures double t up to 3 times, each raise logged.
+    ``inputs`` are those :func:`validate_config` built from ``cfg``, when
+    the caller already has them. Re-running an already completed config is
+    a no-op unless ``force``; positivity failures double t up to 3 times,
+    each raise logged.
     """
-    inputs = validate_config(cfg, base_dir)
+    if inputs is None:
+        inputs = validate_config(cfg, base_dir)
     digest = config_hash(cfg, base_dir)
     out_root = Path(out_root)
     out_dir = out_root / digest
@@ -654,21 +651,19 @@ def _set_axis(cfg, axis, value):
     """Set a dotted config path; broadcasting scalars over list targets."""
     parts = axis.split(".")
     node = cfg
-    for p in parts[:-1]:
-        key = int(p) if isinstance(node, list) else p
+    for i, p in enumerate(parts):
         try:
-            node = node[key]
-        except (KeyError, IndexError, TypeError):
+            key = int(p) if isinstance(node, list) else p
+            if i == len(parts) - 1:
+                old = node[key]
+            else:
+                node = node[key]
+        except (KeyError, IndexError, TypeError, ValueError):
             raise ValidationError(f"axis {axis!r}: no config entry {p!r}")
-    last = int(parts[-1]) if isinstance(node, list) else parts[-1]
-    try:
-        old = node[last]
-    except (KeyError, IndexError, TypeError):
-        raise ValidationError(f"axis {axis!r}: no config entry {parts[-1]!r}")
     if isinstance(old, list) and not isinstance(value, list):
-        node[last] = [value] * len(old)
+        node[key] = [value] * len(old)
     else:
-        node[last] = value
+        node[key] = value
 
 
 def _first_fit(manifest):
@@ -680,14 +675,20 @@ def _first_fit(manifest):
 
 
 def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
-    """Run the config once per axis value; write a combined summary CSV."""
-    manifests = []
-    rows = []
+    """Run the config once per axis value; write a combined summary CSV.
+
+    Every value's config is checked, and its inputs built, before the first
+    run, so an input error anywhere in the sweep writes nothing."""
+    variants = []
     for value in values:
         variant = copy.deepcopy(cfg)
         _set_axis(variant, axis, value)
+        variants.append((variant, validate_config(variant, base_dir)))
+    manifests = []
+    rows = []
+    for value, (variant, inputs) in zip(values, variants):
         manifest, _ = run_config(variant, out_root, force=force,
-                                 base_dir=base_dir)
+                                 base_dir=base_dir, inputs=inputs)
         manifests.append(manifest)
         fit = _first_fit(manifest)
         rows.append((value, fit))
@@ -865,7 +866,7 @@ def _parse_value(text: str):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = read_json(args.config, "config")  # sweep_config checks each value
     base_dir = str(Path(args.config).resolve().parent)
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:

@@ -11,6 +11,10 @@ For the 1D unit interval with unit coefficient the Neumann matrix has the
 closed-form spectrum ``t + (2/h^2) (1 - cos(k pi / n))`` with eigenvectors
 ``cos(k pi (i + 1/2) / n)``, which anchors the oracle tests, and the low
 eigenvalues converge to ``t + (k pi)^2`` at rate O(h^2).
+
+Operators are assembled from numpy index and value arrays straight into
+lower band storage and factored by a block Cholesky in numpy
+(:class:`OperatorMatrix`); nothing here needs SciPy.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs
 
-from .errors import NumericalError, PositivityError, ValidationError
+from .errors import PositivityError, ValidationError
 from .measures import DiscreteMeasure
 
 if TYPE_CHECKING:
@@ -161,64 +162,77 @@ class CoefficientField:
 
 
 class OperatorMatrix:
-    """Symmetric positive-definite operator with cached factorizations.
+    """Symmetric positive-definite banded operator with a cached factor.
 
-    The matrix is kept sparse. Every linear solve goes through its banded
-    Cholesky factor, computed on first use; a matrix that is not positive
-    definite raises :class:`PositivityError` there. The dense ``matrix``
-    and its full eigendecomposition (used for fractional inverse powers,
-    the small-N oracle) are built only when first asked for. Instances are
+    The matrix is kept in lower band storage, ``band[d, j] = A[j + d, j]``.
+    Every linear solve goes through its Cholesky factor A = L L', computed
+    on first use by a block Cholesky of the block-tridiagonal form (blocks
+    of size max(bandwidth, 16)); a matrix that is not positive definite
+    raises :class:`PositivityError` there. The dense ``matrix`` and its
+    full eigendecomposition (used for fractional inverse powers, the
+    small-N oracle) are built only when first asked for. Instances are
     immutable afterwards.
     """
 
-    def __init__(self, matrix):
-        mat = sp.csr_matrix(matrix, dtype=float)
-        scale = abs(mat).max()
-        if scale == 0:
+    def __init__(self, band: np.ndarray):
+        band = np.asarray(band, dtype=float)
+        if not np.any(band):
             raise ValidationError("operator matrix is zero")
-        if abs(mat - mat.T).max() > 1e-12 * scale:
-            raise ValidationError("operator matrix is not symmetric (rel 1e-12)")
-        self.sparse = (0.5 * (mat + mat.T)).tocsr()
+        self.band = band
         self._factor = None
         self._dense = None
         self._eig = None
 
     @property
     def size(self) -> int:
-        return self.sparse.shape[0]
+        return self.band.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix, built on first access."""
         if self._dense is None:
-            self._dense = self.sparse.toarray()
+            self._dense = dense_from_band(self.band)
         return self._dense
 
-    def _cholesky(self) -> np.ndarray:
-        # lower factor L (A = L L') in LAPACK lower band storage
+    def plus(self, band: np.ndarray) -> "OperatorMatrix":
+        """The operator with a symmetric banded update added (lower band
+        storage, any width)."""
+        return OperatorMatrix(_add_bands(self.band, band))
+
+    def _cholesky(self):
+        # (inverse diagonal factors, subdiagonal factors) of A = L L'
         if self._factor is None:
-            lower = sp.tril(self.sparse).tocoo()
-            offset = lower.row - lower.col
-            band = np.zeros((int(offset.max(initial=0)) + 1, self.size))
-            band[offset, lower.col] = lower.data
-            try:
-                self._factor = sla.cholesky_banded(band, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise PositivityError(
-                    "operator matrix is not positive definite"
-                ) from exc
+            self._factor = _block_cholesky(*_blocks(self.band))
         return self._factor
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs through the cached banded Cholesky factor."""
-        return sla.cho_solve_banded((self._cholesky(), True), rhs)
+        """Solve A x = rhs through the cached Cholesky factor."""
+        inv, low = self._cholesky()
+        y = _forward(inv, low, self._split(rhs, inv.shape))
+        # backward sweep with L': x_i = L_ii^(-T) (y_i - L_(i+1,i)' x_(i+1))
+        for i in range(len(inv) - 1, -1, -1):
+            if i < len(inv) - 1:
+                y[i] -= low[i].T @ y[i + 1]
+            y[i] = inv[i].T @ y[i]
+        return self._join(y, rhs)
 
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply L^(-1) for the banded factor A = L L' (one triangular solve)."""
-        x, info = dtbtrs(self._cholesky(), rhs, uplo="L")
-        if info != 0:
-            raise NumericalError(f"banded triangular solve failed (info {info})")
-        return x
+        """Apply L^(-1), A = L L' the Cholesky factor (a forward sweep)."""
+        inv, low = self._cholesky()
+        return self._join(_forward(inv, low, self._split(rhs, inv.shape)), rhs)
+
+    def _split(self, rhs, shape):
+        # rhs as (blocks, block size, columns), zero-padded past the end
+        rhs = np.asarray(rhs, dtype=float)
+        cols = rhs.reshape(self.size, math.prod(rhs.shape[1:]))
+        out = np.zeros((shape[0] * shape[1], cols.shape[1]))
+        out[:self.size] = cols
+        return out.reshape(shape[0], shape[1], -1)
+
+    def _join(self, blocks, rhs):
+        rows = blocks.shape[0] * blocks.shape[1]
+        return blocks.reshape(rows, blocks.shape[2])[:self.size].reshape(
+            np.shape(rhs))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -226,7 +240,7 @@ class OperatorMatrix:
 
     def _eigh(self):
         if self._eig is None:
-            w, q = sla.eigh(self.matrix)
+            w, q = np.linalg.eigh(self.matrix)
             if w[0] <= 0:
                 raise PositivityError(
                     f"operator matrix has min eigenvalue {w[0]:g} <= 0"
@@ -235,37 +249,99 @@ class OperatorMatrix:
         return self._eig
 
 
-def _edge_difference(n: int, h: float) -> sp.csr_matrix:
-    # forward difference over the n-1 interior edges, scaled by 1/h
-    data = np.repeat([[-1.0, 1.0]], n - 1, axis=0).ravel() / h
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.ravel(np.column_stack([np.arange(n - 1), np.arange(1, n)]))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
+def dense_from_band(band: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix of a lower band storage array."""
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for d in range(min(len(band), n)):
+        j = np.arange(n - d)
+        out[j + d, j] = band[d, :n - d]
+        out[j, j + d] = band[d, :n - d]
+    return out
 
 
-def _centered_difference(n: int, h: float) -> sp.csr_matrix:
-    # centered first derivative at nodes, one-sided at the ends so the
-    # constant vector stays exactly in the kernel
-    mat = sp.lil_matrix((n, n))
-    for i in range(n):
-        if i == 0:
-            mat[i, 0], mat[i, 1] = -1.0 / h, 1.0 / h
-        elif i == n - 1:
-            mat[i, n - 2], mat[i, n - 1] = -1.0 / h, 1.0 / h
-        else:
-            mat[i, i - 1], mat[i, i + 1] = -0.5 / h, 0.5 / h
-    return mat.tocsr()
+def lower_band(rows, cols, vals, size: int) -> np.ndarray:
+    """Lower band storage of the symmetric N x N matrix with entries
+    ``vals`` at (``rows``, ``cols``), duplicates summed; both (i, j) and
+    (j, i) must be listed, and only the lower one is read."""
+    lower = rows >= cols
+    offset = rows[lower] - cols[lower]
+    width = int(offset.max(initial=0)) + 1
+    flat = np.bincount(offset * size + cols[lower], weights=vals[lower],
+                       minlength=width * size)
+    return flat.reshape(width, size)
 
 
-def _axis_edge_average(values: np.ndarray, shape: tuple[int, ...], axis: int
-                       ) -> np.ndarray:
-    # average node values onto the edges of one axis
-    grid_vals = values.reshape(shape)
-    sl_lo = [slice(None)] * len(shape)
-    sl_hi = [slice(None)] * len(shape)
-    sl_lo[axis] = slice(0, shape[axis] - 1)
-    sl_hi[axis] = slice(1, shape[axis])
-    return 0.5 * (grid_vals[tuple(sl_lo)] + grid_vals[tuple(sl_hi)]).ravel()
+def _add_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((max(len(a), len(b)), a.shape[1]))
+    out[:len(a)] += a
+    out[:len(b)] += b
+    return out
+
+
+def _blocks(band: np.ndarray):
+    """Diagonal blocks A_ii and subdiagonal blocks A_(i+1,i) of the banded
+    matrix, block size max(bandwidth, 16), so the matrix is block
+    tridiagonal; the last block is padded with the identity."""
+    width, n = band.shape
+    b = max(width - 1, 16)
+    nb = -(-n // b)
+    diag = np.zeros((nb, b, b))
+    sub = np.zeros((nb - 1, b, b))
+    offset, col = np.nonzero(np.arange(width)[:, None] + np.arange(n) < n)
+    vals = band[offset, col]
+    (bi, ri), (bj, cj) = divmod(col + offset, b), divmod(col, b)
+    same = bi == bj
+    diag[bj[same], ri[same], cj[same]] = vals[same]
+    diag[bj[same], cj[same], ri[same]] = vals[same]
+    sub[bj[~same], ri[~same], cj[~same]] = vals[~same]
+    pad = np.arange(n, nb * b)
+    diag[pad // b, pad % b, pad % b] = 1.0
+    return diag, sub
+
+
+def _block_cholesky(diag: np.ndarray, sub: np.ndarray):
+    """Block Cholesky of a block-tridiagonal SPD matrix.
+
+    Returns the inverses L_ii^(-1) of the diagonal factors and the
+    subdiagonal factors L_(i+1,i) = A_(i+1,i) L_ii^(-T) of A = L L'.
+    """
+    inv = np.empty_like(diag)
+    low = np.empty_like(sub)
+    for i in range(len(diag)):
+        block = diag[i] - low[i - 1] @ low[i - 1].T if i else diag[i]
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError as exc:
+            raise PositivityError(
+                "operator matrix is not positive definite"
+            ) from exc
+        inv[i] = np.tril(np.linalg.inv(factor))
+        if i < len(diag) - 1:
+            low[i] = sub[i] @ inv[i].T
+    return inv, low
+
+
+def _forward(inv, low, y):
+    # forward sweep, in place: y_i <- L_ii^(-1) (y_i - L_(i,i-1) y_(i-1))
+    for i in range(len(inv)):
+        if i:
+            y[i] -= low[i - 1] @ y[i - 1]
+        y[i] = inv[i] @ y[i]
+    return y
+
+
+def _centered_difference(shape: tuple[int, ...], h: float, axis: int):
+    # centered first derivative along one axis: row p is -step at lo[p] and
+    # +step at hi[p], one-sided at the ends so the constant vector stays
+    # exactly in the kernel
+    n, stride = shape[axis], math.prod(shape[axis + 1:])
+    p = np.arange(math.prod(shape))
+    k = (p // stride) % n
+    lo = np.where(k == 0, p, p - stride)
+    hi = np.where(k == n - 1, p, p + stride)
+    step = np.where((k == 0) | (k == n - 1), 1.0, 0.5) / h
+    return lo, hi, step
 
 
 def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
@@ -274,43 +350,50 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
     The diagonal part of the tensor uses edge-difference Gram terms
     (coefficients averaged onto edges), which reproduces the classical
     second-difference matrix for constant scalar coefficients; off-diagonal
-    entries couple centered first differences. The constant vector is an
-    eigenvector with eigenvalue exactly t for constant coefficients.
+    entries couple centered first differences, which widens the band from
+    n_2 to n_2 + 1. The constant vector is an eigenvector with eigenvalue
+    exactly t for constant coefficients.
     """
     if coeffs.dim != grid.ambient_dim:
         raise ValidationError("coefficient dimension does not match the grid")
     size = grid.size
     tensors = coeffs.at_nodes(size)
-    n_dim = grid.ambient_dim
+    shape = grid.shape
     h = grid.spacing
+    index = np.arange(size).reshape(shape)
 
-    stiff = sp.csr_matrix((size, size))
-    eyes = [sp.identity(s, format="csr") for s in grid.shape]
+    band = np.zeros((math.prod(shape[1:]) + 1, size))
+    for axis in range(grid.ambient_dim):
+        # edge Gram term: each edge (lo, lo + stride) adds a/h^2 to both
+        # diagonal entries and -a/h^2 to the one off the diagonal
+        stride = math.prod(shape[axis + 1:])
+        lo = np.take(index, range(shape[axis] - 1), axis=axis).ravel()
+        coef = tensors[:, axis, axis]
+        inv_h = 1.0 / h[axis]
+        w = inv_h * (0.5 * (coef[lo] + coef[lo + stride])) * inv_h
+        diag = np.zeros(size)
+        diag[lo] += w
+        diag[lo + stride] += w
+        band[0] += diag
+        band[stride, lo] -= w
 
-    def along_axis(op_1d, axis):
-        parts = [eyes[i] for i in range(n_dim)]
-        parts[axis] = op_1d
-        out = parts[0]
-        for p in parts[1:]:
-            out = sp.kron(out, p, format="csr")
-        return out
+    if grid.ambient_dim == 2 and np.any(tensors[:, 0, 1] != 0.0):
+        # G0' diag(a_01) G1 + its transpose, G_i the centered differences
+        (l0, h0, s0), (l1, h1, s1) = (_centered_difference(shape, h[i], i)
+                                      for i in range(2))
+        rows, cols, vals = [], [], []
+        for i, vi in ((l0, -s0), (h0, s0)):
+            for j, vj in ((l1, -s1), (h1, s1)):
+                v = vi * tensors[:, 0, 1] * vj
+                rows += [i, j]
+                cols += [j, i]
+                vals += [v, v]
+        band = _add_bands(band, lower_band(np.concatenate(rows),
+                                           np.concatenate(cols),
+                                           np.concatenate(vals), size))
 
-    for axis in range(n_dim):
-        d_op = along_axis(_edge_difference(grid.shape[axis], h[axis]), axis)
-        a_edges = _axis_edge_average(tensors[:, axis, axis], grid.shape, axis)
-        stiff = stiff + d_op.T @ sp.diags(a_edges) @ d_op
-
-    if n_dim == 2 and np.any(tensors[:, 0, 1] != 0.0):
-        g_ops = [
-            along_axis(_centered_difference(grid.shape[axis], h[axis]), axis)
-            for axis in range(2)
-        ]
-        cross = sp.diags(tensors[:, 0, 1])
-        stiff = stiff + g_ops[0].T @ cross @ g_ops[1] \
-            + g_ops[1].T @ cross @ g_ops[0]
-
-    mat = stiff + coeffs.t * sp.identity(size, format="csr")
-    return OperatorMatrix(mat)
+    band[0] += coeffs.t
+    return OperatorMatrix(band)
 
 
 def assemble_robin(
@@ -321,7 +404,7 @@ def assemble_robin(
     """Neumann matrix plus the boundary-measure coupling of density V.
 
     The update is the measure coupling ``gamma' diag(w V) gamma / h^N`` of
-    :func:`deltaspec.birman_schwinger.coupling_matrix`; on the boundary
+    :func:`deltaspec.birman_schwinger.coupling_band`; on the boundary
     measure of the grid each atom sits on a node, so it is diagonal, and
     for V == 0 the result is bit-identical to :func:`assemble_neumann`.
     The matrix is factored once here, and :meth:`OperatorMatrix.solve`
@@ -330,12 +413,11 @@ def assemble_robin(
     t and retry.
     """
     # imported here: birman_schwinger builds on this module
-    from .birman_schwinger import coupling_matrix, restriction_matrix
+    from .birman_schwinger import coupling_band, restriction_matrix
 
     gamma = restriction_matrix(grid, boundary_p.measure)
-    mat = assemble_neumann(grid, coeffs).sparse \
-        + coupling_matrix(gamma, boundary_p)
-    robin = OperatorMatrix(mat)
+    robin = assemble_neumann(grid, coeffs).plus(
+        coupling_band(gamma, boundary_p))
     robin._cholesky()
     return robin
 

@@ -32,9 +32,12 @@ of those columns outside Q. Reported spectra come from the cores; the N x N
 for. When there are at least as many atoms as nodes (Lebesgue measure has
 k = N) an atom-side G would be no smaller than N x N, and the nodes serve
 as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
-basis. No report eigendecomposes A. ``perturbed_inverse`` keeps the dense
-identity ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N
-oracle.
+basis. Every solve goes through the block Cholesky factor of
+:class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i is factored once
+per weight and kept on its operator, so reports that share a weight share
+that factor. No report eigendecomposes A. ``perturbed_inverse`` keeps the
+dense identity ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the
+small-N oracle.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .birman_schwinger import BSOperator, MARGIN_DEFAULT, positivity_margin
-from .elliptic import OperatorMatrix, inverse_power
+from .elliptic import OperatorMatrix, dense_from_band, inverse_power
 from .errors import PositivityError, ValidationError
 
 __all__ = [
@@ -115,7 +116,7 @@ class ResolventReport:
         if label not in self._sv_cache:
             core = self.core if label == "difference" else self.term_cores[label]
             sv = np.zeros(self.basis.shape[0])
-            sv[:len(core)] = np.sort(np.abs(sla.eigvalsh(core)))[::-1]
+            sv[:len(core)] = np.sort(np.abs(np.linalg.eigvalsh(core)))[::-1]
             self._sv_cache[label] = sv
         return self._sv_cache[label]
 
@@ -134,7 +135,8 @@ def _require_margin(t_op: BSOperator, threshold: float) -> None:
 
 def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
                *t_ops: BSOperator):
-    """Restriction rows, coupling cores, X, G and the basis Q for power m.
+    """gamma (as a function), gamma', the coupling cores, X, G and the
+    basis Q for power m.
 
     Every weight must first pass the margin threshold. On the atoms where
     some weight is nonzero, each coupling is C_i = gamma' S_i gamma with
@@ -158,12 +160,14 @@ def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
     if np.count_nonzero(keep) >= a.size:
         nodes = np.eye(a.size)
         x = a.solve(nodes)
-        return (sp.identity(a.size, format="csr"),
-                [t_op.coupling.toarray() for t_op in t_ops], x, _sym(x), nodes)
-    gamma = restriction.matrix[keep]
-    x = a.solve(gamma.T.toarray())
-    return (gamma, [np.diag(t_op.density[keep]) for t_op in t_ops], x,
-            _sym(gamma @ x), _krylov_basis(a, x, m))
+        return (lambda f: f, nodes,
+                [dense_from_band(t_op.band) for t_op in t_ops], x, _sym(x),
+                nodes)
+    gamma_t = restriction.adjoint(keep)
+    x = a.solve(gamma_t)
+    return (lambda f: restriction.apply(f, keep), gamma_t,
+            [np.diag(t_op.density[keep]) for t_op in t_ops], x,
+            _sym(restriction.apply(x, keep)), _krylov_basis(a, x, m))
 
 
 def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -197,16 +201,17 @@ def _krylov_basis(a: OperatorMatrix, x: np.ndarray, m: int) -> np.ndarray:
     return q
 
 
-def _report(a, q, gamma, m, plus, minus, identity, terms, a_core=None
+def _report(a, q, gamma_t, m, plus, minus, identity, terms, a_core=None
             ) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
 
     The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q``, where ``plus`` and
-    ``minus`` name P and M: the weight whose A + C gets its own banded
-    factor here, or None for A itself, whose core the caller may hand over
-    as ``a_core``. ``residual`` is the larger of the relative Frobenius
-    disagreement of the identity-path core ``identity`` with the direct
-    core, and, for each A + C, the relative part of
+    ``minus`` name P and M: the weight whose A + C is factored (once per
+    weight, kept on its operator as ``perturbed``), or None for A itself,
+    whose core the caller may hand over as ``a_core``. ``residual`` is the
+    larger of the relative Frobenius disagreement of the identity-path
+    core ``identity`` with the direct core, and, for each A + C, the
+    relative part of
     span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
     """
     cores, gap = [], 0.0
@@ -214,14 +219,14 @@ def _report(a, q, gamma, m, plus, minus, identity, terms, a_core=None
         if t_op is None and a_core is not None:
             cores.append(a_core)
             continue
-        op = a if t_op is None else OperatorMatrix(a.sparse + t_op.coupling)
+        op = a if t_op is None else t_op.perturbed
         y = q
         for _ in range(m):
             y = op.solve(y)
         cores.append(q.T @ y)
         if t_op is None or q.shape[1] == q.shape[0]:
             continue
-        y = gamma.T.toarray()
+        y = gamma_t
         for _ in range(m):
             y = op.solve(y)
             norm = float(np.linalg.norm(y))
@@ -256,9 +261,10 @@ def perturbed_inverse(
     1 + T.
     """
     _require_margin(t_op, margin_threshold)
-    a_half = inverse_power(a, 0.5)
-    cho = sla.cho_factor(np.eye(t_op.size) + t_op.matrix, lower=True)
-    return _sym(a_half @ sla.cho_solve(cho, a_half))
+    # with 1 + T = L L' and Y = L^(-1) A^(-1/2), the product is Y'Y
+    y = np.linalg.solve(np.linalg.cholesky(np.eye(t_op.size) + t_op.matrix),
+                        inverse_power(a, 0.5))
+    return _sym(y.T @ y)
 
 
 def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
@@ -267,12 +273,12 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # two_weight_difference); t2 None is the zero weight, whose coupling
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
-    gamma, cores, x, g, q = _atom_side(a, 1, margin_threshold, *t_ops)
+    _, gamma_t, cores, x, g, q = _atom_side(a, 1, margin_threshold, *t_ops)
     p = q.T @ x
     main = cores[0] - cores[1] if t2 is not None else cores[0]
     z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
     terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-    return _report(a, q, gamma, 1, t2, t1, sum(terms.values()), terms)
+    return _report(a, q, gamma_t, 1, t2, t1, sum(terms.values()), terms)
 
 
 def resolvent_difference(
@@ -336,7 +342,7 @@ def power_difference(
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    gamma, (s,), x, g, q = _atom_side(a, m, margin_threshold, t_op)
+    gamma, gamma_t, (s,), x, g, q = _atom_side(a, m, margin_threshold, t_op)
     mm = _woodbury(g, s)
 
     # ys[j] = B^j Q and xs[j] = B^j gamma' for j = 1..m, so that
@@ -346,7 +352,7 @@ def power_difference(
     for _ in range(m - 1):
         ys.append(a.solve(ys[-1]))
         xs.append(a.solve(xs[-1]))
-    p = [None] + [gamma @ y for y in ys[1:]]
+    p = [None] + [gamma(y) for y in ys[1:]]
     bm = q.T @ ys[m]  # Q' B^m Q
 
     h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
@@ -354,15 +360,15 @@ def power_difference(
     for i in range(m - 1):
         for j in range(m - 1 - i):
             k = m - 2 - i - j
-            h3 += p[i + 1].T @ s @ (gamma @ xs[j + 2]) @ s @ p[k + 1]
+            h3 += p[i + 1].T @ s @ gamma(xs[j + 2]) @ s @ p[k + 1]
 
     # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
     d_id = np.zeros_like(bm)
     bu = ys[1]
     for i in range(m):
-        f = gamma @ bu
+        f = gamma(bu)
         d_id -= f.T @ mm @ p[m - i]
         if i < m - 1:
             bu = a.solve(bu - x @ (mm @ f))
     terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
-    return _report(a, q, gamma, m, t_op, None, d_id, terms, a_core=bm)
+    return _report(a, q, gamma_t, m, t_op, None, d_id, terms, a_core=bm)

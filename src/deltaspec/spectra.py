@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, ValidationError
 from .measures import DiscreteMeasure
@@ -142,7 +141,7 @@ def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
         raise ValidationError("spectrum expects a square matrix")
     if np.abs(k - k.T).max(initial=0.0) > 1e-10 * np.abs(k).max(initial=0.0):
         raise ValidationError("spectrum expects a symmetric matrix")
-    eig = sla.eigvalsh(0.5 * (k + k.T))
+    eig = np.linalg.eigvalsh(0.5 * (k + k.T))
     norm = np.abs(eig).max() if eig.size else 0.0
     lvl = FLOOR_FACTOR * norm if floor is None else floor
     pos = np.sort(eig[eig > lvl])[::-1]
@@ -256,8 +255,8 @@ def fit_power_law(
 def _ascending_singulars(mat: np.ndarray) -> np.ndarray:
     scale = np.abs(mat).max()
     if scale > 0 and np.abs(mat - mat.T).max() <= 1e-12 * scale:
-        return np.sort(np.abs(sla.eigvalsh(mat)))
-    return np.sort(sla.svdvals(mat))
+        return np.sort(np.abs(np.linalg.eigvalsh(mat)))
+    return np.sort(np.linalg.svd(mat, compute_uv=False))
 
 
 def _count_above(ascending: np.ndarray, lam: np.ndarray) -> np.ndarray:

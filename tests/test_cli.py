@@ -524,6 +524,42 @@ def test_set_axis_broadcasts_scalars_over_lists():
         _set_axis(cfg, "domain.missing.deep", 1)
 
 
+@pytest.mark.parametrize("axis", ["tasks.x", "tasks.x.name",
+                                  "domain.shape.x", "tasks.7"])
+def test_sweep_axis_not_in_config_exits_2(tmp_path, capsys, axis):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "runs"
+    assert main(["sweep", str(path), "--axis", axis, "--values", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "runs"
+    assert main(["sweep", str(path), "--axis", "weights.V1.value",
+                 "--values", "0.5,abc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_builds_each_run_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.validate_config
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_config", counting)
+    path = write_config(tmp_path, base_config())
+    assert main(["sweep", str(path), "--axis", "weights.V1.value",
+                 "--values", "0.5,1.0,2.0", "--out",
+                 str(tmp_path / "runs")]) == 0
+    assert len(calls) == 3
+
+
 def test_config_hash_ignores_key_order():
     cfg = base_config()
     shuffled = json.loads(json.dumps(dict(reversed(list(cfg.items())))))
@@ -615,6 +651,33 @@ def test_run_loads_only_linalg_and_sparse_from_scipy(tmp_path, task):
             (tmp_path / "runs" / config_hash(cfg) / "manifest.json")
             .read_text())
         assert manifest["tasks"][0]["summary"]["log_periodic"] is not None
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # one fresh interpreter: the import, then one run of each task
+    paths = [str(write_config(tmp_path, (
+        cantor_config if task == "krein_feller" else box_config)(
+            tasks=[task]), name=f"{task}.json")) for task in TASK_NAMES]
+    script = (
+        "import json, sys\n"
+        "from deltaspec.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "after_import = loaded()\n"
+        f"codes = [main(['run', p, '--out', {str(tmp_path / 'runs')!r}])\n"
+        f"         for p in {paths!r}]\n"
+        "print(json.dumps([after_import, codes, loaded()]))\n")
+    src_root = str(Path(deltaspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, after_runs = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(TASK_NAMES), proc.stderr
+    assert after_import == []
+    assert after_runs == []
 
 
 # Values a mutated config key may take. Every integer is small or beyond

@@ -189,3 +189,104 @@ def test_solve_matches_dense_solver():
     x = a.solve(rhs)
     x_ref = np.linalg.solve(a.matrix, rhs)
     assert np.max(np.abs(x - x_ref)) < 1e-10 * np.abs(x_ref).max()
+
+
+def _box(shape, tensor=1.0, t=1.0):
+    g = Grid(np.array([[0.0, 1.0]] * len(shape)), shape)
+    coeffs = (CoefficientField.isotropic(tensor, len(shape), t=t)
+              if np.ndim(tensor) == 0 else CoefficientField(tensor, t=t))
+    return g, coeffs
+
+
+def _factor_case(name):
+    if name.startswith("1d"):
+        g, coeffs = _box((int(name[3:]),))
+        return assemble_neumann(g, coeffs)
+    if name == "robin-41x41":
+        g, coeffs = _box((41, 41))
+        return assemble_robin(g, coeffs,
+                              Perturbation.constant(boundary_measure(g), 1.0))
+    if name == "anisotropic-20x13":
+        g, coeffs = _box((20, 13), np.array([[1.0, 0.4], [0.4, 2.0]]))
+        return assemble_neumann(g, coeffs)
+    n1, n2 = (int(s) for s in name.split("x"))
+    g, coeffs = _box((n1, n2))
+    return assemble_neumann(g, coeffs)
+
+
+@pytest.mark.parametrize("name", ["1d-512", "1d-4096", "1d-100", "33x33",
+                                  "57x15", "robin-41x41", "anisotropic-20x13"])
+def test_block_factor_matches_lapack_banded(name):
+    # the block Cholesky gives the unique factor A = L L' that LAPACK's
+    # banded Cholesky gives; 1d-100 is not a multiple of the block size 16
+    sla = pytest.importorskip("scipy.linalg")
+    from scipy.linalg.lapack import dtbtrs
+
+    a = _factor_case(name)
+    lapack = sla.cholesky_banded(a.band, lower=True)
+    rng = np.random.Generator(np.random.Philox(5))
+    rhs = rng.standard_normal((a.size, 7))
+    # both are backward stable, so they agree to a small multiple of eps
+    # times the condition number; every case has smallest eigenvalue
+    # >= t = 1, and twice the largest column sum of the band bounds ||A||
+    tol = 1e-16 * 2 * np.abs(a.band).sum(axis=0).max()
+    for got, want in (
+            (a.solve(rhs), sla.cho_solve_banded((lapack, True), rhs)),
+            (a.solve_lower(rhs), dtbtrs(lapack, rhs, uplo="L")[0])):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    # a vector right-hand side keeps its shape
+    assert a.solve(rhs[:, 0]).shape == (a.size,)
+    assert np.allclose(a.solve(rhs[:, 0]), a.solve(rhs)[:, 0], rtol=0,
+                       atol=1e-14 * np.max(np.abs(a.solve(rhs))))
+
+
+def test_anisotropic_assembly_matches_sparse_products():
+    # the cross terms G0' diag(a01) G1 + G1' diag(a01) G0 of centered first
+    # differences (one-sided at the ends), built with SciPy's sparse kron
+    sp = pytest.importorskip("scipy.sparse")
+    shape = (9, 7)
+    g = Grid(np.array([[0.0, 1.0], [0.0, 1.5]]), shape)
+    rng = np.random.Generator(np.random.Philox(2))
+    a01 = 0.3 * rng.uniform(-1.0, 1.0, g.size)
+    tensors = np.zeros((g.size, 2, 2))
+    tensors[:, 0, 0], tensors[:, 1, 1] = 2.0, 1.5
+    tensors[:, 0, 1] = tensors[:, 1, 0] = a01
+    a = assemble_neumann(g, CoefficientField(tensors, t=0.5))
+
+    def centered(n, h):
+        mat = np.zeros((n, n))
+        mat[0, :2] = [-1.0 / h, 1.0 / h]
+        mat[-1, -2:] = [-1.0 / h, 1.0 / h]
+        for i in range(1, n - 1):
+            mat[i, i - 1], mat[i, i + 1] = -0.5 / h, 0.5 / h
+        return mat
+
+    def edges(n, h):
+        return (np.eye(n, k=1) - np.eye(n))[:-1] / h
+
+    h = g.spacing
+    eye = [np.eye(n) for n in shape]
+    g0 = sp.kron(centered(shape[0], h[0]), eye[1])
+    g1 = sp.kron(eye[0], centered(shape[1], h[1]))
+    d0 = sp.kron(edges(shape[0], h[0]), eye[1])
+    d1 = sp.kron(eye[0], edges(shape[1], h[1]))
+    want = (d0.T @ sp.diags(np.full(d0.shape[0], 2.0)) @ d0
+            + d1.T @ sp.diags(np.full(d1.shape[0], 1.5)) @ d1
+            + g0.T @ sp.diags(a01) @ g1 + g1.T @ sp.diags(a01) @ g0
+            + 0.5 * sp.identity(g.size)).toarray()
+    assert a.band.shape[0] == shape[1] + 2  # band n2 + 1
+    assert np.max(np.abs(a.matrix - want)) <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("where", ["everywhere", "last node"])
+def test_indefinite_matrix_raises_positivity_error(where):
+    # the failing pivot is in the first block, or in the padded last one
+    g, coeffs = _box((100,))
+    a = assemble_neumann(g, coeffs)
+    shift = np.zeros((1, a.size))
+    if where == "everywhere":
+        shift[0] = -5.0
+    else:
+        shift[0, -1] = -1e6
+    with pytest.raises(PositivityError):
+        a.plus(shift).solve(np.ones(a.size))

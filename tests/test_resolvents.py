@@ -49,7 +49,7 @@ def test_sherman_morrison_rank_one_oracle():
     gam = restriction_matrix(g, m)
     t_op = bs_operator(a, gam, Perturbation.constant(m, 3.1))
     got = perturbed_inverse(a, t_op)
-    u = gam.matrix.toarray()[0]
+    u = gam.adjoint()[:, 0]
     alpha = 0.5 * 3.1 / g.cell_volume
     ainv_u = a.solve(u)
     denom = 1.0 + alpha * float(u @ ainv_u)
@@ -283,6 +283,28 @@ def test_engine_matches_dense_inverses(case, signed):
                 power_difference(a, t1, m_pow).singular_values(),
                 np.linalg.matrix_power(p1, m_pow)
                 - np.linalg.matrix_power(a_inv, m_pow))
+
+
+def test_reports_factor_each_operator_once(monkeypatch):
+    # every report on the same weights shares one factor of A and one of
+    # each A + C, kept on the weight's operator
+    calls = []
+    original = elliptic._block_cholesky
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(elliptic, "_block_cholesky", counting)
+    for signed in (False, True):
+        calls.clear()
+        a, t1, t2 = _cross_setup("2d", signed)
+        resolvent_difference(a, t1)
+        two_weight_difference(a, t1, t2)
+        power_difference(a, t1, 2)
+        power_difference(a, t1, 3)
+        resolvent_difference(a, t2)
+        assert len(calls) == 3  # A, A + C1, A + C2
 
 
 def test_residual_catches_a_short_basis(monkeypatch):
