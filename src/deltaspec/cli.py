@@ -74,7 +74,6 @@ from .io import (
     write_singular_values,
 )
 from .measures import (
-    ATOM_CAP_DEFAULT,
     DiscreteMeasure,
     Similitude,
     boundary_measure,
@@ -164,7 +163,8 @@ def _point(dim):
 
 def _grid(spec) -> Grid:
     _check_keys(spec, "domain", ["bbox", "shape"])
-    _check_numbers(spec, "domain", {"bbox": [(1, 2), (2, 2), (2,), (4,)]})
+    _check_numbers(spec, "domain", {
+        "bbox": [(1, 2), (2, 2), (3, 2), (2,), (4,), (6,)]})
     dim = np.size(spec["bbox"]) // 2
     _check_numbers(spec, "domain", {"shape": _point(dim)}, integers=["shape"])
     return Grid(np.asarray(spec["bbox"], dtype=float), spec["shape"])
@@ -202,23 +202,21 @@ def _similitude(spec, where, dim) -> Similitude:
 
 def _measure(spec, where, grid) -> DiscreteMeasure:
     _check_keys(spec, where, ["kind"], [
-        "maps", "depth", "start", "end", "count", "parts", "atom_cap",
+        "maps", "depth", "start", "end", "count", "parts",
     ])
     point = _point(grid.ambient_dim)
     _check_numbers(spec, where, {
         "start": point, "end": point, "count": SCALAR, "depth": SCALAR,
-        "atom_cap": SCALAR,
-    }, integers=["count", "depth", "atom_cap"])
+    }, integers=["count", "depth"])
     kind = spec["kind"]
     if kind == "ifs":
-        _check_keys(spec, where, ["kind", "maps", "depth"], ["atom_cap"])
+        _check_keys(spec, where, ["kind", "maps", "depth"])
         maps = spec["maps"]
         if not isinstance(maps, list) or not maps:
             raise ValidationError(f"{where}.maps must be a nonempty list")
         maps = [_similitude(m, f"{where}.maps[{i}]", grid.ambient_dim)
                 for i, m in enumerate(maps)]
-        return ifs_measure(maps, spec["depth"],
-                           atom_cap=spec.get("atom_cap", ATOM_CAP_DEFAULT))
+        return ifs_measure(maps, spec["depth"])
     if kind == "segment":
         _check_keys(spec, where, ["kind", "start", "end", "count"])
         # in 1D either end may be a bare number or a one-entry list

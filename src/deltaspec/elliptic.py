@@ -19,6 +19,7 @@ lower band storage and factored by a block Cholesky in numpy
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,10 +49,10 @@ _ELLIPTICITY_FLOOR = 1e-8
 
 @dataclass(eq=False)
 class Grid:
-    """Cell-centered box grid in one or two dimensions.
+    """Cell-centered box grid in one, two or three dimensions.
 
     ``shape`` counts nodes (= cells) per axis; nodes are flattened in C
-    order, the second axis fastest.
+    order, the last axis fastest.
     """
 
     bbox: np.ndarray
@@ -60,8 +61,8 @@ class Grid:
     def __post_init__(self):
         bbox = np.asarray(self.bbox, dtype=float).reshape(-1, 2)
         shape = tuple(int(s) for s in np.atleast_1d(self.shape))
-        if bbox.shape[0] not in (1, 2):
-            raise ValidationError("only 1D and 2D grids are supported")
+        if bbox.shape[0] not in (1, 2, 3):
+            raise ValidationError("only 1D, 2D and 3D grids are supported")
         if len(shape) != bbox.shape[0]:
             raise ValidationError("shape and bbox dimensions disagree")
         if any(s < 3 for s in shape):
@@ -349,10 +350,12 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
 
     The diagonal part of the tensor uses edge-difference Gram terms
     (coefficients averaged onto edges), which reproduces the classical
-    second-difference matrix for constant scalar coefficients; off-diagonal
-    entries couple centered first differences, which widens the band from
-    n_2 to n_2 + 1. The constant vector is an eigenvector with eigenvalue
-    exactly t for constant coefficients.
+    second-difference matrix for constant scalar coefficients, with
+    bandwidth the stride of the first axis (n_2 in 2D, n_2 n_3 in 3D).
+    Each pair of axes i < j whose off-diagonal entry is nonzero somewhere
+    couples centered first differences along i and j, which widens the
+    band to the sum of their strides (n_2 + 1 in 2D). The constant vector
+    is an eigenvector with eigenvalue exactly t for constant coefficients.
     """
     if coeffs.dim != grid.ambient_dim:
         raise ValidationError("coefficient dimension does not match the grid")
@@ -362,8 +365,9 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
     h = grid.spacing
     index = np.arange(size).reshape(shape)
 
+    axes = range(grid.ambient_dim)
     band = np.zeros((math.prod(shape[1:]) + 1, size))
-    for axis in range(grid.ambient_dim):
+    for axis in axes:
         # edge Gram term: each edge (lo, lo + stride) adds a/h^2 to both
         # diagonal entries and -a/h^2 to the one off the diagonal
         stride = math.prod(shape[axis + 1:])
@@ -377,17 +381,20 @@ def assemble_neumann(grid: Grid, coeffs: CoefficientField) -> OperatorMatrix:
         band[0] += diag
         band[stride, lo] -= w
 
-    if grid.ambient_dim == 2 and np.any(tensors[:, 0, 1] != 0.0):
-        # G0' diag(a_01) G1 + its transpose, G_i the centered differences
-        (l0, h0, s0), (l1, h1, s1) = (_centered_difference(shape, h[i], i)
-                                      for i in range(2))
+    pairs = [(i, j) for i, j in itertools.combinations(axes, 2)
+             if np.any(tensors[:, i, j] != 0.0)]
+    if pairs:
+        # G_i' diag(a_ij) G_j + its transpose, G_i the centered differences
+        diffs = [_centered_difference(shape, h[i], i) for i in axes]
         rows, cols, vals = [], [], []
-        for i, vi in ((l0, -s0), (h0, s0)):
-            for j, vj in ((l1, -s1), (h1, s1)):
-                v = vi * tensors[:, 0, 1] * vj
-                rows += [i, j]
-                cols += [j, i]
-                vals += [v, v]
+        for i, j in pairs:
+            (lo_i, hi_i, s_i), (lo_j, hi_j, s_j) = diffs[i], diffs[j]
+            for r, vr in ((lo_i, -s_i), (hi_i, s_i)):
+                for c, vc in ((lo_j, -s_j), (hi_j, s_j)):
+                    v = vr * tensors[:, i, j] * vc
+                    rows += [r, c]
+                    cols += [c, r]
+                    vals += [v, v]
         band = _add_bands(band, lower_band(np.concatenate(rows),
                                            np.concatenate(cols),
                                            np.concatenate(vals), size))

@@ -241,17 +241,15 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     return float(d)
 
 
-def ifs_measure(
-    maps: Sequence[Similitude],
-    depth: int,
-    atom_cap: int = ATOM_CAP_DEFAULT,
-) -> DiscreteMeasure:
+def ifs_measure(maps: Sequence[Similitude], depth: int) -> DiscreteMeasure:
     """Self-similar measure of an IFS, sampled at word depth ``depth``.
 
     Atoms are all depth-fold compositions applied to the fixed point of the
     first map; the word (j_1 .. j_k) carries weight ``prod rho_{j_i} ** d``
     with d from :func:`solve_moran_dimension`, so the total mass is exactly
-    1 up to rounding. The open set condition is assumed, not checked.
+    1 up to rounding. The open set condition is assumed, not checked. At
+    most ``ATOM_CAP_DEFAULT`` atoms, and a depth of at most 13, its bit
+    length, whatever the number of maps.
     """
     maps = list(maps)
     if not maps:
@@ -263,16 +261,16 @@ def ifs_measure(
         raise ValidationError("similitudes act on different ambient dimensions")
     # two or more maps reach the atom cap by this depth; one map repeats its
     # fixed point, so a deeper word adds nothing but a longer loop
-    max_depth = int(atom_cap).bit_length()
+    max_depth = ATOM_CAP_DEFAULT.bit_length()
     if depth > max_depth:
         raise ValidationError(
             f"depth {depth} exceeds {max_depth}, the bit length of the atom "
-            f"cap {atom_cap}")
+            f"cap {ATOM_CAP_DEFAULT}")
     n_atoms = len(maps) ** depth
-    if n_atoms > atom_cap:
+    if n_atoms > ATOM_CAP_DEFAULT:
         raise ValidationError(
-            f"{len(maps)}^{depth} = {n_atoms} atoms exceeds cap {atom_cap}"
-        )
+            f"{len(maps)}^{depth} = {n_atoms} atoms exceeds cap "
+            f"{ATOM_CAP_DEFAULT}")
     d = solve_moran_dimension([s.ratio for s in maps])
     pts = maps[0].fixed_point()[None, :]
     wts = np.array([1.0])
@@ -309,40 +307,24 @@ def segment_measure(endpoints: np.ndarray, count: int) -> DiscreteMeasure:
 def boundary_measure(grid: "Grid") -> DiscreteMeasure:
     """Surface measure of the grid's box boundary.
 
-    Atoms sit at the boundary-layer nodes. In 2D each atom carries the total
-    length of its cell's outer faces (h for an edge node, 2h for a corner
-    node, which owns two outer faces), so the mass equals the perimeter
-    exactly. In 1D the boundary is the two end nodes with weight 1 each and
-    ``nominal_dim`` 0.
+    Atoms sit at the nodes that are first or last along some axis. Each
+    atom carries the total area of its cell's outer faces: one face
+    normal to axis i has the product of the other axes' spacings as its
+    area, so an edge node of a 2D grid carries h and a corner node, which
+    owns two outer faces, 2h. The mass equals the surface area of the box
+    exactly, and ``nominal_dim`` is N - 1; in 1D the boundary is the two
+    end nodes with weight 1 each.
     """
     n_dim = grid.ambient_dim
-    if n_dim == 1:
-        nodes = grid.axis_nodes(0)
-        pts = np.array([[nodes[0]], [nodes[-1]]])
-        return DiscreteMeasure(
-            pts, np.array([1.0, 1.0]), nominal_dim=0.0,
-            label="boundary(1d)", bbox=grid.bbox.copy(),
-        )
-    if n_dim != 2:
-        raise ValidationError("boundary_measure supports 1D and 2D grids")
-    nx, ny = grid.shape
-    hx, hy = grid.spacing
-    xs, ys = grid.axis_nodes(0), grid.axis_nodes(1)
-    pts = []
-    wts = []
-    for ix in range(nx):
-        for iy in range(ny):
-            w = 0.0
-            if iy == 0 or iy == ny - 1:
-                w += hx  # outer face parallel to the x axis
-            if ix == 0 or ix == nx - 1:
-                w += hy
-            if w > 0.0:
-                pts.append((xs[ix], ys[iy]))
-                wts.append(w)
+    index = np.indices(grid.shape).reshape(n_dim, -1).T
+    # outer[p, i]: node p owns an outer face normal to axis i
+    outer = (index == 0) | (index == np.array(grid.shape) - 1)
+    face = np.array([np.prod(np.delete(grid.spacing, i))
+                     for i in range(n_dim)])
+    on = outer.any(axis=1)
     return DiscreteMeasure(
-        np.array(pts), np.array(wts), nominal_dim=1.0,
-        label="boundary(2d)", bbox=grid.bbox.copy(),
+        grid.nodes()[on], outer[on] @ face, nominal_dim=float(n_dim - 1),
+        label=f"boundary({n_dim}d)", bbox=grid.bbox.copy(),
     )
 
 

@@ -121,9 +121,14 @@ class ResolventReport:
         return self._sv_cache[label]
 
 
-def _require_margin(t_op: BSOperator, threshold: float) -> None:
-    # nonnegative weights make T PSD, margin >= 1, and no margin is at or
-    # below -inf: nothing to check
+def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float
+                    ) -> None:
+    # the weight's margin and its A + C come from its own operator, which
+    # must be a; nonnegative weights make T PSD, margin >= 1, and no
+    # margin is at or below -inf: nothing to check
+    if t_op.operator is not a:
+        raise ValidationError(
+            "the weight's Birman-Schwinger operator is built on another A")
     if threshold == -np.inf or np.all(t_op.perturbation.values >= 0):
         return
     margin = positivity_margin(t_op)
@@ -138,20 +143,19 @@ def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
     """gamma (as a function), gamma', the coupling cores, X, G and the
     basis Q for power m.
 
-    Every weight must first pass the margin threshold. On the atoms where
-    some weight is nonzero, each coupling is C_i = gamma' S_i gamma with
-    S_i = diag(D_i), X = A^(-1) gamma', G = gamma X, and Q spans
+    Every weight must be built on ``a`` and pass the margin threshold. On
+    the atoms where some weight is nonzero, each coupling is
+    C_i = gamma' S_i gamma with S_i = diag(D_i), X = A^(-1) gamma',
+    G = gamma X, and Q spans
     span{A^(-j) gamma' : j <= m}. With at least as many atoms as nodes that
     G would be no smaller than N x N, and the nodes serve as atoms instead:
     gamma = 1, S_i = C_i and Q = 1 (the node basis).
     """
     for t_op in t_ops:
-        _require_margin(t_op, margin_threshold)
+        _require_margin(a, t_op, margin_threshold)
     restriction = t_ops[0].restriction
     if any(t_op.restriction is not restriction for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
-    if a.size != restriction.grid.size:
-        raise ValidationError("operator and restriction grids differ in size")
     keep = np.zeros(restriction.measure.count, dtype=bool)
     for t_op in t_ops:
         keep |= t_op.density != 0
@@ -260,7 +264,7 @@ def perturbed_inverse(
     This is the small-N oracle: it eigendecomposes A and factors the dense
     1 + T.
     """
-    _require_margin(t_op, margin_threshold)
+    _require_margin(a, t_op, margin_threshold)
     # with 1 + T = L L' and Y = L^(-1) A^(-1/2), the product is Y'Y
     y = np.linalg.solve(np.linalg.cholesky(np.eye(t_op.size) + t_op.matrix),
                         inverse_power(a, 0.5))

@@ -52,6 +52,15 @@ def box_config(**overrides):
     return cfg
 
 
+def box3d_config(**overrides):
+    # a 4 x 4 x 3 box with its boundary measure
+    cfg = box_config(
+        domain={"bbox": [[0.0, 1.0], [0.0, 0.9], [0.0, 0.8]],
+                "shape": [4, 4, 3]})
+    cfg.update(overrides)
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -180,12 +189,16 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"domain": {"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [12, 12]},
      "measure": {"kind": "boundary"}, "tasks": ["weyl_check"]},
     {"weights": {"V1": {"kind": "random", "nonneg": "false"}}},
+    {"domain": {"bbox": [[0.0, 1.0]] * 4, "shape": [3, 3, 3, 3]}},
+    {"measure": {"kind": "ifs", "depth": 14, "atom_cap": 16384, "maps": [
+        {"ratio": 0.25, "translation": [0.0]},
+        {"ratio": 0.25, "translation": [0.75]}]}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
         "huge_integer", "one_map_ifs_depth", "head_drop_one",
         "head_drop_negative", "negative_floor", "weyl_check_without_v2",
-        "nonneg_string"])
+        "nonneg_string", "bbox_4d", "atom_cap"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
@@ -398,6 +411,25 @@ def test_robin_diff_admits_signed_density_below_margin_threshold(tmp_path):
         manifest, _ = run_manifest(tmp_path / str(raises), cfg)
         assert len(manifest["t_raises"]) == raises
         assert manifest["tasks"][0]["summary"]["residual"] <= 1e-10
+
+
+def test_3d_box_boundary_runs_robin_diff_and_weyl_check(tmp_path):
+    # the surface measure of a box in R^3 (d = 2) through the CLI; the
+    # coefficient ratio is pre-asymptotic at this size and is not checked
+    cfg = box3d_config(
+        domain={"bbox": [[0.0, 1.0], [0.0, 0.9], [0.0, 0.8]],
+                "shape": [9, 8, 7]},
+        tasks=["robin_diff", "weyl_check"])
+    manifest, _ = run_manifest(tmp_path, cfg)
+    robin, weyl = (entry["summary"] for entry in manifest["tasks"])
+    assert robin["residual"] <= 1e-10
+    assert weyl["residual"] <= 1e-10
+    assert weyl["theta_predicted"] == pytest.approx(2.0 / 3.0)
+    # (V1 - V2)^theta times the surface area times the isotropic N = 3
+    # density (1/4)^theta / (4 pi)
+    area = 2.0 * (0.9 + 0.72 + 0.8)
+    assert weyl["weyl_coefficient"]["without"] == pytest.approx(
+        area * 0.25 ** (2.0 / 3.0) / (4.0 * math.pi), rel=1e-9)
 
 
 def test_weyl_check_predicts_from_both_signs(tmp_path):
@@ -717,7 +749,8 @@ def _is_number(value):
 
 @st.composite
 def mutated_configs(draw):
-    make = draw(st.sampled_from([base_config, box_config, cantor_config]))
+    make = draw(st.sampled_from([base_config, box_config, cantor_config,
+                                 box3d_config]))
     cfg = make(tasks=draw(st.lists(st.sampled_from(TASK_NAMES), min_size=1,
                                    max_size=2)))
     for _ in range(draw(st.integers(1, 3))):

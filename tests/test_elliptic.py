@@ -198,6 +198,9 @@ def _box(shape, tensor=1.0, t=1.0):
     return g, coeffs
 
 
+ANISOTROPIC_3D = np.array([[1.5, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 2.0]])
+
+
 def _factor_case(name):
     if name.startswith("1d"):
         g, coeffs = _box((int(name[3:]),))
@@ -209,13 +212,19 @@ def _factor_case(name):
     if name == "anisotropic-20x13":
         g, coeffs = _box((20, 13), np.array([[1.0, 0.4], [0.4, 2.0]]))
         return assemble_neumann(g, coeffs)
+    if name == "anisotropic-7x6x5":
+        g, coeffs = _box((7, 6, 5), ANISOTROPIC_3D)
+        a = assemble_neumann(g, coeffs)
+        assert a.band.shape[0] == 6 * 5 + 5 + 1  # band n2 n3 + n3
+        return a
     n1, n2 = (int(s) for s in name.split("x"))
     g, coeffs = _box((n1, n2))
     return assemble_neumann(g, coeffs)
 
 
 @pytest.mark.parametrize("name", ["1d-512", "1d-4096", "1d-100", "33x33",
-                                  "57x15", "robin-41x41", "anisotropic-20x13"])
+                                  "57x15", "robin-41x41", "anisotropic-20x13",
+                                  "anisotropic-7x6x5"])
 def test_block_factor_matches_lapack_banded(name):
     # the block Cholesky gives the unique factor A = L L' that LAPACK's
     # banded Cholesky gives; 1d-100 is not a multiple of the block size 16
@@ -240,6 +249,16 @@ def test_block_factor_matches_lapack_banded(name):
                        atol=1e-14 * np.max(np.abs(a.solve(rhs))))
 
 
+def _centered(n, h):
+    # centered first differences, one-sided at the two ends
+    mat = np.zeros((n, n))
+    mat[0, :2] = [-1.0 / h, 1.0 / h]
+    mat[-1, -2:] = [-1.0 / h, 1.0 / h]
+    for i in range(1, n - 1):
+        mat[i, i - 1], mat[i, i + 1] = -0.5 / h, 0.5 / h
+    return mat
+
+
 def test_anisotropic_assembly_matches_sparse_products():
     # the cross terms G0' diag(a01) G1 + G1' diag(a01) G0 of centered first
     # differences (one-sided at the ends), built with SciPy's sparse kron
@@ -253,21 +272,13 @@ def test_anisotropic_assembly_matches_sparse_products():
     tensors[:, 0, 1] = tensors[:, 1, 0] = a01
     a = assemble_neumann(g, CoefficientField(tensors, t=0.5))
 
-    def centered(n, h):
-        mat = np.zeros((n, n))
-        mat[0, :2] = [-1.0 / h, 1.0 / h]
-        mat[-1, -2:] = [-1.0 / h, 1.0 / h]
-        for i in range(1, n - 1):
-            mat[i, i - 1], mat[i, i + 1] = -0.5 / h, 0.5 / h
-        return mat
-
     def edges(n, h):
         return (np.eye(n, k=1) - np.eye(n))[:-1] / h
 
     h = g.spacing
     eye = [np.eye(n) for n in shape]
-    g0 = sp.kron(centered(shape[0], h[0]), eye[1])
-    g1 = sp.kron(eye[0], centered(shape[1], h[1]))
+    g0 = sp.kron(_centered(shape[0], h[0]), eye[1])
+    g1 = sp.kron(eye[0], _centered(shape[1], h[1]))
     d0 = sp.kron(edges(shape[0], h[0]), eye[1])
     d1 = sp.kron(eye[0], edges(shape[1], h[1]))
     want = (d0.T @ sp.diags(np.full(d0.shape[0], 2.0)) @ d0
@@ -276,6 +287,45 @@ def test_anisotropic_assembly_matches_sparse_products():
             + 0.5 * sp.identity(g.size)).toarray()
     assert a.band.shape[0] == shape[1] + 2  # band n2 + 1
     assert np.max(np.abs(a.matrix - want)) <= 1e-13 * np.abs(want).max()
+
+
+def test_3d_cross_terms_match_kron_products():
+    # every axis pair i < j adds G_i' diag(a_ij) G_j + its transpose, G_i
+    # the centered differences along axis i, with per-node coefficients
+    shape = (6, 5, 4)
+    g = Grid(np.array([[0.0, 1.0], [0.0, 0.9], [0.0, 0.8]]), shape)
+    rng = np.random.Generator(np.random.Philox(3))
+    tensors = np.zeros((g.size, 3, 3))
+    tensors[:] = np.diag([2.0, 1.5, 1.8])
+    plain = assemble_neumann(g, CoefficientField(tensors, t=0.5))
+    want = np.zeros((g.size, g.size))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            a_ij = 0.3 * rng.uniform(-1.0, 1.0, g.size)
+            tensors[:, i, j] = tensors[:, j, i] = a_ij
+            diffs = []
+            for axis in (i, j):
+                factors = [np.eye(n) for n in shape]
+                factors[axis] = _centered(shape[axis], g.spacing[axis])
+                diffs.append(np.kron(np.kron(factors[0], factors[1]),
+                                     factors[2]))
+            cross = diffs[0].T @ (a_ij[:, None] * diffs[1])
+            want += cross + cross.T
+    a = assemble_neumann(g, CoefficientField(tensors, t=0.5))
+    assert a.band.shape[0] == 5 * 4 + 4 + 1  # band n2 n3 + n3
+    got = a.matrix - plain.matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tensor", [1.7, ANISOTROPIC_3D],
+                         ids=["isotropic", "anisotropic"])
+def test_3d_constant_mode(tensor):
+    # A 1 = t 1 in 3D too: every difference of a constant vanishes
+    g, coeffs = _box((9, 8, 7), tensor, t=0.7)
+    a = assemble_neumann(g, coeffs)
+    ones = np.ones(g.size)
+    err = np.max(np.abs(a.matrix @ ones - 0.7))
+    assert err <= 1e-13 * np.abs(a.band).max()
 
 
 @pytest.mark.parametrize("where", ["everywhere", "last node"])

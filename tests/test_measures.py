@@ -92,7 +92,7 @@ def test_cantor_branch_masses():
 
 def test_ifs_atom_cap():
     with pytest.raises(ValidationError):
-        ifs_measure(_cantor_maps(), depth=13, atom_cap=5000)
+        ifs_measure(_cantor_maps(), depth=13)
 
 
 def test_ifs_rotation_2d():
@@ -143,6 +143,55 @@ def test_boundary_measure_1d_endpoints():
     assert b.count == 2
     assert abs(b.mass - 2.0) < 1e-15
     assert b.nominal_dim == 0.0
+
+
+def _boundary_reference(g):
+    # the per-dimension construction: the two end nodes in 1D, a loop over
+    # every node in 2D
+    if g.ambient_dim == 1:
+        nodes = g.axis_nodes(0)
+        return np.array([[nodes[0]], [nodes[-1]]]), np.array([1.0, 1.0])
+    (nx, ny), (hx, hy) = g.shape, g.spacing
+    xs, ys = g.axis_nodes(0), g.axis_nodes(1)
+    pts, wts = [], []
+    for ix in range(nx):
+        for iy in range(ny):
+            w = 0.0
+            if iy == 0 or iy == ny - 1:
+                w += hx
+            if ix == 0 or ix == nx - 1:
+                w += hy
+            if w > 0.0:
+                pts.append((xs[ix], ys[iy]))
+                wts.append(w)
+    return np.array(pts), np.array(wts)
+
+
+@pytest.mark.parametrize("bbox, shape", [
+    ([[0.0, 1.0], [0.0, 1.0]], (41, 41)),
+    ([[0.0, 1.9], [0.3, 1.6]], (19, 13)),
+    ([[-0.5, 2.0]], (37,)),
+], ids=["41x41", "19x13", "1d"])
+def test_boundary_measure_equals_per_dimension_reference(bbox, shape):
+    g = Grid(np.array(bbox), shape)
+    b = boundary_measure(g)
+    atoms, weights = _boundary_reference(g)
+    assert np.array_equal(b.atoms, atoms)
+    assert np.array_equal(b.weights, weights)
+    assert b.nominal_dim == len(shape) - 1
+    assert b.label == f"boundary({len(shape)}d)"
+
+
+def test_boundary_measure_3d_surface_area():
+    a, b, c = 1.0, 0.9, 0.8
+    g = Grid(np.array([[0.0, a], [0.0, b], [0.0, c]]), (9, 8, 7))
+    bnd = boundary_measure(g)
+    assert bnd.count == 9 * 8 * 7 - 7 * 6 * 5
+    assert abs(bnd.mass - 2.0 * (a * b + b * c + c * a)) < 1e-12
+    assert bnd.nominal_dim == 2.0
+    # a corner node owns three outer faces
+    corner = g.cell_volume * (1.0 / g.spacing).sum()
+    assert bnd.weights[0] == pytest.approx(corner)
 
 
 def test_lebesgue_measure_volume():

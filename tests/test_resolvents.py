@@ -11,10 +11,12 @@ from deltaspec import (
     Grid,
     Perturbation,
     PositivityError,
+    Similitude,
     ValidationError,
     assemble_neumann,
     boundary_measure,
     bs_operator,
+    ifs_measure,
     inverse_power,
     perturbed_inverse,
     power_difference,
@@ -176,6 +178,21 @@ def test_margin_guard_raises():
         power_difference(a, t_op, 2)
 
 
+def test_reports_reject_weights_built_on_another_operator():
+    # the weight's margin and A + C come from a at t = 1; a report against
+    # the t = 5 operator would mix the two
+    g, a, m, gam = _setup(128)
+    a5 = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=5.0))
+    t1, t2 = (bs_operator(a, gam, Perturbation.constant(m, v))
+              for v in (1.0, 0.5))
+    for report in (lambda: resolvent_difference(a5, t1),
+                   lambda: two_weight_difference(a5, t1, t2),
+                   lambda: power_difference(a5, t1, 2),
+                   lambda: perturbed_inverse(a5, t1)):
+        with pytest.raises(ValidationError, match="another A"):
+            report()
+
+
 def test_margin_is_computed_only_where_it_can_fail(tmp_path, monkeypatch):
     # robin_diff passes threshold -inf, which no margin can fail: no
     # eigensolve. The same signed weight against a finite threshold is
@@ -283,6 +300,33 @@ def test_engine_matches_dense_inverses(case, signed):
                 power_difference(a, t1, m_pow).singular_values(),
                 np.linalg.matrix_power(p1, m_pow)
                 - np.linalg.matrix_power(a_inv, m_pow))
+
+
+def test_3d_reports_match_dense_inverses():
+    # a d = 2 IFS patch (4 maps of ratio 1/2) in the plane z = 0.45 of an
+    # anisotropic 3D operator, against numpy's inverses of the N x N
+    # matrices
+    g = Grid(np.array([[0.0, 1.0], [0.0, 0.9], [0.0, 0.8]]), (9, 8, 7))
+    tensor = np.array([[1.5, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 2.0]])
+    a = assemble_neumann(g, CoefficientField(tensor, t=1.0))
+    maps = [Similitude(0.5, np.eye(3), np.array([x, y, 0.225]))
+            for x in (0.125, 0.375) for y in (0.125, 0.375)]
+    m = ifs_measure(maps, 3)
+    assert m.count == 64 and m.nominal_dim == pytest.approx(2.0)
+    gam = restriction_matrix(g, m)
+    rng = np.random.Generator(np.random.Philox(43))
+    v2 = 0.4 * rng.standard_normal(m.count)
+    v1 = v2 + 0.5 * np.abs(rng.standard_normal(m.count))
+    t1, t2 = (bs_operator(a, gam, Perturbation(m, v)) for v in (v1, v2))
+    inv = np.linalg.inv
+    a_inv = inv(a.matrix)
+    p1, p2 = (inv(a.matrix + t_op.coupling.toarray()) for t_op in (t1, t2))
+    for rep, want in ((resolvent_difference(a, t1), a_inv - p1),
+                      (two_weight_difference(a, t1, t2), p2 - p1),
+                      (power_difference(a, t1, 2), p1 @ p1 - a_inv @ a_inv)):
+        assert rep.residual <= 1e-10
+        err = np.max(np.abs(rep.difference - want))
+        assert err <= 1e-10 * np.max(np.abs(want))
 
 
 def test_reports_factor_each_operator_once(monkeypatch):
