@@ -53,13 +53,18 @@ class RestrictionMatrix:
     Row i (atom i) has the weight ``vals[i, c]`` at node ``cols[i, c]``, one
     entry per corner c of the atom's cell (2^N of them, at distinct nodes).
     Rows are a partition of unity, so the restriction is exact on
-    multilinear functions.
+    multilinear functions. ``cols`` and ``vals`` are read-only: the
+    atom-side solves an operator keeps are keyed to this instance.
     """
 
     cols: np.ndarray
     vals: np.ndarray
     grid: Grid
     measure: DiscreteMeasure
+
+    def __post_init__(self):
+        self.cols.setflags(write=False)
+        self.vals.setflags(write=False)
 
     def apply(self, f: np.ndarray, keep=slice(None)) -> np.ndarray:
         """gamma f: the values of the grid function(s) f at the kept atoms."""

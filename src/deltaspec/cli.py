@@ -547,11 +547,13 @@ TASK_NAMES = tuple(_TASK_FNS)
 # ---------------------------------------------------------------- run
 
 
-def _execute(inputs, out_dir, t_value):
+def _execute(inputs, out_dir, t_value, a=None):
     """Run the tasks at shift t; return the manifest's task entries. Each
-    weight gets one Birman-Schwinger operator, which every task shares."""
+    weight gets one Birman-Schwinger operator, which every task shares.
+    ``a`` is the assembled operator at this t, when the caller has it."""
     coeffs = dataclasses.replace(inputs["coeffs"], t=t_value)
-    a = assemble_neumann(inputs["grid"], coeffs)
+    if a is None:
+        a = assemble_neumann(inputs["grid"], coeffs)
     ctx = dict(inputs, coeffs=coeffs, a=a, T={
         key: bs_operator(a, inputs["gamma"], p)
         for key, p in inputs["weights"].items()})
@@ -575,17 +577,18 @@ def _execute(inputs, out_dir, t_value):
     return task_entries
 
 
-def run_config(cfg, out_root, force=False, base_dir=".", inputs=None
-               ) -> tuple[dict, Path]:
+def run_config(cfg, out_root, force=False, base_dir=".", inputs=None,
+               a=None) -> tuple[dict, Path]:
     """Build the inputs, execute, and write a manifest; returns (manifest,
     out_dir). Input errors raise before the run key or any output exists.
 
     ``base_dir`` anchors relative file paths inside the config; the bytes
     of those files enter the run key, the directory itself does not.
     ``inputs`` are those :func:`validate_config` built from ``cfg``, when
-    the caller already has them. Re-running an already completed config is
-    a no-op unless ``force``; positivity failures double t up to 3 times,
-    each raise logged.
+    the caller already has them, and ``a`` the operator they assemble at
+    the config's t. Re-running an already completed config is a no-op
+    unless ``force``; positivity failures double t up to 3 times, each
+    raise logged, and each retry assembles its own operator.
     """
     if inputs is None:
         inputs = validate_config(cfg, base_dir)
@@ -615,7 +618,8 @@ def run_config(cfg, out_root, force=False, base_dir=".", inputs=None
     t_raises = []
     for attempt in range(MAX_T_RAISES + 1):
         try:
-            task_entries = _execute(inputs, out_dir, t_value)
+            task_entries = _execute(inputs, out_dir, t_value,
+                                    a if attempt == 0 else None)
             break
         except PositivityError as exc:
             if attempt == MAX_T_RAISES:
@@ -676,7 +680,10 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     """Run the config once per axis value; write a combined summary CSV.
 
     Every value's config is checked, and its inputs built, before the first
-    run, so an input error anywhere in the sweep writes nothing."""
+    run, so an input error anywhere in the sweep writes nothing. Runs whose
+    ``domain`` and ``operator`` equal those of the run before share its
+    assembled A (and so its factor); when ``measure`` is equal as well they
+    share its restriction, and with it the atom side A keeps."""
     variants = []
     for value in values:
         variant = copy.deepcopy(cfg)
@@ -684,9 +691,16 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         variants.append((variant, validate_config(variant, base_dir)))
     manifests = []
     rows = []
+    a = last_cfg = last_inputs = None
     for value, (variant, inputs) in zip(values, variants):
+        if last_cfg is None or any(variant[key] != last_cfg[key]
+                                   for key in ("domain", "operator")):
+            a = assemble_neumann(inputs["grid"], inputs["coeffs"])
+        elif variant["measure"] == last_cfg["measure"]:
+            inputs = dict(inputs, gamma=last_inputs["gamma"])
+        last_cfg, last_inputs = variant, inputs
         manifest, _ = run_config(variant, out_root, force=force,
-                                 base_dir=base_dir, inputs=inputs)
+                                 base_dir=base_dir, inputs=inputs, a=a)
         manifests.append(manifest)
         fit = _first_fit(manifest)
         rows.append((value, fit))

@@ -171,18 +171,23 @@ class OperatorMatrix:
     of size max(bandwidth, 16)); a matrix that is not positive definite
     raises :class:`PositivityError` there. The dense ``matrix`` and its
     full eigendecomposition (used for fractional inverse powers, the
-    small-N oracle) are built only when first asked for. Instances are
-    immutable afterwards.
+    small-N oracle) are built only when first asked for. Besides these the
+    instance keeps one atom-side slot, owned by
+    :mod:`deltaspec.resolvents`: the solves with A of the last restriction
+    and atom support a report used. ``band`` is read-only, so nothing kept
+    can go stale.
     """
 
     def __init__(self, band: np.ndarray):
         band = np.asarray(band, dtype=float)
         if not np.any(band):
             raise ValidationError("operator matrix is zero")
+        band.setflags(write=False)
         self.band = band
         self._factor = None
         self._dense = None
         self._eig = None
+        self._atom_side = None
 
     @property
     def size(self) -> int:
@@ -289,13 +294,16 @@ def _blocks(band: np.ndarray):
     nb = -(-n // b)
     diag = np.zeros((nb, b, b))
     sub = np.zeros((nb - 1, b, b))
-    offset, col = np.nonzero(np.arange(width)[:, None] + np.arange(n) < n)
-    vals = band[offset, col]
-    (bi, ri), (bj, cj) = divmod(col + offset, b), divmod(col, b)
-    same = bi == bj
-    diag[bj[same], ri[same], cj[same]] = vals[same]
-    diag[bj[same], cj[same], ri[same]] = vals[same]
-    sub[bj[~same], ri[~same], cj[~same]] = vals[~same]
+    # only the nonzero band rows are scattered (a grid Laplacian has one
+    # per axis and the diagonal); the blocks start at zero elsewhere
+    for offset in np.flatnonzero(np.any(band[:n], axis=1)):
+        col = np.arange(n - offset)
+        vals = band[offset, :n - offset]
+        (bi, ri), (bj, cj) = divmod(col + offset, b), divmod(col, b)
+        same = bi == bj
+        diag[bj[same], ri[same], cj[same]] = vals[same]
+        diag[bj[same], cj[same], ri[same]] = vals[same]
+        sub[bj[~same], ri[~same], cj[~same]] = vals[~same]
     pad = np.arange(n, nb * b)
     diag[pad // b, pad % b, pad % b] = 1.0
     return diag, sub

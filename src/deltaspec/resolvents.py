@@ -35,9 +35,25 @@ as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
 basis. Every solve goes through the block Cholesky factor of
 :class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i is factored once
 per weight and kept on its operator, so reports that share a weight share
-that factor. No report eigendecomposes A. ``perturbed_inverse`` keeps the
-dense identity ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the
-small-N oracle.
+that factor. No report eigendecomposes A.
+
+An ``OperatorMatrix`` keeps three things: its factor, its
+eigendecomposition (only if asked for) and one atom-side slot. The slot
+holds what depends on A and the kept atoms but not on the weights: X, G,
+the Krylov blocks of Q and the chain A^(-j) gamma'. It is keyed by the
+restriction (held by reference) and the exact support mask, and a report
+with another key replaces it. The blocks are grown one at a time, so the
+basis for m is the first columns of the basis for m + 1, and a report
+gets the same arrays whether the slot was warm or cold. Reports on one A
+and one support of one measure (the tasks of a run, a sweep over weight
+values, a loop of weight draws) therefore build X, G, Q and the chain
+once. The slot is instance state, not a global cache: it lives and dies
+with its operator, needs no invalidation since ``band`` and the
+restriction's arrays are read-only, and holds one support at a time, so
+its memory is bounded by one report's atom side.
+
+``perturbed_inverse`` keeps the dense identity
+``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
 """
 
 from __future__ import annotations
@@ -138,18 +154,57 @@ def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float
         )
 
 
+class _AtomSide:
+    """What a report needs of A on the atoms one restriction keeps.
+
+    ``x`` is X = A^(-1) gamma' and ``g`` is G = gamma X on the kept
+    atoms. ``basis`` holds the orthonormal Krylov blocks built so far side
+    by side and ``widths`` their column counts (only :func:`_krylov_basis`
+    adds a block); ``chain`` holds the powers A^(-j) gamma' for
+    j = 1, 2, ... built so far. With at least as many atoms as nodes, G
+    would be no smaller than N x N, and the nodes serve as atoms instead:
+    gamma = 1 and Q = 1 (the node basis).
+    """
+
+    def __init__(self, a: OperatorMatrix, restriction, keep: np.ndarray):
+        self.restriction = restriction
+        self.keep = keep
+        self.nodes = np.count_nonzero(keep) >= a.size
+        self.x = a.solve(self.adjoint())
+        self.g = _sym(self.gamma(self.x))
+        self.basis = np.zeros((a.size, 0))
+        self.widths: list[int] = []
+        self.chain = [self.x]
+
+    def adjoint(self) -> np.ndarray:
+        """gamma' of the kept atoms, formed on each call (the node basis:
+        the identity)."""
+        if self.nodes:
+            return np.eye(self.restriction.grid.size)
+        return self.restriction.adjoint(self.keep)
+
+    def gamma(self, f: np.ndarray) -> np.ndarray:
+        """gamma f on the kept atoms (f itself for the node basis)."""
+        return f if self.nodes else self.restriction.apply(f, self.keep)
+
+    def power(self, a: OperatorMatrix, j: int) -> np.ndarray:
+        """A^(-j) gamma', extending the chain as needed."""
+        while len(self.chain) < j:
+            self.chain.append(a.solve(self.chain[-1]))
+        return self.chain[j - 1]
+
+
 def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
                *t_ops: BSOperator):
-    """gamma (as a function), gamma', the coupling cores, X, G and the
-    basis Q for power m.
+    """The atom side of the weights' support on A, the coupling cores and
+    the basis Q for power m.
 
-    Every weight must be built on ``a`` and pass the margin threshold. On
-    the atoms where some weight is nonzero, each coupling is
-    C_i = gamma' S_i gamma with S_i = diag(D_i), X = A^(-1) gamma',
-    G = gamma X, and Q spans
-    span{A^(-j) gamma' : j <= m}. With at least as many atoms as nodes that
-    G would be no smaller than N x N, and the nodes serve as atoms instead:
-    gamma = 1, S_i = C_i and Q = 1 (the node basis).
+    Every weight must be built on ``a`` and pass the margin threshold. The
+    kept atoms are those where some weight is nonzero; the side comes from
+    ``a``'s slot when the restriction and the kept atoms match it, and
+    replaces the slot otherwise. Each coupling is C_i = gamma' S_i gamma
+    with S_i = diag(D_i) on the kept atoms, and Q spans
+    span{A^(-j) gamma' : j <= m}; for the node basis S_i = C_i and Q = 1.
     """
     for t_op in t_ops:
         _require_margin(a, t_op, margin_threshold)
@@ -161,17 +216,16 @@ def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
         keep |= t_op.density != 0
     if not keep.any():  # all weights zero: every difference is exactly zero
         keep[:] = True
-    if np.count_nonzero(keep) >= a.size:
-        nodes = np.eye(a.size)
-        x = a.solve(nodes)
-        return (lambda f: f, nodes,
-                [dense_from_band(t_op.band) for t_op in t_ops], x, _sym(x),
-                nodes)
-    gamma_t = restriction.adjoint(keep)
-    x = a.solve(gamma_t)
-    return (lambda f: restriction.apply(f, keep), gamma_t,
-            [np.diag(t_op.density[keep]) for t_op in t_ops], x,
-            _sym(restriction.apply(x, keep)), _krylov_basis(a, x, m))
+    side = a._atom_side
+    if (side is None or side.restriction is not restriction
+            or not np.array_equal(side.keep, keep)):
+        a._atom_side = None  # the old side is freed before the new is built
+        side = a._atom_side = _AtomSide(a, restriction, keep)
+    if side.nodes:
+        return (side, [dense_from_band(t_op.band) for t_op in t_ops],
+                np.eye(a.size))
+    return (side, [np.diag(t_op.density[keep]) for t_op in t_ops],
+            _krylov_basis(a, side, m))
 
 
 def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -180,19 +234,22 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
 
 
-def _krylov_basis(a: OperatorMatrix, x: np.ndarray, m: int) -> np.ndarray:
+def _krylov_basis(a: OperatorMatrix, side: _AtomSide, m: int) -> np.ndarray:
     """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block Arnoldi.
 
-    Each block is A^(-1) applied to the last one, projected twice off the
-    basis so far; its SVD keeps the directions above RANK_TOL of the
-    block's scale, which are projected once more (a weak direction carries
-    back about eps/s of the basis) and orthonormalized.
+    The first block is X, and each further one is A^(-1) applied to the
+    last, projected twice off the basis so far; its SVD keeps the
+    directions above RANK_TOL of the block's scale, which are projected
+    once more (a weak direction carries back about eps/s of the basis) and
+    orthonormalized. The blocks are kept on ``side`` and added only here,
+    so the basis for m is the first columns of the basis for m + 1. The
+    basis of every block built is read-only and handed out as it is; a
+    shorter one is copied.
     """
-    q = np.zeros((a.size, 0))
-    block = x
-    for j in range(m):
-        if j:
-            block = a.solve(block)
+    while len(side.widths) < m:
+        q = side.basis
+        block = (a.solve(q[:, q.shape[1] - side.widths[-1]:]) if side.widths
+                 else side.x)
         scale = float(np.sqrt((block * block).sum(axis=0)).max())
         for _ in range(2):
             block = block - q @ (q.T @ block)
@@ -201,11 +258,14 @@ def _krylov_basis(a: OperatorMatrix, x: np.ndarray, m: int) -> np.ndarray:
         if block.shape[1] == 0:  # the span is exhausted
             break
         block = np.linalg.qr(block - q @ (q.T @ block))[0]
-        q = np.hstack([q, block])
-    return q
+        side.basis = np.hstack([q, block])
+        side.basis.setflags(write=False)
+        side.widths.append(block.shape[1])
+    r = sum(side.widths[:m])
+    return side.basis if r == side.basis.shape[1] else side.basis[:, :r].copy()
 
 
-def _report(a, q, gamma_t, m, plus, minus, identity, terms, a_core=None
+def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
             ) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
 
@@ -230,7 +290,7 @@ def _report(a, q, gamma_t, m, plus, minus, identity, terms, a_core=None
         cores.append(q.T @ y)
         if t_op is None or q.shape[1] == q.shape[0]:
             continue
-        y = gamma_t
+        y = side.adjoint()
         for _ in range(m):
             y = op.solve(y)
             norm = float(np.linalg.norm(y))
@@ -277,12 +337,12 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # two_weight_difference); t2 None is the zero weight, whose coupling
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
-    _, gamma_t, cores, x, g, q = _atom_side(a, 1, margin_threshold, *t_ops)
-    p = q.T @ x
+    side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
+    p, g = q.T @ side.x, side.g
     main = cores[0] - cores[1] if t2 is not None else cores[0]
     z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
     terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-    return _report(a, q, gamma_t, 1, t2, t1, sum(terms.values()), terms)
+    return _report(a, q, side, 1, t2, t1, sum(terms.values()), terms)
 
 
 def resolvent_difference(
@@ -346,16 +406,15 @@ def power_difference(
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    gamma, gamma_t, (s,), x, g, q = _atom_side(a, m, margin_threshold, t_op)
-    mm = _woodbury(g, s)
+    side, (s,), q = _atom_side(a, m, margin_threshold, t_op)
+    gamma, x = side.gamma, side.x
+    mm = _woodbury(side.g, s)
 
-    # ys[j] = B^j Q and xs[j] = B^j gamma' for j = 1..m, so that
-    # Q' B^i W B^j Q = p[i+1]' D p[j+1] with p[j] = gamma B^j Q, and
-    # X' B^j X = gamma xs[j+2]
-    ys, xs = [None, a.solve(q)], [None, x]
+    # ys[j] = B^j Q for j = 1..m, so that Q' B^i W B^j Q = p[i+1]' D p[j+1]
+    # with p[j] = gamma B^j Q, and X' B^j X = gamma B^(j+1) gamma'
+    ys = [None, a.solve(q)]
     for _ in range(m - 1):
         ys.append(a.solve(ys[-1]))
-        xs.append(a.solve(xs[-1]))
     p = [None] + [gamma(y) for y in ys[1:]]
     bm = q.T @ ys[m]  # Q' B^m Q
 
@@ -364,7 +423,7 @@ def power_difference(
     for i in range(m - 1):
         for j in range(m - 1 - i):
             k = m - 2 - i - j
-            h3 += p[i + 1].T @ s @ gamma(xs[j + 2]) @ s @ p[k + 1]
+            h3 += p[i + 1].T @ s @ gamma(side.power(a, j + 2)) @ s @ p[k + 1]
 
     # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
     d_id = np.zeros_like(bm)
@@ -375,4 +434,4 @@ def power_difference(
         if i < m - 1:
             bu = a.solve(bu - x @ (mm @ f))
     terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
-    return _report(a, q, gamma_t, m, t_op, None, d_id, terms, a_core=bm)
+    return _report(a, q, side, m, t_op, None, d_id, terms, a_core=bm)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deltaspec
-from deltaspec import birman_schwinger, cli
+from deltaspec import birman_schwinger, cli, elliptic, resolvents
 from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
 from deltaspec.errors import ValidationError
 from deltaspec.io import write_measure
@@ -590,6 +590,79 @@ def test_sweep_builds_each_run_once(tmp_path, monkeypatch):
                  "--values", "0.5,1.0,2.0", "--out",
                  str(tmp_path / "runs")]) == 0
     assert len(calls) == 3
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _run_files(run_dir):
+    # every output of a run but the manifest, which carries a timestamp
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("axis, values, operators, sides", [
+    ("weights.V1.scale", "0.3,0.6", 1, 1),
+    ("seed", "1,2", 1, 1),
+    ("measure.count", "20,24", 1, 2),
+    ("operator.t", "1.0,2.0", 2, 2),
+])
+def test_sweep_shares_the_operator_while_domain_and_operator_hold(
+        tmp_path, monkeypatch, axis, values, operators, sides):
+    # runs with the domain and operator of the run before reuse its A and
+    # its factor, and with its measure also its restriction and atom side;
+    # every output equals that of the run made on its own
+    cfg = base_config(weights={"V1": {"kind": "random", "scale": 0.5}},
+                      tasks=["resolvent_diff", {"name": "power_diff", "m": 3},
+                             {"name": "power_diff", "m": 2}])
+    alone = []
+    for value in values.split(","):
+        variant = json.loads(json.dumps(cfg))
+        _set_axis(variant, axis, json.loads(value))
+        alone.append(run_manifest(tmp_path, variant, "alone.json")[1])
+    assembled = _counting(monkeypatch, cli, "assemble_neumann")
+    factored = _counting(monkeypatch, elliptic, "_block_cholesky")
+    built = _counting(monkeypatch, resolvents._AtomSide, "__init__")
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--axis", axis, "--values", values,
+                 "--out", str(out)]) == 0
+    assert len(assembled) == operators
+    assert len(factored) == operators + 2  # A, and A + C1 per run
+    assert len(built) == sides
+    for run_dir in alone:
+        assert _run_files(out / run_dir.name) == _run_files(run_dir)
+
+
+def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,
+                                                          monkeypatch):
+    # V1 = -2 fails the margin at t = 1 and passes at t = 2; the next run,
+    # V1 = 1 at t = 1, still shares the sweep's first A
+    cfg = base_config(tasks=["resolvent_diff", {"name": "power_diff"}])
+    alone = run_manifest(tmp_path, base_config(
+        weights={"V1": {"kind": "constant", "value": 1.0}},
+        tasks=cfg["tasks"]), "alone.json")[1]
+    assembled = _counting(monkeypatch, cli, "assemble_neumann")
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--axis", "weights.V1.value",
+                 "--values=-2.0,1.0", "--out", str(out)]) == 0
+    assert len(assembled) == 2
+    manifests = [json.loads(p.read_text()) for p in out.glob("*/manifest.json")]
+    manifests = {m["config"]["weights"]["V1"]["value"]: m for m in manifests}
+    assert manifests[-2.0]["t_effective"] == 2.0
+    assert manifests[1.0]["t_effective"] == 1.0
+    assert _run_files(out / alone.name) == _run_files(alone)
 
 
 def test_config_hash_ignores_key_order():

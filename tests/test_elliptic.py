@@ -13,7 +13,9 @@ from deltaspec import (
     assemble_robin,
     boundary_measure,
     inverse_power,
+    restriction_matrix,
 )
+from deltaspec import elliptic
 
 
 def _grid1d(n, length=1.0):
@@ -247,6 +249,51 @@ def test_block_factor_matches_lapack_banded(name):
     assert a.solve(rhs[:, 0]).shape == (a.size,)
     assert np.allclose(a.solve(rhs[:, 0]), a.solve(rhs)[:, 0], rtol=0,
                        atol=1e-14 * np.max(np.abs(a.solve(rhs))))
+
+
+def _blocks_scattering_every_entry(band):
+    # the block split as first written: every (offset, column) pair inside
+    # the matrix is scattered, the zero band rows included
+    width, n = band.shape
+    b = max(width - 1, 16)
+    nb = -(-n // b)
+    diag = np.zeros((nb, b, b))
+    sub = np.zeros((nb - 1, b, b))
+    offset, col = np.nonzero(np.arange(width)[:, None] + np.arange(n) < n)
+    vals = band[offset, col]
+    (bi, ri), (bj, cj) = divmod(col + offset, b), divmod(col, b)
+    same = bi == bj
+    diag[bj[same], ri[same], cj[same]] = vals[same]
+    diag[bj[same], cj[same], ri[same]] = vals[same]
+    sub[bj[~same], ri[~same], cj[~same]] = vals[~same]
+    pad = np.arange(n, nb * b)
+    diag[pad // b, pad % b, pad % b] = 1.0
+    return diag, sub
+
+
+@pytest.mark.parametrize("name", ["1d-512", "1d-4096", "1d-100", "33x33",
+                                  "41x41", "57x15", "robin-41x41",
+                                  "anisotropic-20x13", "anisotropic-7x6x5"])
+def test_blocks_scatter_only_nonzero_band_rows_to_the_same_bytes(name):
+    band = _factor_case(name).band
+    for got, want in zip(elliptic._blocks(band),
+                         _blocks_scattering_every_entry(band)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_arrays_behind_kept_solves_are_read_only():
+    # an operator keeps its factor and an atom-side slot keyed to a
+    # restriction, so none of the arrays they come from can change in place
+    g, coeffs = _box((9, 7))
+    a = assemble_neumann(g, coeffs)
+    gam = restriction_matrix(g, boundary_measure(g))
+    for arr in (a.band, a.plus(np.ones((1, a.size))).band, gam.cols,
+                gam.vals):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+        with pytest.raises(ValueError):
+            arr += 1
 
 
 def _centered(n, h):

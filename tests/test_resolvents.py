@@ -351,6 +351,71 @@ def test_reports_factor_each_operator_once(monkeypatch):
         assert len(calls) == 3  # A, A + C1, A + C2
 
 
+def _four_reports(a, t1, t2, order=("rd", "tw", "pd3", "pd2")):
+    calls = {"rd": lambda: resolvent_difference(a, t1),
+             "tw": lambda: two_weight_difference(a, t1, t2),
+             "pd2": lambda: power_difference(a, t1, 2),
+             "pd3": lambda: power_difference(a, t1, 3)}
+    return {name: calls[name]() for name in order}
+
+
+def _assert_same_bytes(got, want):
+    assert got.basis.tobytes() == want.basis.tobytes()
+    assert got.core.tobytes() == want.core.tobytes()
+    assert got.term_cores.keys() == want.term_cores.keys()
+    for label, core in want.term_cores.items():
+        assert got.term_cores[label].tobytes() == core.tobytes()
+    assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["nonneg", "signed"])
+@pytest.mark.parametrize("case", sorted(CROSS_CASES))
+def test_reports_on_a_warm_operator_equal_cold_ones(case, signed):
+    # each report on an A that has served the others (m = 3 before m = 2,
+    # so the m = 2 basis is a prefix of a grown one) against the same
+    # report on a fresh A: the kept atom side changes no bit
+    warm = _four_reports(*_cross_setup(case, signed))
+    warm_again = _four_reports(*_cross_setup(case, signed),
+                               order=("pd2", "rd", "pd3", "tw"))
+    for name, rep in warm.items():
+        cold = _four_reports(*_cross_setup(case, signed), order=(name,))
+        _assert_same_bytes(rep, cold[name])
+        _assert_same_bytes(warm_again[name], cold[name])
+
+
+def test_atom_side_is_replaced_on_another_support_or_restriction():
+    # after a full-support report, a weight that is zero on some atoms and
+    # a weight on a second restriction with as many atoms (so the same
+    # mask) each miss the kept side, replace it, and give the report of a
+    # fresh A
+    a, t1, _ = _cross_setup("2d", signed=True)
+    resolvent_difference(a, t1)
+    kept = a._atom_side
+    g, m = t1.restriction.grid, t1.restriction.measure
+    other = segment_measure(np.array([[0.3, 0.6], [0.7, 0.3]]), m.count)
+    rng = np.random.Generator(np.random.Philox(44))
+    cases = [
+        (t1.restriction, Perturbation(
+            m, t1.perturbation.values * (np.arange(m.count) % 3 != 0))),
+        (restriction_matrix(g, other),
+         Perturbation(other, 0.4 * rng.standard_normal(other.count))),
+    ]
+    for gam, p in cases:
+        fresh = _cross_setup("2d", signed=True)[0]
+        t_op, fresh_op = bs_operator(a, gam, p), bs_operator(fresh, gam, p)
+        for report in (resolvent_difference,
+                       lambda a, t: power_difference(a, t, 3),
+                       lambda a, t: power_difference(a, t, 2)):
+            _assert_same_bytes(report(a, t_op), report(fresh, fresh_op))
+        assert a._atom_side is not kept
+        assert a._atom_side.restriction is gam
+        kept = a._atom_side
+    # back on the first weight: replaced again, with the same bits
+    _assert_same_bytes(resolvent_difference(a, t1),
+                       resolvent_difference(*_cross_setup("2d", True)[:2]))
+    assert a._atom_side is not kept
+
+
 def test_residual_catches_a_short_basis(monkeypatch):
     # a basis that misses one direction of the difference's range: the two
     # cores on it may still agree, so the basis check must flag it. The
@@ -361,8 +426,9 @@ def test_residual_catches_a_short_basis(monkeypatch):
     a, t1, t2 = _cross_setup("1d", signed=True)
     full = resolvents._krylov_basis
 
-    def short(a, x, m):
-        return np.delete(full(a, x, m), full(a, x, 1).shape[1] - 1, axis=1)
+    def short(a, side, m):
+        return np.delete(full(a, side, m), full(a, side, 1).shape[1] - 1,
+                         axis=1)
 
     monkeypatch.setattr(resolvents, "_krylov_basis", short)
     reports = {
