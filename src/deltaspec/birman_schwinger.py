@@ -14,6 +14,19 @@ atoms-by-atoms core carrying its nonzero spectrum, built from the Cholesky
 factor of A, and ``bs_atom_gram`` returns it for a weight. The dense
 sandwich is formed only when ``BSOperator.matrix`` is read, as the oracle
 of the tests.
+
+This module owns the one path from A to the atoms: the atom-side slot an
+``OperatorMatrix`` keeps. The slot holds what depends on A and the kept
+atoms but not on the weights: the R factor of the core, X = A^(-1) gamma',
+G = gamma X, the Krylov blocks of :mod:`deltaspec.resolvents` and the chain
+A^(-j) gamma', each built on first use. It is keyed by the restriction's
+content (``cols`` and ``vals``) and the exact mask of kept atoms, and a
+lookup with another key replaces it. The kept atoms of a weight are those
+where its density is nonzero (all of them for the zero weight), so a
+margin check and the reports on the same weight fill one slot. The slot is
+instance state, not a global cache: it lives and dies with its operator,
+needs no invalidation since ``band`` and the restriction's arrays are
+read-only, and holds one support at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +59,10 @@ __all__ = [
 MARGIN_DEFAULT = 0.05
 
 
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.T)
+
+
 @dataclass(eq=False)
 class RestrictionMatrix:
     """Interpolation rows mapping grid functions to atom values.
@@ -54,7 +71,7 @@ class RestrictionMatrix:
     entry per corner c of the atom's cell (2^N of them, at distinct nodes).
     Rows are a partition of unity, so the restriction is exact on
     multilinear functions. ``cols`` and ``vals`` are read-only: the
-    atom-side solves an operator keeps are keyed to this instance.
+    atom side an operator keeps is keyed by their content.
     """
 
     cols: np.ndarray
@@ -114,17 +131,19 @@ class BSOperator:
     def core(self) -> np.ndarray:
         """Atom-side core with the nonzero spectrum of T (see bs_atom_gram).
 
-        With A = L L' (Cholesky) and Y = L^(-1) gamma' = Q_Y R (thin QR), T
-        is orthogonally similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'.
-        R D R' is min(N, k) square and needs no factor of
+        With A = L L' (Cholesky), gamma restricted to the atoms where D is
+        nonzero and Y = L^(-1) gamma' = Q_Y R (thin QR), T is orthogonally
+        similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'. R D R' is
+        min(N, k) square, k the kept atoms, and needs no factor of
         G = gamma A^(-1) gamma' = R'R, which is singular whenever two atoms
-        share their interpolation nodes.
+        share their interpolation nodes. R comes from the operator's atom
+        side, which every weight with this support shares.
         """
         if self._core is None:
-            y = self.operator.solve_lower(self.restriction.adjoint())
-            r = np.linalg.qr(y, mode="r")
-            core = (r * self.density) @ r.T
-            self._core = 0.5 * (core + core.T)
+            keep = _support(self.density)
+            side = _atom_side_of(self.operator, self.restriction, keep)
+            r = side.r(self.operator)
+            self._core = _sym((r * self.density[keep]) @ r.T)
         return self._core
 
     @property
@@ -151,9 +170,92 @@ class BSOperator:
         """
         if self._matrix is None:
             x = inverse_power(self.operator, 0.5) @ self.restriction.adjoint()
-            mat = (x * self.density) @ x.T
-            self._matrix = 0.5 * (mat + mat.T)
+            self._matrix = _sym((x * self.density) @ x.T)
         return self._matrix
+
+
+class _AtomSide:
+    """What the reports need of A on the atoms one restriction keeps.
+
+    ``r(a)`` is the R factor of a thin QR of L^(-1) gamma' (A = L L'),
+    ``power(a, j)`` is A^(-j) gamma' (X for j = 1) and ``g(a)`` is
+    G = gamma X on the kept atoms. Each is built on first use, from the A
+    passed in, which is the operator keeping this side. ``basis`` holds
+    the orthonormal Krylov blocks built so far side by side and ``widths``
+    their column counts (only :func:`deltaspec.resolvents._krylov_basis`
+    adds a block). With at least as many atoms as nodes, G would be no
+    smaller than N x N, and the nodes serve as atoms instead: gamma = 1
+    and Q = 1 (the node basis); R is still taken on the atoms.
+    """
+
+    def __init__(self, restriction: RestrictionMatrix, keep: np.ndarray,
+                 size: int):
+        self.restriction = restriction
+        self.keep = keep
+        self.nodes = np.count_nonzero(keep) >= size
+        self.basis = np.zeros((size, 0))
+        self.widths: list[int] = []
+        self.chain: list[np.ndarray] = []
+        self._g = None
+        self._r = None
+
+    def adjoint(self) -> np.ndarray:
+        """gamma' of the kept atoms, formed on each call (the node basis:
+        the identity)."""
+        if self.nodes:
+            return np.eye(self.restriction.grid.size)
+        return self.restriction.adjoint(self.keep)
+
+    def gamma(self, f: np.ndarray) -> np.ndarray:
+        """gamma f on the kept atoms (f itself for the node basis)."""
+        return f if self.nodes else self.restriction.apply(f, self.keep)
+
+    def power(self, a: OperatorMatrix, j: int) -> np.ndarray:
+        """A^(-j) gamma', extending the chain as needed."""
+        if not self.chain:
+            self.chain.append(a.solve(self.adjoint()))
+        while len(self.chain) < j:
+            self.chain.append(a.solve(self.chain[-1]))
+        return self.chain[j - 1]
+
+    def g(self, a: OperatorMatrix) -> np.ndarray:
+        if self._g is None:
+            self._g = _sym(self.gamma(self.power(a, 1)))
+        return self._g
+
+    def r(self, a: OperatorMatrix) -> np.ndarray:
+        if self._r is None:
+            y = a.solve_lower(self.restriction.adjoint(self.keep))
+            self._r = np.linalg.qr(y, mode="r")
+        return self._r
+
+
+def _support(*densities: np.ndarray) -> np.ndarray:
+    """Mask of the atoms where some density is nonzero; every atom when all
+    of them vanish (the zero weight, whose differences are exactly zero)."""
+    keep = np.zeros(len(densities[0]), dtype=bool)
+    for density in densities:
+        keep |= density != 0
+    if not keep.any():
+        keep[:] = True
+    return keep
+
+
+def _atom_side_of(a: OperatorMatrix, restriction: RestrictionMatrix,
+                  keep: np.ndarray) -> _AtomSide:
+    """``a``'s atom side for the kept atoms of the restriction.
+
+    The side in ``a``'s slot serves when its restriction has the same
+    ``cols`` and ``vals`` and its mask equals ``keep``; otherwise a new,
+    empty side replaces it.
+    """
+    side = a._atom_side
+    if (side is None or not np.array_equal(side.keep, keep)
+            or not np.array_equal(side.restriction.cols, restriction.cols)
+            or not np.array_equal(side.restriction.vals, restriction.vals)):
+        a._atom_side = None  # the old side is freed before the new is built
+        side = a._atom_side = _AtomSide(restriction, keep, a.size)
+    return side
 
 
 def restriction_matrix(grid: Grid, m: DiscreteMeasure) -> RestrictionMatrix:
@@ -246,11 +348,13 @@ def bs_atom_gram(
 
     The core is ``R D R'`` with D = diag(w V / h^N) from
     :func:`atom_density` and R the triangular factor of a thin QR of
-    ``L^(-1) gamma'``, A = L L' the Cholesky factor of A. It is
-    min(N, k) square, k the atom count; T has its eigenvalues plus N - k
-    zeros when k < N. It needs one factorization of A and k triangular
-    solves, no eigendecomposition of A, which is what makes the fractal
-    counting experiments cheap on fine grids.
+    ``L^(-1) gamma'``, A = L L' the Cholesky factor of A, both on the
+    atoms where the weight is nonzero (every atom for the zero weight). It
+    is min(N, k) square, k the count of those atoms; T has its eigenvalues
+    plus N - k zeros when k < N. It needs one factorization of A and k
+    triangular solves, no eigendecomposition of A, which is what makes the
+    fractal counting experiments cheap on fine grids; R is kept on A's atom
+    side, so weights with one support share it.
     """
     return bs_operator(a, g, p).core
 
@@ -262,8 +366,9 @@ def positivity_margin(t_op: BSOperator) -> float:
     exceeds their configured threshold (0.05 by default downstream).
     Nonnegative weights always give T >= 0 and hence a margin >= 1. The
     margin is the smallest eigenvalue of the atom-side core (one
-    eigensolve of size min(N, k)), with the zero eigenvalues T has beyond
-    the core when k < N; it is computed once per operator and kept on it.
+    eigensolve of size min(N, k), k the atoms where the weight is
+    nonzero), with the zero eigenvalues T has beyond the core when k < N;
+    it is computed once per operator and kept on it.
     """
     if t_op._margin is None:
         core = t_op.core

@@ -682,8 +682,8 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     Every value's config is checked, and its inputs built, before the first
     run, so an input error anywhere in the sweep writes nothing. Runs whose
     ``domain`` and ``operator`` equal those of the run before share its
-    assembled A (and so its factor); when ``measure`` is equal as well they
-    share its restriction, and with it the atom side A keeps."""
+    assembled A (and so its factor, and the atom side A keeps for an equal
+    restriction and support)."""
     variants = []
     for value in values:
         variant = copy.deepcopy(cfg)
@@ -691,14 +691,12 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         variants.append((variant, validate_config(variant, base_dir)))
     manifests = []
     rows = []
-    a = last_cfg = last_inputs = None
+    a = last_cfg = None
     for value, (variant, inputs) in zip(values, variants):
         if last_cfg is None or any(variant[key] != last_cfg[key]
                                    for key in ("domain", "operator")):
             a = assemble_neumann(inputs["grid"], inputs["coeffs"])
-        elif variant["measure"] == last_cfg["measure"]:
-            inputs = dict(inputs, gamma=last_inputs["gamma"])
-        last_cfg, last_inputs = variant, inputs
+        last_cfg = variant
         manifest, _ = run_config(variant, out_root, force=force,
                                  base_dir=base_dir, inputs=inputs, a=a)
         manifests.append(manifest)

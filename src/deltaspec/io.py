@@ -78,9 +78,12 @@ def write_measure(
 def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None]:
     """Read a measure CSV and its sidecar back; inverse of write_measure."""
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not a text CSV: {exc}") from exc
     has_v = header and header[-1] == "V"
     coord_cols = [h for h in header if h.startswith("x_")]
     n = len(coord_cols)
@@ -94,14 +97,24 @@ def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValidationError("ragged measure CSV")
 
-    side = read_json(_sidecar_path(path), "measure sidecar")
+    side_path = _sidecar_path(path)
+    side = read_json(side_path, "measure sidecar")
+    if "nominal_dim" not in side:
+        raise ValidationError(f"measure sidecar {side_path} has no nominal_dim")
     bbox = side.get("bbox")
+    try:
+        nominal_dim = float(side["nominal_dim"])
+        bbox = None if bbox is None else np.asarray(bbox, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"measure sidecar {side_path}: nominal_dim and bbox must be "
+            f"numbers: {exc}") from exc
     m = DiscreteMeasure(
         atoms=data[:, :n],
         weights=data[:, n],
-        nominal_dim=float(side["nominal_dim"]),
+        nominal_dim=nominal_dim,
         label=str(side.get("label", "")),
-        bbox=None if bbox is None else np.asarray(bbox, dtype=float),
+        bbox=bbox,
     )
     p = Perturbation(m, data[:, n + 1]) if has_v else None
     return m, p

@@ -125,7 +125,12 @@ class DiscreteMeasure:
         self.atoms = atoms
         self.weights = weights
         if self.bbox is not None:
-            bbox = np.asarray(self.bbox, dtype=float).reshape(atoms.shape[1], 2)
+            bbox = np.asarray(self.bbox, dtype=float)
+            if bbox.size != 2 * atoms.shape[1]:
+                raise ValidationError(
+                    f"bbox needs a (min, max) pair for each of the "
+                    f"{atoms.shape[1]} axes, got {bbox.size} numbers")
+            bbox = bbox.reshape(atoms.shape[1], 2)
             tol = 1e-12 * max(1.0, np.abs(bbox).max())
             inside = (atoms >= bbox[:, 0] - tol) & (atoms <= bbox[:, 1] + tol)
             if not inside.all():

@@ -38,19 +38,17 @@ per weight and kept on its operator, so reports that share a weight share
 that factor. No report eigendecomposes A.
 
 An ``OperatorMatrix`` keeps three things: its factor, its
-eigendecomposition (only if asked for) and one atom-side slot. The slot
-holds what depends on A and the kept atoms but not on the weights: X, G,
-the Krylov blocks of Q and the chain A^(-j) gamma'. It is keyed by the
-restriction (held by reference) and the exact support mask, and a report
-with another key replaces it. The blocks are grown one at a time, so the
-basis for m is the first columns of the basis for m + 1, and a report
-gets the same arrays whether the slot was warm or cold. Reports on one A
-and one support of one measure (the tasks of a run, a sweep over weight
-values, a loop of weight draws) therefore build X, G, Q and the chain
-once. The slot is instance state, not a global cache: it lives and dies
-with its operator, needs no invalidation since ``band`` and the
-restriction's arrays are read-only, and holds one support at a time, so
-its memory is bounded by one report's atom side.
+eigendecomposition (only if asked for) and one atom-side slot, which
+:mod:`deltaspec.birman_schwinger` owns and keys by the restriction's
+content and the exact support mask. The reports read X, G and the chain
+A^(-j) gamma' from it, next to the R factor of the Birman-Schwinger core,
+and ``_krylov_basis`` keeps the Krylov blocks of Q there. The blocks are
+grown one at a time, so the basis for m is the first columns of the basis
+for m + 1, and a report gets the same arrays whether the slot was warm or
+cold. Reports on one A and one support of one measure (the tasks of a
+run, a sweep over weight values, a loop of weight draws) therefore build
+X, G, Q and the chain once, and the margin checks before them take R from
+the same slot.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -63,7 +61,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .birman_schwinger import BSOperator, MARGIN_DEFAULT, positivity_margin
+from .birman_schwinger import (
+    MARGIN_DEFAULT,
+    BSOperator,
+    _atom_side_of,
+    _support,
+    _sym,
+    positivity_margin,
+)
 from .elliptic import OperatorMatrix, dense_from_band, inverse_power
 from .errors import PositivityError, ValidationError
 
@@ -78,10 +83,6 @@ __all__ = [
 # Krylov directions below this fraction of their block's scale are taken as
 # numerically dependent; keeping a spurious one would only add a zero value
 RANK_TOL = 1e-12
-
-
-def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
 
 
 def _embed(basis: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -154,73 +155,25 @@ def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float
         )
 
 
-class _AtomSide:
-    """What a report needs of A on the atoms one restriction keeps.
-
-    ``x`` is X = A^(-1) gamma' and ``g`` is G = gamma X on the kept
-    atoms. ``basis`` holds the orthonormal Krylov blocks built so far side
-    by side and ``widths`` their column counts (only :func:`_krylov_basis`
-    adds a block); ``chain`` holds the powers A^(-j) gamma' for
-    j = 1, 2, ... built so far. With at least as many atoms as nodes, G
-    would be no smaller than N x N, and the nodes serve as atoms instead:
-    gamma = 1 and Q = 1 (the node basis).
-    """
-
-    def __init__(self, a: OperatorMatrix, restriction, keep: np.ndarray):
-        self.restriction = restriction
-        self.keep = keep
-        self.nodes = np.count_nonzero(keep) >= a.size
-        self.x = a.solve(self.adjoint())
-        self.g = _sym(self.gamma(self.x))
-        self.basis = np.zeros((a.size, 0))
-        self.widths: list[int] = []
-        self.chain = [self.x]
-
-    def adjoint(self) -> np.ndarray:
-        """gamma' of the kept atoms, formed on each call (the node basis:
-        the identity)."""
-        if self.nodes:
-            return np.eye(self.restriction.grid.size)
-        return self.restriction.adjoint(self.keep)
-
-    def gamma(self, f: np.ndarray) -> np.ndarray:
-        """gamma f on the kept atoms (f itself for the node basis)."""
-        return f if self.nodes else self.restriction.apply(f, self.keep)
-
-    def power(self, a: OperatorMatrix, j: int) -> np.ndarray:
-        """A^(-j) gamma', extending the chain as needed."""
-        while len(self.chain) < j:
-            self.chain.append(a.solve(self.chain[-1]))
-        return self.chain[j - 1]
-
-
 def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
                *t_ops: BSOperator):
     """The atom side of the weights' support on A, the coupling cores and
     the basis Q for power m.
 
     Every weight must be built on ``a`` and pass the margin threshold. The
-    kept atoms are those where some weight is nonzero; the side comes from
-    ``a``'s slot when the restriction and the kept atoms match it, and
-    replaces the slot otherwise. Each coupling is C_i = gamma' S_i gamma
-    with S_i = diag(D_i) on the kept atoms, and Q spans
-    span{A^(-j) gamma' : j <= m}; for the node basis S_i = C_i and Q = 1.
+    kept atoms are those where some weight is nonzero, and the side is
+    ``a``'s for them (see :mod:`deltaspec.birman_schwinger`). Each
+    coupling is C_i = gamma' S_i gamma with S_i = diag(D_i) on the kept
+    atoms, and Q spans span{A^(-j) gamma' : j <= m}; for the node basis
+    S_i = C_i and Q = 1.
     """
     for t_op in t_ops:
         _require_margin(a, t_op, margin_threshold)
     restriction = t_ops[0].restriction
     if any(t_op.restriction is not restriction for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
-    keep = np.zeros(restriction.measure.count, dtype=bool)
-    for t_op in t_ops:
-        keep |= t_op.density != 0
-    if not keep.any():  # all weights zero: every difference is exactly zero
-        keep[:] = True
-    side = a._atom_side
-    if (side is None or side.restriction is not restriction
-            or not np.array_equal(side.keep, keep)):
-        a._atom_side = None  # the old side is freed before the new is built
-        side = a._atom_side = _AtomSide(a, restriction, keep)
+    keep = _support(*(t_op.density for t_op in t_ops))
+    side = _atom_side_of(a, restriction, keep)
     if side.nodes:
         return (side, [dense_from_band(t_op.band) for t_op in t_ops],
                 np.eye(a.size))
@@ -234,7 +187,7 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
 
 
-def _krylov_basis(a: OperatorMatrix, side: _AtomSide, m: int) -> np.ndarray:
+def _krylov_basis(a: OperatorMatrix, side, m: int) -> np.ndarray:
     """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block Arnoldi.
 
     The first block is X, and each further one is A^(-1) applied to the
@@ -249,7 +202,7 @@ def _krylov_basis(a: OperatorMatrix, side: _AtomSide, m: int) -> np.ndarray:
     while len(side.widths) < m:
         q = side.basis
         block = (a.solve(q[:, q.shape[1] - side.widths[-1]:]) if side.widths
-                 else side.x)
+                 else side.power(a, 1))
         scale = float(np.sqrt((block * block).sum(axis=0)).max())
         for _ in range(2):
             block = block - q @ (q.T @ block)
@@ -338,7 +291,7 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
-    p, g = q.T @ side.x, side.g
+    p, g = q.T @ side.power(a, 1), side.g(a)
     main = cores[0] - cores[1] if t2 is not None else cores[0]
     z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
     terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
@@ -407,8 +360,8 @@ def power_difference(
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
     side, (s,), q = _atom_side(a, m, margin_threshold, t_op)
-    gamma, x = side.gamma, side.x
-    mm = _woodbury(side.g, s)
+    gamma, x = side.gamma, side.power(a, 1)
+    mm = _woodbury(side.g(a), s)
 
     # ys[j] = B^j Q for j = 1..m, so that Q' B^i W B^j Q = p[i+1]' D p[j+1]
     # with p[j] = gamma B^j Q, and X' B^j X = gamma B^(j+1) gamma'

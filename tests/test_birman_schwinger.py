@@ -166,3 +166,114 @@ def test_grid_measure_dimension_mismatch():
     m2 = segment_measure(np.array([[0.1, 0.1], [0.5, 0.5]]), 6)
     with pytest.raises(ValidationError):
         restriction_matrix(g, m2)
+
+
+# ------------------------------------------------ the operator's atom side
+
+ATOM_SIDE_CASES = {
+    # name: (bbox, shape, segment endpoints, atoms); "1d-nodes" has more
+    # atoms than nodes, so its core is N x N
+    "1d": ([[0.0, 1.0]], (64,), [[0.1], [0.7]], 18),
+    "1d-nodes": ([[0.0, 1.0]], (24,), [[0.2], [0.8]], 32),
+    "2d": ([[0.0, 1.0], [0.0, 1.0]], (17, 17), [[0.2, 0.45], [0.8, 0.45]],
+           24),
+    "3d": ([[0.0, 1.0], [0.0, 0.9], [0.0, 0.8]], (8, 7, 6),
+           [[0.2, 0.3, 0.4], [0.8, 0.6, 0.5]], 20),
+}
+
+
+def _side_setup(case):
+    bbox, shape, ends, atoms = ATOM_SIDE_CASES[case]
+    g = Grid(np.array(bbox), shape)
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, len(shape), t=1.0))
+    m = segment_measure(np.array(ends), atoms)
+    return a, restriction_matrix(g, m), m
+
+
+def _signed(m, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return Perturbation(m, 2.0 * rng.standard_normal(m.count))
+
+
+def _reference_core(t_op):
+    # the per-weight formula: a forward sweep of gamma' and its QR for
+    # each weight, with the full density
+    y = t_op.operator.solve_lower(t_op.restriction.adjoint())
+    r = np.linalg.qr(y, mode="r")
+    core = (r * t_op.density) @ r.T
+    return 0.5 * (core + core.T)
+
+
+def _reference_margin(t_op):
+    core = _reference_core(t_op)
+    w_min = float(np.linalg.eigvalsh(core)[0])
+    if core.shape[0] < t_op.size:
+        w_min = min(w_min, 0.0)
+    return 1.0 + w_min
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES))
+def test_core_and_margin_match_the_per_weight_formula(case):
+    # a weight nonzero on every atom: the same bytes as the reference
+    a, gam, m = _side_setup(case)
+    t_op = bs_operator(a, gam, _signed(m, 3))
+    core, margin = t_op.core, positivity_margin(t_op)
+    assert core.shape == (min(a.size, m.count),) * 2
+    assert core.tobytes() == _reference_core(t_op).tobytes()
+    assert margin == _reference_margin(t_op)
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES))
+def test_core_of_a_weight_with_zeros_lives_on_its_support(case):
+    # zero on every third atom: the core is taken on the support, with the
+    # nonzero spectrum of the full-size reference and its margin
+    a, gam, m = _side_setup(case)
+    values = _signed(m, 5).values * (np.arange(m.count) % 3 != 0)
+    t_op = bs_operator(a, gam, Perturbation(m, values))
+    support = np.count_nonzero(values)
+    core = t_op.core
+    assert core.shape == (min(a.size, support),) * 2
+    want = np.linalg.eigvalsh(_reference_core(t_op))
+    want = np.sort(want[np.argsort(np.abs(want))[len(want) - len(core):]])
+    got = np.linalg.eigvalsh(core)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+    assert abs(positivity_margin(t_op) - _reference_margin(t_op)) <= 1e-12
+
+
+def test_weights_on_one_support_take_one_qr(monkeypatch):
+    # the R factor depends on A and the atoms only: several signed weights,
+    # their margins and the reports after them take one QR of L^-1 gamma'
+    from deltaspec import power_difference, resolvent_difference
+
+    a, gam, m = _side_setup("2d")
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        if kwargs.get("mode") == "r":
+            calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    t_ops = [bs_operator(a, gam, Perturbation(m, 0.3 * _signed(m, s).values))
+             for s in (7, 8, 9)]
+    for t_op in t_ops:
+        positivity_margin(t_op)
+        resolvent_difference(a, t_op)
+        power_difference(a, t_op, 2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES))
+def test_core_on_a_warm_side_equals_a_cold_one(case):
+    # a side that reports have filled (X, G, the Krylov blocks, the chain)
+    # and R built after them, against the core on a fresh A
+    from deltaspec import power_difference
+
+    a, gam, m = _side_setup(case)
+    power_difference(a, bs_operator(a, gam, Perturbation.constant(m, 1.0)), 3)
+    warm = bs_operator(a, gam, _signed(m, 11))
+    a_cold, gam_cold, _ = _side_setup(case)
+    cold = bs_operator(a_cold, gam_cold, _signed(m, 11))
+    assert warm.core.tobytes() == cold.core.tobytes()
+    assert positivity_margin(warm) == positivity_margin(cold)

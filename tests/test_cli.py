@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_io import MALFORMED, malform_measure
 
 import deltaspec
 from deltaspec import birman_schwinger, cli, elliptic, resolvents
@@ -512,6 +513,20 @@ def test_non_number_weight_cell_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_weight_file_exits_2_before_any_output(tmp_path, capsys,
+                                                         case):
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, 1.0))
+    malform_measure(tmp_path / "v.csv", case)
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_rewritten_weight_file_is_recomputed(tmp_path, capsys):
     # the bytes of a file weight are part of the run key, so editing the
     # file gives a fresh run instead of the cached answer for the old values
@@ -632,7 +647,7 @@ def test_sweep_shares_the_operator_while_domain_and_operator_hold(
         alone.append(run_manifest(tmp_path, variant, "alone.json")[1])
     assembled = _counting(monkeypatch, cli, "assemble_neumann")
     factored = _counting(monkeypatch, elliptic, "_block_cholesky")
-    built = _counting(monkeypatch, resolvents._AtomSide, "__init__")
+    built = _counting(monkeypatch, birman_schwinger._AtomSide, "__init__")
     path = write_config(tmp_path, cfg)
     out = tmp_path / "sweep"
     assert main(["sweep", str(path), "--axis", axis, "--values", values,
@@ -642,6 +657,38 @@ def test_sweep_shares_the_operator_while_domain_and_operator_hold(
     assert len(built) == sides
     for run_dir in alone:
         assert _run_files(out / run_dir.name) == _run_files(run_dir)
+
+
+def test_sweep_shares_one_side_across_equal_restrictions(tmp_path,
+                                                        monkeypatch):
+    # each run of a seed sweep builds its own restriction; the operator's
+    # atom side is keyed by the restriction's content, so one side serves
+    cfg = base_config(weights={"V1": {"kind": "random", "scale": 0.5}},
+                      tasks=["resolvent_diff", {"name": "power_diff"}])
+    built = _counting(monkeypatch, birman_schwinger._AtomSide, "__init__")
+    restrictions = []
+    original = cli.bs_operator
+
+    def recording(a, gamma, p):
+        restrictions.append(gamma)
+        return original(a, gamma, p)
+
+    monkeypatch.setattr(cli, "bs_operator", recording)
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", str(path), "--axis", "seed", "--values", "1,2",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert len(built) == 1
+    assert len(restrictions) == 2
+    assert restrictions[0] is not restrictions[1]
+
+
+def test_krein_feller_run_solves_nothing_with_a(tmp_path, monkeypatch):
+    # the Birman-Schwinger core needs only R, a forward sweep: no X
+    cfg = base_config(weights={"V1": {"kind": "random", "scale": 0.5}},
+                      tasks=["krein_feller"])
+    solved = _counting(monkeypatch, elliptic.OperatorMatrix, "solve")
+    run_manifest(tmp_path, cfg)
+    assert solved == []
 
 
 def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,

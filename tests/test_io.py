@@ -1,5 +1,7 @@
 """Round-trip and determinism checks for the CSV/JSON writers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,35 @@ def test_read_measure_rejects_mangled_header(tmp_path):
     lines = path.read_text().splitlines()
     lines[0] = "a,b"
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError):
+        read_measure(path)
+
+
+def malform_measure(csv_path, case):
+    """Break a measure file written by write_measure in one way."""
+    side_path = csv_path.with_suffix(".json")
+    side = json.loads(side_path.read_text())
+    if case == "bom":
+        csv_path.write_bytes(b"\xff\xfe" + csv_path.read_bytes())
+        return
+    if case == "no_nominal_dim":
+        del side["nominal_dim"]
+    elif case == "nominal_dim_text":
+        side["nominal_dim"] = "abc"
+    elif case == "bbox_odd":
+        side["bbox"] = [1, 2, 3]
+    side_path.write_text(json.dumps(side))
+
+
+MALFORMED = ["no_nominal_dim", "nominal_dim_text", "bbox_odd", "bom"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_read_measure_rejects_malformed_files(tmp_path, case):
+    m = _cantor(3)
+    path = tmp_path / "m.csv"
+    write_measure(m, path, Perturbation.constant(m, 1.0))
+    malform_measure(path, case)
     with pytest.raises(ValidationError):
         read_measure(path)
 
