@@ -16,17 +16,17 @@ sandwich is formed only when ``BSOperator.matrix`` is read, as the oracle
 of the tests.
 
 This module owns the one path from A to the atoms: the atom-side slot an
-``OperatorMatrix`` keeps. The slot holds what depends on A and the kept
-atoms but not on the weights: the R factor of the core, X = A^(-1) gamma',
-G = gamma X, the Krylov blocks of :mod:`deltaspec.resolvents` and the chain
-A^(-j) gamma', each built on first use. It is keyed by the restriction's
-content (``cols`` and ``vals``) and the exact mask of kept atoms, and a
-lookup with another key replaces it. The kept atoms of a weight are those
-where its density is nonzero (all of them for the zero weight), so a
-margin check and the reports on the same weight fill one slot. The slot is
-instance state, not a global cache: it lives and dies with its operator,
-needs no invalidation since ``band`` and the restriction's arrays are
-read-only, and holds one support at a time.
+``OperatorMatrix`` keeps. The slot holds what depends on A and the atoms
+of one restriction but not on the weights: the R factor of the core,
+X = A^(-1) gamma', G = gamma X, the orthonormal Krylov basis of the
+resolvent reports and the chain A^(-j) gamma', each built on first use.
+It covers every atom of the restriction; a weight enters only through D,
+so its zeros are zero entries of D and every weight on the measure reads
+the same side. The slot is keyed by the restriction's content (``cols``
+and ``vals``), and a lookup with another key replaces it. It is instance
+state, not a global cache: it lives and dies with its operator and needs
+no invalidation, since ``band`` and the restriction's arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 MARGIN_DEFAULT = 0.05
+# Krylov directions below this fraction of their block's scale are taken as
+# numerically dependent; keeping a spurious one would only add a zero value
+RANK_TOL = 1e-12
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -83,20 +86,19 @@ class RestrictionMatrix:
         self.cols.setflags(write=False)
         self.vals.setflags(write=False)
 
-    def apply(self, f: np.ndarray, keep=slice(None)) -> np.ndarray:
-        """gamma f: the values of the grid function(s) f at the kept atoms."""
-        cols, vals = self.cols[keep], self.vals[keep]
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """gamma f: the values of the grid function(s) f at the atoms."""
         out = 0.0
-        for c in range(cols.shape[1]):
-            w = vals[:, c].reshape((-1,) + (1,) * (np.ndim(f) - 1))
-            out = out + w * f[cols[:, c]]
+        for c in range(self.cols.shape[1]):
+            w = self.vals[:, c].reshape((-1,) + (1,) * (np.ndim(f) - 1))
+            out = out + w * f[self.cols[:, c]]
         return out
 
-    def adjoint(self, keep=slice(None)) -> np.ndarray:
-        """Dense gamma' (N x atoms) of the kept atoms."""
-        cols, vals = self.cols[keep], self.vals[keep]
-        out = np.zeros((self.grid.size, len(cols)))
-        out[cols, np.arange(len(cols))[:, None]] = vals
+    def adjoint(self) -> np.ndarray:
+        """Dense gamma' (N x atoms)."""
+        k = len(self.cols)
+        out = np.zeros((self.grid.size, k))
+        out[self.cols, np.arange(k)[:, None]] = self.vals
         return out
 
 
@@ -131,19 +133,17 @@ class BSOperator:
     def core(self) -> np.ndarray:
         """Atom-side core with the nonzero spectrum of T (see bs_atom_gram).
 
-        With A = L L' (Cholesky), gamma restricted to the atoms where D is
-        nonzero and Y = L^(-1) gamma' = Q_Y R (thin QR), T is orthogonally
-        similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'. R D R' is
-        min(N, k) square, k the kept atoms, and needs no factor of
+        With A = L L' (Cholesky) and Y = L^(-1) gamma' = Q_Y R (thin QR),
+        T is orthogonally similar to L^(-1) C L^(-T) = Q_Y (R D R') Q_Y'.
+        R D R' is min(N, k) square, k the atoms, and needs no factor of
         G = gamma A^(-1) gamma' = R'R, which is singular whenever two atoms
         share their interpolation nodes. R comes from the operator's atom
-        side, which every weight with this support shares.
+        side, which every weight on this restriction shares; atoms where
+        the weight vanishes are zero entries of D.
         """
         if self._core is None:
-            keep = _support(self.density)
-            side = _atom_side_of(self.operator, self.restriction, keep)
-            r = side.r(self.operator)
-            self._core = _sym((r * self.density[keep]) @ r.T)
+            r = _atom_side_of(self.operator, self.restriction).r(self.operator)
+            self._core = _sym((r * self.density) @ r.T)
         return self._core
 
     @property
@@ -175,48 +175,44 @@ class BSOperator:
 
 
 class _AtomSide:
-    """What the reports need of A on the atoms one restriction keeps.
+    """What the reports need of A on the atoms of one restriction.
 
     ``r(a)`` is the R factor of a thin QR of L^(-1) gamma' (A = L L'),
-    ``power(a, j)`` is A^(-j) gamma' (X for j = 1) and ``g(a)`` is
-    G = gamma X on the kept atoms. Each is built on first use, from the A
-    passed in, which is the operator keeping this side. ``basis`` holds
-    the orthonormal Krylov blocks built so far side by side and ``widths``
-    their column counts (only :func:`deltaspec.resolvents._krylov_basis`
-    adds a block). With at least as many atoms as nodes, G would be no
-    smaller than N x N, and the nodes serve as atoms instead: gamma = 1
-    and Q = 1 (the node basis); R is still taken on the atoms.
+    ``power(a, j)`` is A^(-j) gamma' (X for j = 1), ``g(a)`` is
+    G = gamma X and ``basis(a, m)`` is the orthonormal basis Q of
+    span{A^(-j) gamma' : j <= m}. Each is built on first use, from the A
+    passed in, which is the operator keeping this side. With at least as
+    many atoms as nodes, G would be no smaller than N x N, and the nodes
+    serve as atoms instead: gamma = 1 and Q = 1 (the node basis); R is
+    still taken on the atoms.
     """
 
-    def __init__(self, restriction: RestrictionMatrix, keep: np.ndarray,
-                 size: int):
+    def __init__(self, restriction: RestrictionMatrix, size: int):
         self.restriction = restriction
-        self.keep = keep
-        self.nodes = np.count_nonzero(keep) >= size
-        self.basis = np.zeros((size, 0))
-        self.widths: list[int] = []
-        self.chain: list[np.ndarray] = []
+        self.nodes = len(restriction.cols) >= size
+        self._blocks = np.zeros((size, 0))
+        self._widths: list[int] = []
+        self._chain: list[np.ndarray] = []
         self._g = None
         self._r = None
 
     def adjoint(self) -> np.ndarray:
-        """gamma' of the kept atoms, formed on each call (the node basis:
-        the identity)."""
+        """gamma', formed on each call (the node basis: the identity)."""
         if self.nodes:
             return np.eye(self.restriction.grid.size)
-        return self.restriction.adjoint(self.keep)
+        return self.restriction.adjoint()
 
     def gamma(self, f: np.ndarray) -> np.ndarray:
-        """gamma f on the kept atoms (f itself for the node basis)."""
-        return f if self.nodes else self.restriction.apply(f, self.keep)
+        """gamma f (f itself for the node basis)."""
+        return f if self.nodes else self.restriction.apply(f)
 
     def power(self, a: OperatorMatrix, j: int) -> np.ndarray:
         """A^(-j) gamma', extending the chain as needed."""
-        if not self.chain:
-            self.chain.append(a.solve(self.adjoint()))
-        while len(self.chain) < j:
-            self.chain.append(a.solve(self.chain[-1]))
-        return self.chain[j - 1]
+        if not self._chain:
+            self._chain.append(a.solve(self.adjoint()))
+        while len(self._chain) < j:
+            self._chain.append(a.solve(self._chain[-1]))
+        return self._chain[j - 1]
 
     def g(self, a: OperatorMatrix) -> np.ndarray:
         if self._g is None:
@@ -225,36 +221,58 @@ class _AtomSide:
 
     def r(self, a: OperatorMatrix) -> np.ndarray:
         if self._r is None:
-            y = a.solve_lower(self.restriction.adjoint(self.keep))
+            y = a.solve_lower(self.restriction.adjoint())
             self._r = np.linalg.qr(y, mode="r")
         return self._r
 
+    def basis(self, a: OperatorMatrix, m: int) -> np.ndarray:
+        """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block
+        Arnoldi; the identity for the node basis.
 
-def _support(*densities: np.ndarray) -> np.ndarray:
-    """Mask of the atoms where some density is nonzero; every atom when all
-    of them vanish (the zero weight, whose differences are exactly zero)."""
-    keep = np.zeros(len(densities[0]), dtype=bool)
-    for density in densities:
-        keep |= density != 0
-    if not keep.any():
-        keep[:] = True
-    return keep
+        The first block is X, and each further one is A^(-1) applied to the
+        last, projected twice off the basis so far; its SVD keeps the
+        directions above RANK_TOL of the block's scale, which are projected
+        once more (a weak direction carries back about eps/s of the basis)
+        and orthonormalized. The blocks are kept, so the basis for m is the
+        first columns of the basis for m + 1. The basis of every block
+        built is read-only and handed out as it is; a shorter one is
+        copied.
+        """
+        if self.nodes:
+            return np.eye(a.size)
+        while len(self._widths) < m:
+            q = self._blocks
+            block = (a.solve(q[:, q.shape[1] - self._widths[-1]:])
+                     if self._widths else self.power(a, 1))
+            scale = float(np.sqrt((block * block).sum(axis=0)).max())
+            for _ in range(2):
+                block = block - q @ (q.T @ block)
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            block = u[:, s > RANK_TOL * scale]
+            if block.shape[1] == 0:  # the span is exhausted
+                break
+            block = np.linalg.qr(block - q @ (q.T @ block))[0]
+            self._blocks = np.hstack([q, block])
+            self._blocks.setflags(write=False)
+            self._widths.append(block.shape[1])
+        r = sum(self._widths[:m])
+        q = self._blocks
+        return q if r == q.shape[1] else q[:, :r].copy()
 
 
-def _atom_side_of(a: OperatorMatrix, restriction: RestrictionMatrix,
-                  keep: np.ndarray) -> _AtomSide:
-    """``a``'s atom side for the kept atoms of the restriction.
+def _atom_side_of(a: OperatorMatrix, restriction: RestrictionMatrix
+                  ) -> _AtomSide:
+    """``a``'s atom side for the restriction.
 
     The side in ``a``'s slot serves when its restriction has the same
-    ``cols`` and ``vals`` and its mask equals ``keep``; otherwise a new,
-    empty side replaces it.
+    ``cols`` and ``vals``; otherwise a new, empty side replaces it.
     """
     side = a._atom_side
-    if (side is None or not np.array_equal(side.keep, keep)
+    if (side is None
             or not np.array_equal(side.restriction.cols, restriction.cols)
             or not np.array_equal(side.restriction.vals, restriction.vals)):
         a._atom_side = None  # the old side is freed before the new is built
-        side = a._atom_side = _AtomSide(restriction, keep, a.size)
+        side = a._atom_side = _AtomSide(restriction, a.size)
     return side
 
 
@@ -347,14 +365,14 @@ def bs_atom_gram(
     """Atom-side core with the same nonzero spectrum as T, for either sign.
 
     The core is ``R D R'`` with D = diag(w V / h^N) from
-    :func:`atom_density` and R the triangular factor of a thin QR of
-    ``L^(-1) gamma'``, A = L L' the Cholesky factor of A, both on the
-    atoms where the weight is nonzero (every atom for the zero weight). It
-    is min(N, k) square, k the count of those atoms; T has its eigenvalues
-    plus N - k zeros when k < N. It needs one factorization of A and k
-    triangular solves, no eigendecomposition of A, which is what makes the
-    fractal counting experiments cheap on fine grids; R is kept on A's atom
-    side, so weights with one support share it.
+    :func:`atom_density`, zero where the weight vanishes, and R the
+    triangular factor of a thin QR of ``L^(-1) gamma'``, A = L L' the
+    Cholesky factor of A, on every atom. It is min(N, k) square, k the
+    atom count; T has its eigenvalues plus N - k zeros when k < N. It
+    needs one factorization of A and k triangular solves, no
+    eigendecomposition of A, which is what makes the fractal counting
+    experiments cheap on fine grids; R is kept on A's atom side, so every
+    weight on the restriction shares it.
     """
     return bs_operator(a, g, p).core
 
@@ -366,8 +384,8 @@ def positivity_margin(t_op: BSOperator) -> float:
     exceeds their configured threshold (0.05 by default downstream).
     Nonnegative weights always give T >= 0 and hence a margin >= 1. The
     margin is the smallest eigenvalue of the atom-side core (one
-    eigensolve of size min(N, k), k the atoms where the weight is
-    nonzero), with the zero eigenvalues T has beyond the core when k < N;
+    eigensolve of size min(N, k), k the atom count), with the zero
+    eigenvalues T has beyond the core when k < N;
     it is computed once per operator and kept on it.
     """
     if t_op._margin is None:

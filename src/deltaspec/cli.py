@@ -680,15 +680,18 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     """Run the config once per axis value; write a combined summary CSV.
 
     Every value's config is checked, and its inputs built, before the first
-    run, so an input error anywhere in the sweep writes nothing. Runs whose
+    run, and so is the base config, whose key names the sweep directory:
+    an input error anywhere in the sweep writes nothing. Runs whose
     ``domain`` and ``operator`` equal those of the run before share its
     assembled A (and so its factor, and the atom side A keeps for an equal
-    restriction and support)."""
+    restriction, whatever the weights)."""
     variants = []
     for value in values:
         variant = copy.deepcopy(cfg)
         _set_axis(variant, axis, value)
         variants.append((variant, validate_config(variant, base_dir)))
+    sweep_dir = Path(out_root) / (
+        f"sweep-{config_hash(cfg, base_dir)}-{axis.replace('.', '_')}")
     manifests = []
     rows = []
     a = last_cfg = None
@@ -703,8 +706,6 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         fit = _first_fit(manifest)
         rows.append((value, fit))
 
-    sweep_dir = Path(out_root) / (
-        f"sweep-{config_hash(cfg, base_dir)}-{axis.replace('.', '_')}")
     sweep_dir.mkdir(parents=True, exist_ok=True)
     lines = ["axis_value,theta_hat,coeff_hat,r_squared"]
     for value, fit in rows:
@@ -856,9 +857,15 @@ def run_export(manifest_path: str, fmt: str) -> int:
 
 
 def _out_root(args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_ENV_VAR, "runs"))
+    """``--out``, else ``$DELTASPEC_OUT``, else ./runs; a root that is or
+    lies under something other than a directory is an input error."""
+    root = Path(args.out if args.out is not None
+                else os.environ.get(OUT_ENV_VAR, "runs"))
+    there = next(p for p in (root, *root.parents) if p.exists())
+    if not there.is_dir():
+        raise ValidationError(f"output root {root}: {there} is not a "
+                              "directory")
+    return root
 
 
 def _cmd_run(args) -> int:

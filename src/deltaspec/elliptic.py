@@ -173,11 +173,11 @@ class OperatorMatrix:
     full eigendecomposition (used for fractional inverse powers, the
     small-N oracle) are built only when first asked for. Besides these the
     instance keeps one atom-side slot, owned by
-    :mod:`deltaspec.birman_schwinger`: what was computed of A on the atoms
-    of the last restriction content and atom support used (the R factor
-    of the Birman-Schwinger core, X = A^(-1) gamma', G, the Krylov blocks
-    and the chain A^(-j) gamma', each built on first use). ``band`` is
-    read-only, so nothing kept can go stale.
+    :mod:`deltaspec.birman_schwinger`: what was computed of A on every
+    atom of the last restriction content used (the R factor of the
+    Birman-Schwinger core, X = A^(-1) gamma', G, the Krylov basis and the
+    chain A^(-j) gamma', each built on first use), whatever the weights.
+    ``band`` is read-only, so nothing kept can go stale.
     """
 
     def __init__(self, band: np.ndarray):

@@ -1,8 +1,8 @@
 """Resolvent differences from a banded factor of A and a small core.
 
-Restrict gamma to the atoms where a weight is nonzero and let D be the atom
-density there, C = gamma' D gamma, X = A^(-1) gamma' and G = gamma X. The
-Woodbury identity
+Let gamma restrict grid functions to the atoms of a measure, D be a
+weight's atom density (zero where the weight vanishes), C = gamma' D gamma,
+X = A^(-1) gamma' and G = gamma X. The Woodbury identity
 
     A^(-1) - (A + C)^(-1) = X M X',    M = D (1 + G D)^(-1),
 
@@ -39,16 +39,16 @@ that factor. No report eigendecomposes A.
 
 An ``OperatorMatrix`` keeps three things: its factor, its
 eigendecomposition (only if asked for) and one atom-side slot, which
-:mod:`deltaspec.birman_schwinger` owns and keys by the restriction's
-content and the exact support mask. The reports read X, G and the chain
-A^(-j) gamma' from it, next to the R factor of the Birman-Schwinger core,
-and ``_krylov_basis`` keeps the Krylov blocks of Q there. The blocks are
-grown one at a time, so the basis for m is the first columns of the basis
-for m + 1, and a report gets the same arrays whether the slot was warm or
-cold. Reports on one A and one support of one measure (the tasks of a
-run, a sweep over weight values, a loop of weight draws) therefore build
-X, G, Q and the chain once, and the margin checks before them take R from
-the same slot.
+:mod:`deltaspec.birman_schwinger` owns, fills and keys by the restriction's
+content. The side covers every atom of the restriction, whatever the
+weights, and this module only reads it: X, G, the basis Q and the chain
+A^(-j) gamma', next to the R factor of the Birman-Schwinger core. The
+Krylov blocks of Q are grown one at a time, so the basis for m is the
+first columns of the basis for m + 1, and a report gets the same arrays
+whether the slot was warm or cold. Reports on one A and one measure (the
+tasks of a run, a sweep over weight values, a loop of weight draws)
+therefore build X, G, Q and the chain once, and the margin checks before
+them take R from the same slot.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -65,7 +65,6 @@ from .birman_schwinger import (
     MARGIN_DEFAULT,
     BSOperator,
     _atom_side_of,
-    _support,
     _sym,
     positivity_margin,
 )
@@ -79,11 +78,6 @@ __all__ = [
     "resolvent_difference",
     "two_weight_difference",
 ]
-
-# Krylov directions below this fraction of their block's scale are taken as
-# numerically dependent; keeping a spurious one would only add a zero value
-RANK_TOL = 1e-12
-
 
 def _embed(basis: np.ndarray, core: np.ndarray) -> np.ndarray:
     return _sym((basis @ core) @ basis.T)
@@ -157,65 +151,32 @@ def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float
 
 def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
                *t_ops: BSOperator):
-    """The atom side of the weights' support on A, the coupling cores and
-    the basis Q for power m.
+    """The atom side of the weights' restriction on A, the coupling cores
+    and the basis Q for power m.
 
-    Every weight must be built on ``a`` and pass the margin threshold. The
-    kept atoms are those where some weight is nonzero, and the side is
-    ``a``'s for them (see :mod:`deltaspec.birman_schwinger`). Each
-    coupling is C_i = gamma' S_i gamma with S_i = diag(D_i) on the kept
-    atoms, and Q spans span{A^(-j) gamma' : j <= m}; for the node basis
-    S_i = C_i and Q = 1.
+    Every weight must be built on ``a``, pass the margin threshold and
+    live on one restriction, whose side on ``a`` is read (see
+    :mod:`deltaspec.birman_schwinger`). Each coupling is
+    C_i = gamma' S_i gamma with S_i = diag(D_i) on every atom, and Q spans
+    span{A^(-j) gamma' : j <= m}; for the node basis S_i = C_i and Q = 1.
     """
     for t_op in t_ops:
         _require_margin(a, t_op, margin_threshold)
     restriction = t_ops[0].restriction
     if any(t_op.restriction is not restriction for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
-    keep = _support(*(t_op.density for t_op in t_ops))
-    side = _atom_side_of(a, restriction, keep)
+    side = _atom_side_of(a, restriction)
     if side.nodes:
-        return (side, [dense_from_band(t_op.band) for t_op in t_ops],
-                np.eye(a.size))
-    return (side, [np.diag(t_op.density[keep]) for t_op in t_ops],
-            _krylov_basis(a, side, m))
+        cores = [dense_from_band(t_op.band) for t_op in t_ops]
+    else:
+        cores = [np.diag(t_op.density) for t_op in t_ops]
+    return side, cores, side.basis(a, m)
 
 
 def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """M = S (1 + G S)^(-1) = (1 + S G)^(-1) S; no factor of the possibly
     singular G is taken."""
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
-
-
-def _krylov_basis(a: OperatorMatrix, side, m: int) -> np.ndarray:
-    """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block Arnoldi.
-
-    The first block is X, and each further one is A^(-1) applied to the
-    last, projected twice off the basis so far; its SVD keeps the
-    directions above RANK_TOL of the block's scale, which are projected
-    once more (a weak direction carries back about eps/s of the basis) and
-    orthonormalized. The blocks are kept on ``side`` and added only here,
-    so the basis for m is the first columns of the basis for m + 1. The
-    basis of every block built is read-only and handed out as it is; a
-    shorter one is copied.
-    """
-    while len(side.widths) < m:
-        q = side.basis
-        block = (a.solve(q[:, q.shape[1] - side.widths[-1]:]) if side.widths
-                 else side.power(a, 1))
-        scale = float(np.sqrt((block * block).sum(axis=0)).max())
-        for _ in range(2):
-            block = block - q @ (q.T @ block)
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
-        block = u[:, s > RANK_TOL * scale]
-        if block.shape[1] == 0:  # the span is exhausted
-            break
-        block = np.linalg.qr(block - q @ (q.T @ block))[0]
-        side.basis = np.hstack([q, block])
-        side.basis.setflags(write=False)
-        side.widths.append(block.shape[1])
-    r = sum(side.widths[:m])
-    return side.basis if r == side.basis.shape[1] else side.basis[:, :r].copy()
 
 
 def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
@@ -323,7 +284,7 @@ def two_weight_difference(
 ) -> ResolventReport:
     """Difference of the two perturbed inverses, expansion against direct.
 
-    The identity path is ``X (M1 - M2) X'`` on the joint support, expanded
+    The identity path is ``X (M1 - M2) X'`` on the atoms, expanded
     as ``main - Z1 + Z2`` with main = X (D1 - D2) X' =
     A^(-1/2) (T1 - T2) A^(-1/2) and Zi = X (Mi G Di) X' =
     A^(-1/2) Ti (1 + Ti)^(-1) Ti A^(-1/2). It equals

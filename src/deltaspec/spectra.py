@@ -75,12 +75,6 @@ class SpectrumReport:
     fit: PowerLawFit | None
     floor: float
 
-    def n_plus(self, lam: float) -> int:
-        return int(np.searchsorted(-self.positives, -lam, side="left"))
-
-    def n_minus(self, lam: float) -> int:
-        return int(np.searchsorted(-self.negatives, -lam, side="left"))
-
 
 @dataclass(eq=False)
 class KyFanReport:

@@ -591,6 +591,40 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_sweep_checks_the_base_config_before_the_first_run(tmp_path, capsys):
+    # the base config names the sweep directory: its missing weight file
+    # exits 2 before the run of the one valid value is written
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "w.csv", Perturbation.constant(seg, 1.0))
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "missing.csv"}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["sweep", str(path), "--axis", "weights.V1.path",
+                 "--values", '"w.csv"', "--out", str(out)]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("root", ["--out", "--out-sub", "env"])
+def test_output_root_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch,
+                                            command, root):
+    path = write_config(tmp_path, base_config())
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    argv = [command, str(path)]
+    if command == "sweep":
+        argv += ["--axis", "weights.V1.value", "--values", "0.5,1.0"]
+    if root == "env":
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(afile))
+    else:
+        argv += ["--out", str(afile / "sub" if root == "--out-sub" else afile)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: output root")
+    assert afile.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+
 def test_sweep_builds_each_run_once(tmp_path, monkeypatch):
     calls = []
     original = cli.validate_config
@@ -680,6 +714,23 @@ def test_sweep_shares_one_side_across_equal_restrictions(tmp_path,
     assert len(built) == 1
     assert len(restrictions) == 2
     assert restrictions[0] is not restrictions[1]
+
+
+def test_weights_on_different_supports_share_one_side(tmp_path, monkeypatch):
+    # a step V1 on 39 of 64 atoms against a constant V2: every task reads
+    # the one side of the restriction, which covers all atoms
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.0]], "shape": [256]},
+        measure={"kind": "segment", "start": [0.25], "end": [0.75],
+                 "count": 64},
+        weights={"V1": {"kind": "step", "box": [[0.3, 0.6]], "inside": 1.5},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=["resolvent_diff", "two_weight_diff",
+               {"name": "power_diff", "m": 2}, "two_weight_diff"])
+    built = _counting(monkeypatch, birman_schwinger._AtomSide, "__init__")
+    manifest, _ = run_manifest(tmp_path, cfg)
+    assert len(manifest["tasks"]) == 4
+    assert len(built) == 1
 
 
 def test_krein_feller_run_solves_nothing_with_a(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from deltaspec import (
     bs_operator,
     ifs_measure,
     inverse_power,
+    lebesgue_measure,
     perturbed_inverse,
     power_difference,
     resolvent_difference,
@@ -384,10 +385,10 @@ def test_reports_on_a_warm_operator_equal_cold_ones(case, signed):
 
 
 def test_atom_side_is_replaced_on_another_support_or_restriction():
-    # after a full-support report, a weight that is zero on some atoms and
-    # a weight on a second restriction with as many atoms (so the same
-    # mask) each miss the kept side, replace it, and give the report of a
-    # fresh A
+    # after a full-support report, a weight that is zero on some atoms
+    # keeps the side (it covers every atom of the restriction), and a
+    # weight on a second restriction with as many atoms misses it and
+    # replaces it; each gives the report of a fresh A
     a, t1, _ = _cross_setup("2d", signed=True)
     resolvent_difference(a, t1)
     kept = a._atom_side
@@ -396,24 +397,41 @@ def test_atom_side_is_replaced_on_another_support_or_restriction():
     rng = np.random.Generator(np.random.Philox(44))
     cases = [
         (t1.restriction, Perturbation(
-            m, t1.perturbation.values * (np.arange(m.count) % 3 != 0))),
+            m, t1.perturbation.values * (np.arange(m.count) % 3 != 0)), True),
         (restriction_matrix(g, other),
-         Perturbation(other, 0.4 * rng.standard_normal(other.count))),
+         Perturbation(other, 0.4 * rng.standard_normal(other.count)), False),
     ]
-    for gam, p in cases:
+    for gam, p, same in cases:
         fresh = _cross_setup("2d", signed=True)[0]
         t_op, fresh_op = bs_operator(a, gam, p), bs_operator(fresh, gam, p)
         for report in (resolvent_difference,
                        lambda a, t: power_difference(a, t, 3),
                        lambda a, t: power_difference(a, t, 2)):
             _assert_same_bytes(report(a, t_op), report(fresh, fresh_op))
-        assert a._atom_side is not kept
-        assert a._atom_side.restriction is gam
+        assert (a._atom_side is kept) == same
+        if not same:
+            assert a._atom_side.restriction is gam
         kept = a._atom_side
     # back on the first weight: replaced again, with the same bits
     _assert_same_bytes(resolvent_difference(a, t1),
                        resolvent_difference(*_cross_setup("2d", True)[:2]))
     assert a._atom_side is not kept
+
+
+def test_lebesgue_weight_with_zeros_takes_the_node_basis():
+    # the basis follows the measure: 48 atoms on 48 nodes take the node
+    # basis, also for a weight that vanishes on every fifth atom
+    g = Grid(np.array([[0.0, 1.0]]), (48,))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=1.0))
+    m = lebesgue_measure(g)
+    values = _signed_perturbation(m, 45, scale=0.3).values
+    t_op = bs_operator(a, restriction_matrix(g, m), Perturbation(
+        m, values * (np.arange(m.count) % 5 != 0)))
+    rep = resolvent_difference(a, t_op)
+    assert rep.basis.shape == (48, 48)
+    inv = np.linalg.inv
+    want = inv(a.matrix) - inv(a.matrix + t_op.coupling.toarray())
+    assert np.max(np.abs(rep.difference - want)) <= 1e-10 * np.abs(want).max()
 
 
 def test_residual_catches_a_short_basis(monkeypatch):
@@ -424,13 +442,13 @@ def test_residual_catches_a_short_basis(monkeypatch):
     # m = 2 or 3 instead loses under 1e-8 of the difference, and the
     # residual rightly stays that small.
     a, t1, t2 = _cross_setup("1d", signed=True)
-    full = resolvents._krylov_basis
+    full = birman_schwinger._AtomSide.basis
 
-    def short(a, side, m):
-        return np.delete(full(a, side, m), full(a, side, 1).shape[1] - 1,
+    def short(side, a, m):
+        return np.delete(full(side, a, m), full(side, a, 1).shape[1] - 1,
                          axis=1)
 
-    monkeypatch.setattr(resolvents, "_krylov_basis", short)
+    monkeypatch.setattr(birman_schwinger._AtomSide, "basis", short)
     reports = {
         "resolvent_difference": resolvent_difference(a, t1),
         "two_weight_difference": two_weight_difference(a, t1, t2),

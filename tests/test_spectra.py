@@ -94,12 +94,16 @@ def test_spectrum_sign_split_and_counting():
     assert np.allclose(rep.negatives, [2.0])
     assert np.allclose(rep.singulars, [3.0, 2.0, 1.0])
     assert rep.fit is None  # far too few values for a default fit
-    assert rep.n_plus(1.5) == 1
-    assert rep.n_plus(0.5) == 2
-    assert rep.n_plus(1.0) == 1  # strict count
-    assert rep.n_minus(1.0) == 1
-    assert rep.n_minus(2.0) == 0
     assert rep.counting.shape[1] == 4
+    lam, n_plus, n_minus, n = rep.counting.T
+    # the grid runs from the smallest magnitude to the largest, and each
+    # count is strict: a value equal to lambda is not above it
+    assert (lam[0], lam[-1]) == (1.0, 3.0)
+    assert np.array_equal(n_plus, (lam < 3.0).astype(int) + (lam < 1.0))
+    assert np.array_equal(n_minus, lam < 2.0)
+    assert np.array_equal(n, n_plus + n_minus)
+    assert (n_plus[0], n_minus[0], n_plus[-1], n_minus[-1]) == (1, 1, 0, 0)
+    assert np.any((lam > 1.0) & (lam < 2.0)) and np.any(lam > 2.0)
 
 
 def test_spectrum_rejects_nonsymmetric():
@@ -132,9 +136,11 @@ def test_counting_scales_with_the_matrix():
     c = 3.7
     rep1 = spectrum(k)
     repc = spectrum(c * k)
-    for lam in (0.2, 1.0, 4.0):
-        assert repc.n_plus(c * lam) == rep1.n_plus(lam)
-        assert repc.n_minus(c * lam) == rep1.n_minus(lam)
+    # the lambda grid scales with the matrix and every count stays put
+    assert np.allclose(repc.counting[:, 0], c * rep1.counting[:, 0],
+                       rtol=1e-12, atol=0.0)
+    assert np.array_equal(repc.counting[:, 1:], rep1.counting[:, 1:])
+    assert rep1.counting[:, 1].max() > 0 and rep1.counting[:, 2].max() > 0
 
 
 def test_kyfan_random_pairs_hold():
