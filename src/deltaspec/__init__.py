@@ -50,7 +50,6 @@ from .spectra import (
     LogPeriodicReport,
     PowerLawFit,
     SpectrumReport,
-    WeylPrediction,
     fit_power_law,
     kyfan_check,
     log_periodic_residual,
@@ -79,7 +78,6 @@ __all__ = [
     "Similitude",
     "SpectrumReport",
     "ValidationError",
-    "WeylPrediction",
     "assemble_neumann",
     "assemble_robin",
     "boundary_measure",

@@ -239,7 +239,9 @@ def _measure(spec, where, grid) -> DiscreteMeasure:
     raise ValidationError(f"unknown measure kind {kind!r} in {where}")
 
 
-def _weight_file(spec, base_dir) -> Path:
+def _weight_file(spec, where, base_dir) -> Path:
+    if not isinstance(spec.get("path"), str):
+        raise ValidationError(f"{where}.path must be a string")
     path = Path(base_dir) / spec["path"]
     if not path.is_file():
         raise ValidationError(f"weight file {path} not found")
@@ -275,9 +277,7 @@ def _weight(spec, where, measure, grid, rng, base_dir) -> Perturbation:
                             np.abs(vals) if spec.get("nonneg") else vals)
     if kind == "file":
         _check_keys(spec, where, ["kind", "path"])
-        if not isinstance(spec["path"], str):
-            raise ValidationError(f"{where}.path must be a string")
-        m_file, p_file = read_measure(_weight_file(spec, base_dir))
+        m_file, p_file = read_measure(_weight_file(spec, where, base_dir))
         if p_file is None:
             raise ValidationError(f"{spec['path']} has no V column")
         # the values belong to the file's atoms, so those must be the
@@ -319,13 +319,8 @@ def _weyl(measure, coeffs, gamma, weights) -> dict:
         n_dim = tensors.shape[-1]
         tensors = gamma.apply(tensors.reshape(len(tensors), -1)
                               ).reshape(measure.count, n_dim, n_dim)
-    # the fit is over singular values, which count both signs of V1 - V2
-    sides = [weyl_prediction(measure, weights["V1"], weights["V2"], theta,
-                             coeffs=tensors, side=side)
-             for side in "+-"]
-    coeff = {key: sides[0].coefficient_both[key] + sides[1].coefficient_both[key]
-             for key in sides[0].coefficient_both}
-    return {"theta_predicted": theta, "weyl_coefficient": coeff}
+    return {"theta_predicted": theta, "weyl_coefficient": weyl_prediction(
+        measure, weights["V1"], weights["V2"], theta, coeffs=tensors)}
 
 
 def validate_config(cfg, base_dir=".") -> dict:
@@ -394,13 +389,19 @@ def config_hash(cfg, base_dir=".") -> str:
     """Run key: the sha256 of the canonical config JSON, extended by the
     sha256 of each ``file`` weight's bytes (paths relative to ``base_dir``),
     so an edited weight file gets a fresh run. A config without file
-    weights hashes its JSON alone."""
+    weights hashes its JSON alone. Only the weights section is checked:
+    elsewhere a sweep's base config may hold a placeholder."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode())
     weights = cfg.get("weights", {})
+    if not isinstance(weights, dict):
+        raise ValidationError("weights must be an object")
     for key in sorted(weights):
-        if weights[key]["kind"] == "file":
-            data = _weight_file(weights[key], base_dir).read_bytes()
+        spec, where = weights[key], f"weights.{key}"
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ValidationError(f"{where} must be an object with a kind")
+        if spec["kind"] == "file":
+            data = _weight_file(spec, where, base_dir).read_bytes()
             digest.update(hashlib.sha256(data).digest())
     return digest.hexdigest()[:12]
 
@@ -495,15 +496,14 @@ def _task_krein_feller(ctx, entry, out_dir):
                                                ctx["analysis"], None)
     counting_fit = None
     log_periodic = None
-    if sp_rep.counting.shape[0] >= 30:
-        try:
-            counting_fit = fit_power_law(
-                counting=sp_rep.counting[:, [0, 3]], floor=sp_rep.floor)
-            lp = log_periodic_residual(
-                sp_rep.counting[:, 0], sp_rep.counting[:, 3], counting_fit.theta)
-            log_periodic = {"period": lp.period, "maxmin_ratio": lp.maxmin_ratio}
-        except NumericalError:
-            pass
+    try:
+        counting_fit = fit_power_law(
+            counting=sp_rep.counting[:, [0, 3]], floor=sp_rep.floor)
+        lp = log_periodic_residual(
+            sp_rep.counting[:, 0], sp_rep.counting[:, 3], counting_fit.theta)
+        log_periodic = {"period": lp.period, "maxmin_ratio": lp.maxmin_ratio}
+    except NumericalError:
+        pass
     summary["counting_fit"] = fit_to_dict(counting_fit)
     summary["log_periodic"] = log_periodic
     return summary, outputs

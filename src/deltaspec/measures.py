@@ -92,7 +92,8 @@ class DiscreteMeasure:
     ``nominal_dim`` is the regularity dimension d the construction aims at;
     it is declared, not estimated (use ``estimate_ahlfors_constants`` for
     diagnostics). ``bbox`` is the declared bounding box, rows (min, max) per
-    axis; if omitted it is taken as the atom hull.
+    axis, which every atom must lie in; if omitted it stays ``None`` and
+    no box is checked or recorded.
     """
 
     atoms: np.ndarray
@@ -155,14 +156,11 @@ class AhlforsReport:
     """Empirical regularity constants from ball counting.
 
     ``upper_const`` and ``lower_const`` are the max and min over all sampled
-    centers and radii of ``mu(B(x, r)) / r^d``; ``worst_center`` is the
-    center realizing the upper constant.
+    centers and radii of ``mu(B(x, r)) / r^d``.
     """
 
-    radii: np.ndarray
     lower_const: float
     upper_const: float
-    worst_center: np.ndarray
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float,
@@ -410,20 +408,13 @@ def estimate_ahlfors_constants(
 
     upper = -np.inf
     lower = np.inf
-    worst = atoms[0]
     # closed balls, small relative slack so boundary atoms are counted
     r_eff = radii_arr * (1.0 + 1e-12)
     for lo in range(0, atoms.shape[0], 256):
         chunk = atoms[lo:lo + 256]
         dist = np.sqrt(((chunk[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2))
         for r, re in zip(radii_arr, r_eff):
-            mu = (dist <= re) @ weights
-            ratios = mu / r ** d
-            i_hi = int(np.argmax(ratios))
-            if ratios[i_hi] > upper:
-                upper = float(ratios[i_hi])
-                worst = chunk[i_hi].copy()
+            ratios = ((dist <= re) @ weights) / r ** d
+            upper = max(upper, float(ratios.max()))
             lower = min(lower, float(ratios.min()))
-    return AhlforsReport(
-        radii=radii_arr, lower_const=lower, upper_const=upper, worst_center=worst
-    )
+    return AhlforsReport(lower_const=lower, upper_const=upper)

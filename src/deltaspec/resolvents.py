@@ -56,7 +56,7 @@ them take R from the same slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,7 +100,6 @@ class ResolventReport:
     core: np.ndarray
     term_cores: dict[str, np.ndarray]
     residual: float
-    _sv_cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def difference(self) -> np.ndarray:
@@ -122,14 +121,11 @@ class ResolventReport:
 
         All N of them: the eigenvalue magnitudes of the symmetric r x r
         core, then N - r exact zeros for the directions outside the basis.
-        Results are cached.
         """
-        if label not in self._sv_cache:
-            core = self.core if label == "difference" else self.term_cores[label]
-            sv = np.zeros(self.basis.shape[0])
-            sv[:len(core)] = np.sort(np.abs(np.linalg.eigvalsh(core)))[::-1]
-            self._sv_cache[label] = sv
-        return self._sv_cache[label]
+        core = self.core if label == "difference" else self.term_cores[label]
+        sv = np.zeros(self.basis.shape[0])
+        sv[:len(core)] = np.sort(np.abs(np.linalg.eigvalsh(core)))[::-1]
+        return sv
 
 
 def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float

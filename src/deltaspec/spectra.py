@@ -2,11 +2,12 @@
 
 The counting function n_+(lambda, K) counts eigenvalues above lambda,
 n_-(lambda, K) those below -lambda; their sum is the singular-value
-counting for symmetric K. Decay orders come from log-log least squares
-over a window that drops the preasymptotic head (top 10% of indices by
-default) and the noise tail (anything within 100x of the floor). All
-asymptotic quantities are reported as finite-sample fits with explicit
-windows, never as limits.
+counting for symmetric K. The Weyl prediction counts both signs the same
+way: each atom enters with the magnitude of its gap |V2 - V1|. Decay
+orders come from log-log least squares over a window that drops the
+preasymptotic head (top 10% of indices by default) and the noise tail
+(anything within 100x of the floor). All asymptotic quantities are
+reported as finite-sample fits with explicit windows, never as limits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "LogPeriodicReport",
     "PowerLawFit",
     "SpectrumReport",
-    "WeylPrediction",
     "fit_power_law",
     "kyfan_check",
     "log_periodic_residual",
@@ -66,10 +66,8 @@ class PowerLawFit:
 
 @dataclass(eq=False)
 class SpectrumReport:
-    """Eigenvalue lists, counting samples, and the default decay fit."""
+    """Singular values, counting samples, and the default decay fit."""
 
-    positives: np.ndarray
-    negatives: np.ndarray
     singulars: np.ndarray
     counting: np.ndarray  # columns: lambda, n_plus, n_minus, n
     fit: PowerLawFit | None
@@ -87,30 +85,15 @@ class KyFanReport:
 class LogPeriodicReport:
     """Rescaled counting residual against log(lambda).
 
-    ``log_lambda`` and ``residual`` sample ``n(lambda) lambda^d - mean``;
-    ``period`` is the dominant period in log(lambda) from a Lomb-Scargle
-    scan; ``maxmin_ratio`` is max/min of ``n(lambda) lambda^d`` over the
-    central two decades.
+    ``residual`` samples ``n(lambda) lambda^d - mean`` at the kept
+    lambdas; ``period`` is the dominant period in log(lambda) from a
+    Lomb-Scargle scan; ``maxmin_ratio`` is max/min of
+    ``n(lambda) lambda^d`` over the central two decades.
     """
 
-    log_lambda: np.ndarray
     residual: np.ndarray
     period: float
     maxmin_ratio: float
-
-
-@dataclass(eq=False)
-class WeylPrediction:
-    """Predicted asymptotic coefficient from atomwise symbol densities.
-
-    ``coefficient_both`` records the value with and without the extra
-    ``(2 pi)^(-d)`` prefactor; acceptance binds only to orders and ratios,
-    so both conventions are carried.
-    """
-
-    omega_values: np.ndarray
-    theta: float
-    coefficient_both: dict[str, float]
 
 
 def _counting_grid(values: np.ndarray, num: int = 160) -> np.ndarray:
@@ -154,10 +137,8 @@ def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
         fit = fit_power_law(sing, floor=lvl)
     except (NumericalError, ValidationError):
         fit = None
-    return SpectrumReport(
-        positives=pos, negatives=neg, singulars=sing, counting=counting,
-        fit=fit, floor=lvl,
-    )
+    return SpectrumReport(singulars=sing, counting=counting, fit=fit,
+                          floor=lvl)
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -256,7 +237,7 @@ def _ascending_singulars(mat: np.ndarray) -> np.ndarray:
 def _count_above(ascending: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # strict comparison with a hair of slack so exact ties never overcount
     return ascending.size - np.searchsorted(ascending, lam * (1.0 + 1e-12),
-                                            side="right")
+                                            "right")
 
 
 def kyfan_check(
@@ -374,8 +355,7 @@ def log_periodic_residual(
     if y_win.size == 0 or y_win.min() <= 0:
         raise NumericalError("rescaled counting not positive on the window")
     ratio = float(y_win.max() / y_win.min())
-    return LogPeriodicReport(log_lambda=x, residual=resid, period=period,
-                             maxmin_ratio=ratio)
+    return LogPeriodicReport(residual=resid, period=period, maxmin_ratio=ratio)
 
 
 def _r_fiber(a_mat: np.ndarray, xi: np.ndarray, nu: np.ndarray) -> float:
@@ -454,23 +434,24 @@ def weyl_prediction(
     theta: float,
     coeffs: np.ndarray | None = None,
     normals: np.ndarray | None = None,
-    side: str = "+",
-) -> WeylPrediction:
-    """Predicted counting coefficient ``sum_k w_k omega(X_k) ((V2-V1)_pm)^theta``.
+) -> dict[str, float]:
+    """Predicted counting coefficient ``sum_k w_k omega(X_k) |V2 - V1|^theta``.
 
-    The measure must be a hypersurface (``nominal_dim == N - 1``). With no
-    ``coeffs`` the symbol is the Laplacian, for which the fiber integral is
-    direction-free and no normals are needed; anisotropic symbols require
-    per-atom ``normals``. ``coeffs`` is one (N, N) tensor or one per atom.
-    Both prefactor conventions are recorded in ``coefficient_both``.
+    The singular values of the difference of the two resolvents count
+    both signs of V1 - V2, so every atom enters with the magnitude of its
+    gap. The measure must be a hypersurface (``nominal_dim == N - 1``).
+    With no ``coeffs`` the symbol is the Laplacian, for which the fiber
+    integral is direction-free and no normals are needed; anisotropic
+    symbols require per-atom ``normals``. ``coeffs`` is one (N, N) tensor
+    or one per atom. The result holds the coefficient under both prefactor
+    conventions, ``"without"`` and ``"with_2pi_d"`` (times ``(2 pi)^(-d)``);
+    acceptance binds only to orders and ratios.
     """
     n_dim = m.ambient_dim
     if abs(m.nominal_dim - (n_dim - 1)) > 1e-12:
         raise ValidationError(
             "weyl_prediction needs a hypersurface measure (nominal_dim = N - 1)"
         )
-    if side not in ("+", "-"):
-        raise ValidationError("side must be '+' or '-'")
 
     k = m.count
     if coeffs is None:
@@ -493,12 +474,9 @@ def weyl_prediction(
     omega = np.array([
         weyl_density(tensors[i], normals[i], theta) for i in range(k)
     ])
-    diff = p2.values - p1.values
-    part = np.maximum(diff, 0.0) if side == "+" else np.maximum(-diff, 0.0)
-    base = float(m.weights @ (omega * part ** theta))
-    d = m.nominal_dim
-    both = {
+    gap = np.abs(p2.values - p1.values)
+    base = float(m.weights @ (omega * gap ** theta))
+    return {
         "without": base,
-        "with_2pi_d": base * (2.0 * np.pi) ** (-d),
+        "with_2pi_d": base * (2.0 * np.pi) ** (-m.nominal_dim),
     }
-    return WeylPrediction(omega_values=omega, theta=theta, coefficient_both=both)

@@ -501,6 +501,21 @@ def test_file_weight_resolves_relative_to_config(tmp_path):
     assert written.splitlines()[0].endswith(",V")
 
 
+def test_weight_file_without_its_sidecar_exits_2(tmp_path, capsys):
+    # a weight file is a measure CSV with its JSON sidecar, as run writes
+    # measure.csv and measure.json; the CSV alone is an input error
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, 1.0))
+    (tmp_path / "v.json").unlink()
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "v.json" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_non_number_weight_cell_exits_2(tmp_path, capsys):
     seg = segment_measure(np.array([[0.25], [0.75]]), 24)
     write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, 1.0))
@@ -591,17 +606,30 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_sweep_checks_the_base_config_before_the_first_run(tmp_path, capsys):
-    # the base config names the sweep directory: its missing weight file
-    # exits 2 before the run of the one valid value is written
+@pytest.mark.parametrize("weights, axis, values, message", [
+    ({"V1": {"kind": "file", "path": "missing.csv"}}, "weights.V1.path",
+     '"w.csv"', "missing.csv"),
+    (7, "weights", "{}", "weights must be an object"),
+    ({"V1": {}}, "weights", "{}", "weights.V1 must be an object"),
+    ({"V1": {"kind": "file", "path": 0}}, "weights.V1.path", '"w.csv"',
+     "weights.V1.path must be a string"),
+    ({"V1": {"kind": "file"}}, "weights", "{}",
+     "weights.V1.path must be a string"),
+], ids=["missing_file", "weights_not_object", "weight_without_kind",
+        "path_not_string", "file_without_path"])
+def test_sweep_checks_the_base_config_before_the_first_run(
+        tmp_path, capsys, weights, axis, values, message):
+    # the base config names the sweep directory: a weights section its
+    # key cannot read exits 2 before the run of the one valid value is
+    # written, even where the swept value replaces the malformed entry
     seg = segment_measure(np.array([[0.25], [0.75]]), 24)
     write_measure(seg, tmp_path / "w.csv", Perturbation.constant(seg, 1.0))
-    cfg = base_config(weights={"V1": {"kind": "file", "path": "missing.csv"}})
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, base_config(weights=weights))
     out = tmp_path / "runs"
-    assert main(["sweep", str(path), "--axis", "weights.V1.path",
-                 "--values", '"w.csv"', "--out", str(out)]) == 2
-    assert "missing.csv" in capsys.readouterr().err
+    assert main(["sweep", str(path), "--axis", axis, "--values", values,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not out.exists() or not any(out.iterdir())
 
 

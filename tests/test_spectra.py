@@ -90,8 +90,6 @@ def test_fit_input_validation():
 def test_spectrum_sign_split_and_counting():
     k = np.diag([3.0, 1.0, -2.0, 1e-15])
     rep = spectrum(k)
-    assert np.allclose(rep.positives, [3.0, 1.0])
-    assert np.allclose(rep.negatives, [2.0])
     assert np.allclose(rep.singulars, [3.0, 2.0, 1.0])
     assert rep.fit is None  # far too few values for a default fit
     assert rep.counting.shape[1] == 4
@@ -118,8 +116,9 @@ def test_counting_matches_loop_reference():
     b = rng.standard_normal((12, 12))
     for k in (b + b.T, np.diag([2.0, 2.0, -2.0, 1.0, -1.0, 0.5])):
         rep = spectrum(k)
-        for col, vals in ((1, rep.positives), (2, rep.negatives),
-                          (3, rep.singulars)):
+        eig = np.linalg.eigvalsh(k)
+        pos, neg = eig[eig > rep.floor], -eig[eig < -rep.floor]
+        for col, vals in ((1, pos), (2, neg), (3, np.concatenate([pos, neg]))):
             want = [np.count_nonzero(vals > lam) for lam in rep.counting[:, 0]]
             assert np.array_equal(rep.counting[:, col], want)
 
@@ -304,21 +303,27 @@ def test_weyl_prediction_constant_weight_segment():
     pred = weyl_prediction(seg, p1, p2, theta)
     omega = 0.25**theta / np.pi
     expected = omega * 2.0**theta * seg.mass
-    assert pred.coefficient_both["without"] == pytest.approx(expected, rel=1e-12)
-    assert pred.coefficient_both["with_2pi_d"] == pytest.approx(
+    assert pred["without"] == pytest.approx(expected, rel=1e-12)
+    assert pred["with_2pi_d"] == pytest.approx(
         expected / (2.0 * np.pi), rel=1e-12
     )
-    assert np.allclose(pred.omega_values, omega)
 
 
 def test_weyl_prediction_sides():
+    # singular values count both signs of V1 - V2, so a mixed-sign gap
+    # enters through its magnitude and swapping the weights changes nothing
+    theta = 0.5
     seg = segment_measure(np.array([[0.0, 0.0], [1.0, 0.0]]), 8)
-    p1 = Perturbation.constant(seg, 1.0)
-    p2 = Perturbation.constant(seg, 0.0)  # V2 - V1 = -1
-    plus = weyl_prediction(seg, p1, p2, 0.5, side="+")
-    minus = weyl_prediction(seg, p1, p2, 0.5, side="-")
-    assert plus.coefficient_both["without"] == 0.0
-    assert minus.coefficient_both["without"] > 0.0
+    p1 = Perturbation(seg, np.array([1.0, -0.5, 2.0, 0.4, 0.3, -1.2, 0.7, 1.5]))
+    p2 = Perturbation.constant(seg, 0.4)
+    pred = weyl_prediction(seg, p1, p2, theta)
+    omega = 0.25**theta / np.pi
+    expected = float(seg.weights @ (omega * np.abs(p2.values - p1.values)
+                                    ** theta))
+    assert pred["without"] == pytest.approx(expected, rel=1e-12)
+    assert pred["with_2pi_d"] == pytest.approx(
+        expected / (2.0 * np.pi), rel=1e-12)
+    assert weyl_prediction(seg, p2, p1, theta) == pred
 
 
 def test_weyl_prediction_requires_hypersurface():
@@ -339,6 +344,6 @@ def test_weyl_prediction_anisotropic_needs_normals():
     normals = np.tile([0.0, 1.0], (6, 1))
     pred = weyl_prediction(seg, p1, p2, 0.5, coeffs=tensor, normals=normals)
     r = 0.5 / (4.0 * 1.0**1.5)
-    assert pred.coefficient_both["without"] == pytest.approx(
+    assert pred["without"] == pytest.approx(
         math.sqrt(r) / np.pi * seg.mass, rel=1e-12
     )
