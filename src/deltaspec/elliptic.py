@@ -174,9 +174,10 @@ class OperatorMatrix:
     small-N oracle) are built only when first asked for. Besides these the
     instance keeps one atom-side slot, owned by
     :mod:`deltaspec.birman_schwinger`: what was computed of A on every
-    atom of the last restriction content used (the R factor of the
-    Birman-Schwinger core, X = A^(-1) gamma', G, the Krylov basis and the
-    chain A^(-j) gamma', each built on first use), whatever the weights.
+    atom of the last restriction content used (X = A^(-1) gamma', G, the
+    factor R of the Birman-Schwinger core, taken from the
+    eigendecomposition of G, the Krylov basis and the chain
+    A^(-j) gamma', each built on first use), whatever the weights.
     ``band`` is read-only, so nothing kept can go stale.
     """
 
@@ -223,11 +224,6 @@ class OperatorMatrix:
                 y[i] -= low[i].T @ y[i + 1]
             y[i] = inv[i].T @ y[i]
         return self._join(y, rhs)
-
-    def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply L^(-1), A = L L' the Cholesky factor (a forward sweep)."""
-        inv, low = self._cholesky()
-        return self._join(_forward(inv, low, self._split(rhs, inv.shape)), rhs)
 
     def _split(self, rhs, shape):
         # rhs as (blocks, block size, columns), zero-padded past the end

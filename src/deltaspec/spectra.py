@@ -471,9 +471,13 @@ def weyl_prediction(
     else:
         normals = np.asarray(normals, dtype=float).reshape(k, n_dim)
 
+    # one density per distinct (tensor, normal) pair, scattered back
+    pairs = np.concatenate([tensors.reshape(k, -1), normals], axis=1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True,
+                                  return_inverse=True)
     omega = np.array([
-        weyl_density(tensors[i], normals[i], theta) for i in range(k)
-    ])
+        weyl_density(tensors[i], normals[i], theta) for i in first
+    ])[inverse.ravel()]
     gap = np.abs(p2.values - p1.values)
     base = float(m.weights @ (omega * gap ** theta))
     return {

@@ -196,10 +196,17 @@ def _signed(m, seed):
 
 
 def _reference_core(t_op):
-    # the per-weight formula: a forward sweep of gamma' and its QR for
-    # each weight, with the full density
-    y = t_op.operator.solve_lower(t_op.restriction.adjoint())
-    r = np.linalg.qr(y, mode="r")
+    # the per-weight formula: G = gamma A^-1 gamma' (A^-1 itself when the
+    # nodes serve as atoms), its eigendecomposition G = U W U' and
+    # R = (U W^1/2)' (times gamma' for the node basis), largest eigenvalue
+    # first, with the full density
+    a, gam = t_op.operator, t_op.restriction
+    nodes = len(gam.cols) >= a.size
+    x = a.solve(np.eye(a.size) if nodes else gam.apply(np.eye(a.size)).T)
+    g = x if nodes else gam.apply(x)
+    w, u = np.linalg.eigh(0.5 * (g + g.T))
+    r = (u * np.sqrt(np.clip(w, 0.0, None)))[:, ::-1]
+    r = (gam.apply(r) if nodes else r).T
     core = (r * t_op.density) @ r.T
     return 0.5 * (core + core.T)
 
@@ -227,22 +234,23 @@ def test_core_and_margin_match_the_per_weight_formula(case):
         assert margin == _reference_margin(t_op)
 
 
-def test_weights_on_one_support_take_one_qr(monkeypatch):
-    # the R factor depends on A and the atoms only: several signed weights,
-    # on every atom and on different supports, their margins and the
-    # reports after them take one QR of L^-1 gamma'
+def test_weights_on_one_support_take_one_eigendecomposition_of_g(
+        monkeypatch):
+    # R depends on A and the atoms only: several signed weights, on every
+    # atom and on different supports, their margins and the reports after
+    # them take one k x k eigendecomposition, that of G
     from deltaspec import power_difference, resolvent_difference
 
     a, gam, m = _side_setup("2d")
     calls = []
-    qr = np.linalg.qr
+    eigh = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        if kwargs.get("mode") == "r":
+    def counting(x, *args, **kwargs):
+        if np.shape(x) == (m.count, m.count):
             calls.append(1)
-        return qr(*args, **kwargs)
+        return eigh(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     atom = np.arange(m.count)
     supports = (atom >= 0, atom >= 0, atom >= 0, atom % 3 != 0,
                 atom < m.count // 2)
@@ -254,6 +262,46 @@ def test_weights_on_one_support_take_one_qr(monkeypatch):
         resolvent_difference(a, t_op)
         power_difference(a, t_op, 2)
     assert len(calls) == 1
+
+
+def _oracle_spectrum(a, gam, density):
+    # the dense path the factor used to take: A = L L' by numpy's Cholesky,
+    # Y = L^-1 gamma' = Q_Y R (thin QR) and the eigenvalues of R D R'
+    y = np.linalg.solve(np.linalg.cholesky(a.matrix), gam.adjoint())
+    r = np.linalg.qr(y, mode="r")
+    core = (r * density) @ r.T
+    return np.linalg.eigvalsh(0.5 * (core + core.T))
+
+
+def _shared_cell_setup():
+    # 1D, 32 nodes, 12 atoms: atoms 3 and 4 coincide, and atoms 7, 8 and 9
+    # lie in one cell, so gamma has dependent rows and G is singular
+    g = Grid(np.array([[0.0, 1.0]]), (32,))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=1.0))
+    x = np.linspace(0.1, 0.9, 12)
+    x[4] = x[3]
+    x[7:10] = [0.59, 0.595, 0.6]
+    m = DiscreteMeasure(x[:, None], np.full(12, 0.8 / 12), nominal_dim=1.0)
+    return a, restriction_matrix(g, m), m
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES) + ["shared-cell"])
+def test_core_spectrum_matches_the_dense_qr_oracle(case):
+    # signed weights, on every atom and zero on every third atom: the
+    # eigenvalues of R D R' agree with the dense QR path to 1e-12 of the
+    # largest one, also where G is singular
+    a, gam, m = (_shared_cell_setup() if case == "shared-cell"
+                 else _side_setup(case))
+    if case == "shared-cell":
+        g = gam.apply(a.solve(gam.adjoint()))
+        assert np.linalg.matrix_rank(g) == m.count - 2
+    values = _signed(m, 5).values
+    for weight in (values, values * (np.arange(m.count) % 3 != 0)):
+        t_op = bs_operator(a, gam, Perturbation(m, weight))
+        want = _oracle_spectrum(a, gam, t_op.density)
+        got = np.linalg.eigvalsh(t_op.core)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES))

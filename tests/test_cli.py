@@ -761,13 +761,24 @@ def test_weights_on_different_supports_share_one_side(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_krein_feller_run_solves_nothing_with_a(tmp_path, monkeypatch):
-    # the Birman-Schwinger core needs only R, a forward sweep: no X
+def test_krein_feller_run_solves_gamma_once_and_takes_no_qr(tmp_path,
+                                                           monkeypatch):
+    # the Birman-Schwinger core needs R'R = G = gamma X: one solve of the
+    # k columns of gamma' for X, and no QR of an N x k array
     cfg = base_config(weights={"V1": {"kind": "random", "scale": 0.5}},
                       tasks=["krein_feller"])
-    solved = _counting(monkeypatch, elliptic.OperatorMatrix, "solve")
+    columns = []
+    solve = elliptic.OperatorMatrix.solve
+
+    def counting(self, rhs):
+        columns.append(np.shape(rhs)[1:])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
+    qr = _counting(monkeypatch, np.linalg, "qr")
     run_manifest(tmp_path, cfg)
-    assert solved == []
+    assert columns == [(cfg["measure"]["count"],)]
+    assert qr == []
 
 
 def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,

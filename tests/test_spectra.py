@@ -10,6 +10,7 @@ from deltaspec import (
     NumericalError,
     Perturbation,
     ValidationError,
+    boundary_measure,
     fit_power_law,
     kyfan_check,
     lebesgue_measure,
@@ -324,6 +325,53 @@ def test_weyl_prediction_sides():
     assert pred["with_2pi_d"] == pytest.approx(
         expected / (2.0 * np.pi), rel=1e-12)
     assert weyl_prediction(seg, p2, p1, theta) == pred
+
+
+def _per_atom_prediction(m, p1, p2, theta, tensors, normals):
+    # the prediction with one weyl_density call per atom
+    omega = np.array([weyl_density(tensors[i], normals[i], theta)
+                      for i in range(m.count)])
+    base = float(m.weights @ (omega * np.abs(p2.values - p1.values)
+                              ** theta))
+    return {"without": base,
+            "with_2pi_d": base * (2.0 * np.pi) ** (-m.nominal_dim)}
+
+
+def test_weyl_prediction_takes_one_density_per_distinct_pair(monkeypatch):
+    # the 17^3 box boundary (1538 atoms) under a constant symbol needs one
+    # density; a 2D box boundary under an anisotropic tensor, with the
+    # outer normal of each side and a diagonal one at each corner, needs one
+    # per distinct normal. Both equal the per-atom loop bit for bit
+    import deltaspec.spectra as spectra
+
+    calls = []
+    monkeypatch.setattr(spectra, "weyl_density",
+                        lambda *args: calls.append(1) or weyl_density(*args))
+
+    box = boundary_measure(Grid(np.array([[0.0, 1.0]] * 3), (17, 17, 17)))
+    assert box.count == 1538
+    p1 = Perturbation.constant(box, 1.0)
+    p2 = Perturbation(box, 1.0 + np.linspace(0.5, 2.0, box.count))
+    want = _per_atom_prediction(box, p1, p2, 2.0 / 3.0,
+                                [np.eye(3)] * box.count,
+                                [np.eye(3)[0]] * box.count)
+    assert weyl_prediction(box, p1, p2, 2.0 / 3.0) == want
+    assert len(calls) == 1
+
+    square = boundary_measure(Grid(np.array([[0.0, 1.6], [0.0, 1.0]]),
+                                   (9, 7)))
+    x, y = square.atoms.T
+    normals = np.column_stack([(x > 1.5).astype(float) - (x < 0.1),
+                               (y > 0.9).astype(float) - (y < 0.1)])
+    tensor = np.array([[2.0, 0.3], [0.3, 0.5]])
+    p1 = Perturbation.constant(square, 3.0)
+    p2 = Perturbation(square, np.linspace(0.0, 1.0, square.count))
+    want = _per_atom_prediction(square, p1, p2, 0.5,
+                                [tensor] * square.count, normals)
+    calls.clear()
+    assert weyl_prediction(square, p1, p2, 0.5, coeffs=tensor,
+                           normals=normals) == want
+    assert len(calls) == len(np.unique(normals, axis=0)) == 8
 
 
 def test_weyl_prediction_requires_hypersurface():
