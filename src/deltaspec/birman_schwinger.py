@@ -18,11 +18,11 @@ returns it for a weight. The dense sandwich is formed only when
 This module owns the one path from A to the atoms: the atom-side slot an
 ``OperatorMatrix`` keeps. The slot holds what depends on A and the atoms
 of one restriction but not on the weights: X = A^(-1) gamma',
-G = gamma X, the factor R of the core (R'R = G), the orthonormal Krylov
-basis of the resolvent reports and the chain A^(-j) gamma', each built
-on first use. It covers every atom of the restriction; a weight enters
-only through D, so its zeros are zero entries of D and every weight on
-the measure reads the same side. The slot is keyed by the restriction's
+G = gamma X, the factor R of the core (R'R = G) and the orthonormal
+Krylov basis of the resolvent reports, each built on first use. It
+covers every atom of the restriction; a weight enters only through D, so
+its zeros are zero entries of D and every weight on the measure reads
+the same side. The slot is keyed by the restriction's
 content (``cols`` and ``vals``), and a lookup with another key replaces
 it. It is instance state, not a global cache: it lives and dies with its
 operator and needs no invalidation, since ``band`` and the
@@ -178,8 +178,8 @@ class BSOperator:
 class _AtomSide:
     """What the reports need of A on the atoms of one restriction.
 
-    ``power(a, j)`` is A^(-j) gamma' (X for j = 1), ``g(a)`` is
-    G = gamma X, ``r(a)`` is a factor R'R = G on the atoms from the
+    ``x(a)`` is X = A^(-1) gamma', ``g(a)`` is G = gamma X, ``r(a)`` is
+    a factor R'R = G on the atoms from the
     eigendecomposition of ``g(a)``, and ``basis(a, m)`` is the
     orthonormal basis Q of span{A^(-j) gamma' : j <= m}. Each is built on
     first use, from the A passed in, which is the operator keeping this
@@ -194,7 +194,7 @@ class _AtomSide:
         self.nodes = len(restriction.cols) >= size
         self._blocks = np.zeros((size, 0))
         self._widths: list[int] = []
-        self._chain: list[np.ndarray] = []
+        self._x = None
         self._g = None
         self._r = None
 
@@ -208,17 +208,15 @@ class _AtomSide:
         """gamma f (f itself for the node basis)."""
         return f if self.nodes else self.restriction.apply(f)
 
-    def power(self, a: OperatorMatrix, j: int) -> np.ndarray:
-        """A^(-j) gamma', extending the chain as needed."""
-        if not self._chain:
-            self._chain.append(a.solve(self.adjoint()))
-        while len(self._chain) < j:
-            self._chain.append(a.solve(self._chain[-1]))
-        return self._chain[j - 1]
+    def x(self, a: OperatorMatrix) -> np.ndarray:
+        """X = A^(-1) gamma'."""
+        if self._x is None:
+            self._x = a.solve(self.adjoint())
+        return self._x
 
     def g(self, a: OperatorMatrix) -> np.ndarray:
         if self._g is None:
-            self._g = _sym(self.gamma(self.power(a, 1)))
+            self._g = _sym(self.gamma(self.x(a)))
         return self._g
 
     def r(self, a: OperatorMatrix) -> np.ndarray:
@@ -253,7 +251,7 @@ class _AtomSide:
         while len(self._widths) < m:
             q = self._blocks
             block = (a.solve(q[:, q.shape[1] - self._widths[-1]:])
-                     if self._widths else self.power(a, 1))
+                     if self._widths else self.x(a))
             scale = float(np.sqrt((block * block).sum(axis=0)).max())
             for _ in range(2):
                 block = block - q @ (q.T @ block)

@@ -277,18 +277,18 @@ def _weight(spec, where, measure, grid, rng, base_dir) -> Perturbation:
                             np.abs(vals) if spec.get("nonneg") else vals)
     if kind == "file":
         _check_keys(spec, where, ["kind", "path"])
-        m_file, p_file = read_measure(_weight_file(spec, where, base_dir))
-        if p_file is None:
+        atoms, _, values = read_measure(_weight_file(spec, where, base_dir))
+        if values is None:
             raise ValidationError(f"{spec['path']} has no V column")
         # the values belong to the file's atoms, so those must be the
         # measure's atoms, each coordinate to 1e-12 of the bbox span
         span = grid.bbox[:, 1] - grid.bbox[:, 0]
-        if (m_file.atoms.shape != measure.atoms.shape or np.any(
-                np.abs(m_file.atoms - measure.atoms) > 1e-12 * span)):
+        if (atoms.shape != measure.atoms.shape or np.any(
+                np.abs(atoms - measure.atoms) > 1e-12 * span)):
             raise ValidationError(
-                f"the {m_file.count} atoms of {spec['path']} are not the "
+                f"the {len(atoms)} atoms of {spec['path']} are not the "
                 f"{measure.count} atoms of the measure")
-        return Perturbation(measure, p_file.values)
+        return Perturbation(measure, values)
     raise ValidationError(f"unknown weight kind {kind!r} in {where}")
 
 
@@ -373,6 +373,10 @@ def validate_config(cfg, base_dir=".") -> dict:
                    integers=["window"])
     if not 0 <= given.get("head_drop", 0) < 1:
         raise ValidationError("analysis.head_drop must lie in [0, 1)")
+    if "window" in given and "head_drop" in given:
+        raise ValidationError(
+            "analysis.window and analysis.head_drop both choose the fit "
+            "window; set at most one")
     if given.get("floor", 0) < 0:
         raise ValidationError("analysis.floor must be nonnegative")
 

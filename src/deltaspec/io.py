@@ -1,9 +1,10 @@
 """CSV and JSON serialization with bit-exact float round-trips.
 
 Floats are written with 17 significant digits ("%.17g"), which is enough
-for float64 to survive a write/read cycle unchanged. Measures pair a CSV
-(columns x_1..x_N, weight, optionally V) with a JSON sidecar carrying
-{label, nominal_dim, bbox}. Spectra export as (j, s_j) and counting tables
+for float64 to survive a write/read cycle unchanged. Measures are written
+as a CSV (columns x_1..x_N, weight, optionally V) with a JSON sidecar
+carrying {label, nominal_dim, bbox} for the reader of a run; reading one
+back takes the CSV alone. Spectra export as (j, s_j) and counting tables
 as (lambda, n_plus, n_minus, n). All writers emit "\n" line endings and
 sorted JSON keys so identical inputs yield identical bytes.
 """
@@ -38,10 +39,6 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
 def write_measure(
     m: DiscreteMeasure,
     path: str | Path,
@@ -70,13 +67,15 @@ def write_measure(
         "nominal_dim": m.nominal_dim,
         "bbox": None if m.bbox is None else m.bbox.tolist(),
     }
-    side_path = _sidecar_path(path)
-    write_json(sidecar, side_path)
-    return side_path
+    return write_json(sidecar, path.with_suffix(".json"))
 
 
-def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None]:
-    """Read a measure CSV and its sidecar back; inverse of write_measure."""
+def read_measure(path: str | Path
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Read a measure CSV back: its atoms (k x N), weights and V column
+    (None when there is none). Only the CSV is read, not the sidecar
+    ``write_measure`` writes beside it; every cell must be a finite
+    number."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -96,28 +95,9 @@ def read_measure(path: str | Path) -> tuple[DiscreteMeasure, Perturbation | None
         raise ValidationError(f"{path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValidationError("ragged measure CSV")
-
-    side_path = _sidecar_path(path)
-    side = read_json(side_path, "measure sidecar")
-    if "nominal_dim" not in side:
-        raise ValidationError(f"measure sidecar {side_path} has no nominal_dim")
-    bbox = side.get("bbox")
-    try:
-        nominal_dim = float(side["nominal_dim"])
-        bbox = None if bbox is None else np.asarray(bbox, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"measure sidecar {side_path}: nominal_dim and bbox must be "
-            f"numbers: {exc}") from exc
-    m = DiscreteMeasure(
-        atoms=data[:, :n],
-        weights=data[:, n],
-        nominal_dim=nominal_dim,
-        label=str(side.get("label", "")),
-        bbox=bbox,
-    )
-    p = Perturbation(m, data[:, n + 1]) if has_v else None
-    return m, p
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: cells must be finite numbers")
+    return data[:, :n], data[:, n], data[:, n + 1] if has_v else None
 
 
 def write_singular_values(values: np.ndarray, path: str | Path) -> Path:

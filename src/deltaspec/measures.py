@@ -7,6 +7,9 @@ segments, box-boundary surface measures, Lebesgue measure on a grid
 (see :func:`deltaspec.elliptic.lebesgue_measure`), and unions.
 ``estimate_ahlfors_constants`` probes the two-sided regularity bounds
 ``A- * r^d <= mu(B(x, r)) <= A+ * r^d`` by brute-force ball counting.
+``solve_moran_dimension`` finds the dimension of a self-similar measure
+by bisection to the last bit; :func:`deltaspec.weights.lp_theta_norm`
+takes its Luxemburg root from the same bisection.
 """
 
 from __future__ import annotations
@@ -163,58 +166,22 @@ class AhlforsReport:
     upper_const: float
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float,
-            xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f between xa and xb by Brent's method.
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a decreasing f, to the last bit.
 
-    A line-for-line port of the iteration behind SciPy's ``brentq``
-    (same bracket updates, tolerance ``(xtol + rtol |x|) / 2`` and step
-    rules), so it returns the same float for the same f. f(xa) and f(xb)
-    must differ in sign; NumericalError when they do not or after
-    ``maxiter`` steps without convergence.
+    Needs f(lo) > 0 >= f(hi). Halves the bracket until lo and hi are
+    adjacent floats and returns hi, where f <= 0 < f(lo). NumericalError
+    when the bracket does not straddle the root or f gives a NaN.
     """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericalError("brentq: f(a) and f(b) have the same sign")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise NumericalError(f"brentq: no convergence in {maxiter} iterations")
+    if not f(lo) > 0.0 >= f(hi):
+        raise NumericalError(
+            f"bisect: [{lo!r}, {hi!r}] does not bracket a root")
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        f_mid = f(mid)
+        if math.isnan(f_mid):
+            raise NumericalError(f"bisect: f({mid!r}) is NaN")
+        lo, hi = (mid, hi) if f_mid > 0.0 else (lo, mid)
+    return hi
 
 
 def solve_moran_dimension(ratios: Sequence[float]) -> float:
@@ -239,7 +206,7 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     hi = np.log(rho.size) / np.log(1.0 / rho.max()) + 1.0
     while f(hi) > 0:
         hi *= 2.0
-    d = _brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+    d = _bisect(f, 0.0, hi)
     assert abs(f(d)) <= 1e-12
     return float(d)
 

@@ -41,14 +41,17 @@ An ``OperatorMatrix`` keeps three things: its factor, its
 eigendecomposition (only if asked for) and one atom-side slot, which
 :mod:`deltaspec.birman_schwinger` owns, fills and keys by the restriction's
 content. The side covers every atom of the restriction, whatever the
-weights, and this module only reads it: X, G, the basis Q and the chain
-A^(-j) gamma', next to the R factor of the Birman-Schwinger core. The
-Krylov blocks of Q are grown one at a time, so the basis for m is the
-first columns of the basis for m + 1, and a report gets the same arrays
-whether the slot was warm or cold. Reports on one A and one measure (the
-tasks of a run, a sweep over weight values, a loop of weight draws)
-therefore build X, G, Q and the chain once, and the margin checks before
-them take R from the same slot.
+weights, and this module only reads it: X, G and the basis Q, next to
+the R factor of the Birman-Schwinger core. The Krylov blocks of Q are
+grown one at a time, so the basis for m is the first columns of the basis
+for m + 1, and a report gets the same arrays whether the slot was warm or
+cold. Higher powers A^(-j) gamma' are not kept: X lies in the first block
+of Q (up to the directions below RANK_TOL it drops), so
+gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is read off the columns
+gamma A^(-j) Q a report forms anyway. Reports on one A and one
+measure (the tasks of a run, a sweep over weight values, a loop of weight
+draws) therefore build X, G and Q once, and the margin checks before them
+take R from the same slot.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -69,7 +72,7 @@ from .birman_schwinger import (
     positivity_margin,
 )
 from .elliptic import OperatorMatrix, dense_from_band, inverse_power
-from .errors import PositivityError, ValidationError
+from .errors import NumericalError, PositivityError, ValidationError
 
 __all__ = [
     "ResolventReport",
@@ -187,6 +190,8 @@ def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
     core ``identity`` with the direct core, and, for each A + C, the
     relative part of
     span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
+    NumericalError when a core or the residual is not finite, as when the
+    weight is so large that the cores or their norms overflow.
     """
     cores, gap = [], 0.0
     for t_op in (plus, minus):
@@ -216,11 +221,17 @@ def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
     else:
         disagreement = float(np.linalg.norm(identity - direct))
         disagreement /= scale if scale > 0 else 1.0
+    residual = max(disagreement, gap)
+    if not (np.isfinite(residual) and all(
+            np.isfinite(core).all() for core in (direct, *terms.values()))):
+        raise NumericalError(
+            f"a core or the residual ({residual}) of the difference is not "
+            "finite")
     return ResolventReport(
         basis=q,
         core=_sym(direct),
         term_cores={label: _sym(core) for label, core in terms.items()},
-        residual=max(disagreement, gap),
+        residual=residual,
     )
 
 
@@ -248,7 +259,7 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
-    p, g = q.T @ side.power(a, 1), side.g(a)
+    p, g = q.T @ side.x(a), side.g(a)
     main = cores[0] - cores[1] if t2 is not None else cores[0]
     z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
     terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
@@ -317,11 +328,12 @@ def power_difference(
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
     side, (s,), q = _atom_side(a, m, margin_threshold, t_op)
-    gamma, x = side.gamma, side.power(a, 1)
+    gamma, x = side.gamma, side.x(a)
     mm = _woodbury(side.g(a), s)
 
     # ys[j] = B^j Q for j = 1..m, so that Q' B^i W B^j Q = p[i+1]' D p[j+1]
-    # with p[j] = gamma B^j Q, and X' B^j X = gamma B^(j+1) gamma'
+    # with p[j] = gamma B^j Q, and X' B^j X = gamma B^(j+1) X = p[j+1] Q'X,
+    # since X lies in the first block of Q
     ys = [None, a.solve(q)]
     for _ in range(m - 1):
         ys.append(a.solve(ys[-1]))
@@ -329,11 +341,12 @@ def power_difference(
     bm = q.T @ ys[m]  # Q' B^m Q
 
     h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
+    qx = q.T @ x
     h3 = np.zeros_like(bm)
     for i in range(m - 1):
         for j in range(m - 1 - i):
             k = m - 2 - i - j
-            h3 += p[i + 1].T @ s @ gamma(side.power(a, j + 2)) @ s @ p[k + 1]
+            h3 += p[i + 1].T @ s @ (p[j + 1] @ qx) @ s @ p[k + 1]
 
     # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
     d_id = np.zeros_like(bm)

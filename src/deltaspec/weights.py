@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _brentq
+from .measures import DiscreteMeasure, _bisect
 
 __all__ = [
     "Perturbation",
@@ -56,8 +56,8 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
 
     theta > 1 gives ``(sum w |V|^theta)^(1/theta)``; theta < 1 falls back to
     the L_1 norm; theta == 1 is the Luxemburg norm
-    ``inf{lam > 0 : sum w Psi(|V|/lam) <= 1}`` solved by bracketing plus
-    Brent iteration to relative tolerance 1e-10.
+    ``inf{lam > 0 : sum w Psi(|V|/lam) <= 1}``, found by bisection to the
+    last bit: the result is feasible and the float below it is not.
     """
     if theta <= 0:
         raise ValidationError("theta must be positive")
@@ -78,14 +78,8 @@ def lp_theta_norm(p: Perturbation, theta: float) -> float:
     while g(hi) > 1.0:
         hi *= 2.0
     lo = hi
-    while g(lo) < 1.0:
+    while g(lo) <= 1.0:
         lo /= 2.0
         if lo < 1e-300:
             break
-    lam = _brentq(lambda x: g(x) - 1.0, lo, hi, rtol=1e-12, xtol=1e-300)
-    # report the infimum from the feasible side: nudge up until g <= 1
-    for _ in range(8):
-        if g(lam) <= 1.0:
-            break
-        lam *= 1.0 + 5e-12
-    return float(lam)
+    return _bisect(lambda x: g(x) - 1.0, lo, hi)

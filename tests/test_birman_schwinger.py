@@ -306,7 +306,7 @@ def test_core_spectrum_matches_the_dense_qr_oracle(case):
 
 @pytest.mark.parametrize("case", sorted(ATOM_SIDE_CASES))
 def test_core_on_a_warm_side_equals_a_cold_one(case):
-    # a side that reports have filled (X, G, the Krylov blocks, the chain)
+    # a side that reports have filled (X, G, the Krylov blocks)
     # and R built after them, against the core on a fresh A
     from deltaspec import power_difference
 

@@ -194,16 +194,19 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"measure": {"kind": "ifs", "depth": 14, "atom_cap": 16384, "maps": [
         {"ratio": 0.25, "translation": [0.0]},
         {"ratio": 0.25, "translation": [0.75]}]}},
+    {"analysis": {"window": [5, 25], "head_drop": 0.5}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
         "huge_integer", "one_map_ifs_depth", "head_drop_one",
         "head_drop_negative", "negative_floor", "weyl_check_without_v2",
-        "nonneg_string", "bbox_4d", "atom_cap"])
+        "nonneg_string", "bbox_4d", "atom_cap", "window_and_head_drop"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
-    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
 
 
 SEGMENT_2D = {"kind": "segment", "start": [0.1, 0.2], "end": [1.5, 0.2],
@@ -301,6 +304,26 @@ def test_null_analysis_values_mean_the_default(tmp_path):
     manifest, _ = run_manifest(tmp_path, cfg)
     default, _ = run_manifest(tmp_path, base_config(), name="default.json")
     assert manifest["tasks"][0]["summary"] == default["tasks"][0]["summary"]
+
+
+@pytest.mark.parametrize("task", ["resolvent_diff", "two_weight_diff"])
+@pytest.mark.parametrize("value", [1e308, 1e200])
+def test_overflowing_report_exits_4(tmp_path, capsys, value, task):
+    # 1e308 overflows the cores to inf and nan, 1e200 only the residual's
+    # norms; neither may end in a traceback or an Infinity in JSON
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.0]], "shape": [64]},
+        measure=dict(SEGMENT_1D, count=32),
+        weights={"V1": {"kind": "constant", "value": value},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=[task])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    with np.errstate(all="ignore"):
+        assert main(["run", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert not list(out.glob("*/manifest.json"))
 
 
 def test_hopeless_positivity_exits_3(tmp_path, capsys):
@@ -501,19 +524,22 @@ def test_file_weight_resolves_relative_to_config(tmp_path):
     assert written.splitlines()[0].endswith(",V")
 
 
-def test_weight_file_without_its_sidecar_exits_2(tmp_path, capsys):
-    # a weight file is a measure CSV with its JSON sidecar, as run writes
-    # measure.csv and measure.json; the CSV alone is an input error
+def test_weight_file_without_its_sidecar_runs(tmp_path):
+    # a weight file is read as the CSV alone: the sidecar that run writes
+    # beside measure.csv may be left out, and the run is the same
     seg = segment_measure(np.array([[0.25], [0.75]]), 24)
-    write_measure(seg, tmp_path / "v.csv", Perturbation.constant(seg, 1.0))
-    (tmp_path / "v.json").unlink()
+    write_measure(seg, tmp_path / "v.csv", Perturbation(
+        seg, np.linspace(0.1, 1.0, 24)))
     cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
     path = write_config(tmp_path, cfg)
-    out = tmp_path / "runs"
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "v.json" in err
-    assert not out.exists() or not any(out.iterdir())
+
+    def measure_csv(out):
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        return (out / config_hash(cfg, tmp_path) / "measure.csv").read_bytes()
+
+    with_sidecar = measure_csv(tmp_path / "with")
+    (tmp_path / "v.json").unlink()
+    assert measure_csv(tmp_path / "without") == with_sidecar
 
 
 def test_non_number_weight_cell_exits_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from deltaspec import (
     DiscreteMeasure,
@@ -210,61 +209,34 @@ def test_union_measure_adds():
     assert abs(u.mass - (a.mass + b.mass)) < 1e-14
 
 
-def _scipy_brentq(f, xa, xb, xtol, rtol):
-    return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
-
-
-def test_moran_root_is_scipy_brentq_float(monkeypatch):
-    # the port must return SciPy's float exactly: a root 2 ulp off changes
-    # every IFS weight and so every krein_feller artifact
+def test_moran_root_is_exact_to_the_last_bit():
+    # f(d) <= 0 and f is positive one ulp below d, so every IFS weight is
+    # as exact as the root can be
     rng = np.random.default_rng(2024)
     sets = [[1.0 / 3.0, 1.0 / 3.0], [0.5, 0.25]]
     for _ in range(400):
         m = int(rng.integers(2, 9))
         sets.append(list(rng.uniform(0.01, 0.99, m)))
         sets.append([float(rng.uniform(0.01, 1.0 / m))] * m)
-    ours = [solve_moran_dimension(rho) for rho in sets]
-    monkeypatch.setattr(measures, "_brentq", _scipy_brentq)
-    assert ours == [solve_moran_dimension(rho) for rho in sets]
-
-
-@pytest.mark.parametrize("f, xa, xb, xtol, rtol", [
-    (lambda x: x ** 3 - 2.0, 0.0, 2.0, 2e-12, 8.9e-16),
-    (lambda x: math.cos(x) - x, -1.0, 3.0, 1e-300, 1e-12),
-    (lambda x: math.exp(x) - 5.0, 10.0, -10.0, 1e-14, 8.9e-16),
-    (lambda x: x, -1.0, 2.0, 2e-12, 8.9e-16),  # root hit exactly
-    (lambda x: math.atan(x - 0.3), -1e3, 1e3, 1e-10, 1e-10),
-])
-def test_brentq_port_steps_like_scipy(f, xa, xb, xtol, rtol):
-    assert measures._brentq(f, xa, xb, xtol, rtol) == _scipy_brentq(
-        f, xa, xb, xtol, rtol)
-
-
-def test_brentq_port_matches_scipy_on_loose_tolerances():
-    # wide tolerances reach the step rules that tight ones rarely take,
-    # such as the - delta in the short-step test
-    rng = np.random.default_rng(8)
-    for _ in range(4000):
-        c0, c1, c2 = rng.standard_normal(3)
-        root = rng.uniform(-1.0, 1.0)
+    for rho in sets:
+        d = solve_moran_dimension(rho)
 
         def f(x):
-            return (x - root) * (c0 * c0 + 0.1 + c1 * c1 * (x - c2) ** 2)
+            return np.sum(np.asarray(rho) ** x) - 1.0
 
-        xa, xb = -rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0)
-        xtol = 10.0 ** rng.uniform(-6.0, -0.5)
-        assert measures._brentq(f, xa, xb, xtol, 1e-12) == _scipy_brentq(
-            f, xa, xb, xtol, 1e-12)
+        assert f(d) <= 0.0 < f(np.nextafter(d, 0.0)), rho
 
 
-def test_brentq_port_failures_are_numerical_errors():
-    with pytest.raises(NumericalError, match="same sign"):
-        measures._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
-    with pytest.raises(NumericalError, match="no convergence"):
-        measures._brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, 1e-300, 1e-15,
-                         maxiter=2)
-    with pytest.raises(NumericalError):
-        measures._brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-12)
+def test_bisect_failures_are_numerical_errors():
+    with pytest.raises(NumericalError, match="does not bracket"):
+        measures._bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(NumericalError, match="does not bracket"):
+        measures._bisect(lambda x: x - 0.5, 0.0, 1.0)  # increasing f
+    with pytest.raises(NumericalError, match="does not bracket"):
+        measures._bisect(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(NumericalError, match="NaN"):
+        measures._bisect(lambda x: 1.0 - x if x in (0.0, 2.0) else math.nan,
+                         0.0, 2.0)
 
 
 def test_min_spacing_is_the_nearest_neighbour_distance():

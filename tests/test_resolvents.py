@@ -1,5 +1,6 @@
 """Exact inverse-perturbation identities checked matrix against matrix."""
 
+import itertools
 import json
 
 import numpy as np
@@ -136,24 +137,30 @@ def test_power_difference_paths_agree(m_pow):
 
 
 def test_power_difference_m2_closed_form_terms():
-    # recombine the m = 2 expansion by hand from B, W, W'
+    # recombine the expansion by hand from B, W, W': (B - W + W')^m - B^m
+    # word by word, each word filed by its count of plain W factors. m = 3
+    # is the first power whose H3 needs X' B X, not only X' X
     g, a, m, gam = _setup(40)
     t_op = bs_operator(a, gam, _signed_perturbation(m, 12))
-    rep = power_difference(a, t_op, 2)
     b = a.solve(np.eye(40))
     root = inverse_power(a, 0.5)
     w_mat = root @ t_op.matrix @ root
     t_m = t_op.matrix
     inner = t_m @ np.linalg.solve(np.eye(40) + t_m, t_m)
-    w_prime = root @ inner @ root
-    h2 = -(b @ w_mat + w_mat @ b)
-    h3 = w_mat @ w_mat
-    h4 = b @ w_prime + w_prime @ b \
-        - (w_mat @ w_prime + w_prime @ w_mat) + w_prime @ w_prime
-    scale = np.abs(rep.difference).max()
-    assert np.max(np.abs(rep.terms["H2"] - h2)) < 1e-12 * scale
-    assert np.max(np.abs(rep.terms["H3"] - h3)) < 1e-12 * scale
-    assert np.max(np.abs(rep.terms["H4"] - h4)) < 1e-12 * scale
+    factors = {"B": b, "W": -w_mat, "P": root @ inner @ root}
+    for power in (2, 3):
+        rep = power_difference(a, t_op, power)
+        want = {"H2": 0.0, "H3": 0.0, "H4": 0.0}
+        for word in itertools.product("BWP", repeat=power):
+            if word == ("B",) * power:
+                continue
+            n_w = word.count("W")
+            label = f"H{n_w + 1}" if "P" not in word and n_w <= 2 else "H4"
+            want[label] = want[label] + np.linalg.multi_dot(
+                [factors[c] for c in word])
+        scale = np.abs(rep.difference).max()
+        for label, term in want.items():
+            assert np.max(np.abs(rep.terms[label] - term)) < 1e-12 * scale
 
 
 def test_nonnegative_v_orders_the_differences():
@@ -478,9 +485,9 @@ def test_robin_diff_matches_dense_inverses(tmp_path, v1):
     a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
     bnd = boundary_measure(g)
     gam = restriction_matrix(g, bnd)
-    _, p1 = read_measure(run_dir / "measure.csv")
+    _, _, v1_values = read_measure(run_dir / "measure.csv")
     t1, t2 = (bs_operator(a, gam, Perturbation(bnd, vals))
-              for vals in (p1.values, np.full(bnd.count, 3.0)))
+              for vals in (v1_values, np.full(bnd.count, 3.0)))
     got = np.loadtxt(run_dir / "robin_diff" / "singulars.csv", delimiter=",",
                      skiprows=1)[:, 1]
     for inv1, inv2 in (
