@@ -175,6 +175,34 @@ class BSOperator:
         return self._matrix
 
 
+def _orthonormal_block(block: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the part of ``block`` (N x k) outside the
+    orthonormal columns of ``q``, keeping the directions above RANK_TOL
+    of the block's scale (its largest column norm).
+
+    The block is projected twice off ``q``. The singular values s and
+    right vectors V come from the k x k triangular factor R of a QR of
+    the block (no N x k orthogonal factor is formed), and the kept left
+    vectors are ``block V / s``. Column i is off by about eps |block| /
+    s_i, so each kept component s_i u_i is reproduced to eps |block|, as
+    by an SVD of the block itself, and the columns are orthonormal to
+    about 1e-3 at worst. They are projected off ``q`` once more (a weak
+    direction carries back about eps/s of it) and one Cholesky QR pass,
+    ``U L'^(-1)`` with L L' = U'U, makes them orthonormal. The order is s
+    descending, so the last column is the block's weakest direction.
+    """
+    scale = float(np.sqrt((block * block).sum(axis=0)).max())
+    if q.shape[1]:
+        for _ in range(2):
+            block = block - q @ (q.T @ block)
+    _, s, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
+    keep = s > RANK_TOL * scale
+    u = block @ (vt[keep].T / s[keep])
+    if q.shape[1]:
+        u = u - q @ (q.T @ u)
+    return u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+
+
 class _AtomSide:
     """What the reports need of A on the atoms of one restriction.
 
@@ -238,13 +266,12 @@ class _AtomSide:
         Arnoldi; the identity for the node basis.
 
         The first block is X, and each further one is A^(-1) applied to the
-        last, projected twice off the basis so far; its SVD keeps the
-        directions above RANK_TOL of the block's scale, which are projected
-        once more (a weak direction carries back about eps/s of the basis)
-        and orthonormalized. The blocks are kept, so the basis for m is the
-        first columns of the basis for m + 1. The basis of every block
-        built is read-only and handed out as it is; a shorter one is
-        copied.
+        last, orthonormalized off the basis so far by
+        :func:`_orthonormal_block`, which keeps the directions above
+        RANK_TOL of the block's scale. The blocks are kept, so the basis
+        for m is the first columns of the basis for m + 1. The basis of
+        every block built is read-only and handed out as it is; a shorter
+        one is copied.
         """
         if self.nodes:
             return np.eye(a.size)
@@ -252,14 +279,9 @@ class _AtomSide:
             q = self._blocks
             block = (a.solve(q[:, q.shape[1] - self._widths[-1]:])
                      if self._widths else self.x(a))
-            scale = float(np.sqrt((block * block).sum(axis=0)).max())
-            for _ in range(2):
-                block = block - q @ (q.T @ block)
-            u, s, _ = np.linalg.svd(block, full_matrices=False)
-            block = u[:, s > RANK_TOL * scale]
+            block = _orthonormal_block(block, q)
             if block.shape[1] == 0:  # the span is exhausted
                 break
-            block = np.linalg.qr(block - q @ (q.T @ block))[0]
             self._blocks = np.hstack([q, block])
             self._blocks.setflags(write=False)
             self._widths.append(block.shape[1])

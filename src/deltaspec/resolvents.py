@@ -9,8 +9,10 @@ X = A^(-1) gamma' and G = gamma X. The Woodbury identity
 holds at matrix level, and every difference this module reports, powers
 included, has its range in span{A^(-j) gamma' : j <= m}, of dimension at
 most m rank(gamma). Each report builds an orthonormal basis Q of that span
-(block Arnoldi: a banded solve with A alternating with reorthogonalization)
-and evaluates the difference two ways, as r x r cores on Q:
+(block Arnoldi: a banded solve with A alternating with projection off the
+blocks so far and orthonormalization of the new block through its k x k
+triangular factor) and evaluates the difference two ways, as r x r cores
+on Q:
 
 * the identity path, through the Woodbury cores and their expansion into
   labeled terms;
@@ -178,6 +180,22 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
 
 
+def _sweep(op, q, side, m):
+    """``Q' op^(-m) Q`` and the largest relative part of op^(-j) gamma',
+    1 <= j <= m, outside Q (0 when ``side`` is None), from one sweep of
+    m solves over Q and the side's gamma' stacked next to it."""
+    r, gap = q.shape[1], 0.0
+    y = q if side is None else np.hstack([q, side.adjoint()])
+    for _ in range(m):
+        y = op.solve(y)
+        norm = float(np.linalg.norm(y[:, r:]))
+        if norm > 0:
+            outside = q @ (q.T @ y[:, r:])
+            outside -= y[:, r:]  # in place: minus the part outside Q
+            gap = max(gap, float(np.linalg.norm(outside)) / norm)
+    return q.T @ y[:, :r], gap
+
+
 def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
             ) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
@@ -191,26 +209,20 @@ def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
     relative part of
     span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
     NumericalError when a core or the residual is not finite, as when the
-    weight is so large that the cores or their norms overflow.
+    weight is so large that the cores or their norms overflow; the callers
+    run the identity path and this function with overflow and invalid
+    values silenced, so that error is all such a report prints.
     """
     cores, gap = [], 0.0
     for t_op in (plus, minus):
         if t_op is None and a_core is not None:
             cores.append(a_core)
             continue
-        op = a if t_op is None else t_op.perturbed
-        y = q
-        for _ in range(m):
-            y = op.solve(y)
-        cores.append(q.T @ y)
-        if t_op is None or q.shape[1] == q.shape[0]:
-            continue
-        y = side.adjoint()
-        for _ in range(m):
-            y = op.solve(y)
-            norm = float(np.linalg.norm(y))
-            if norm > 0:
-                gap = max(gap, float(np.linalg.norm(y - q @ (q.T @ y))) / norm)
+        checked = t_op is not None and q.shape[1] < q.shape[0]
+        core, op_gap = _sweep(a if t_op is None else t_op.perturbed, q,
+                              side if checked else None, m)
+        cores.append(core)
+        gap = max(gap, op_gap)
     direct = cores[0] - cores[1]
     # the inverses' norm scale: when both paths sit at or below its
     # rounding floor the difference is numerically zero and they agree
@@ -259,11 +271,12 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
-    p, g = q.T @ side.x(a), side.g(a)
-    main = cores[0] - cores[1] if t2 is not None else cores[0]
-    z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
-    terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-    return _report(a, q, side, 1, t2, t1, sum(terms.values()), terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _report
+        p, g = q.T @ side.x(a), side.g(a)
+        main = cores[0] - cores[1] if t2 is not None else cores[0]
+        z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
+        terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
+        return _report(a, q, side, 1, t2, t1, sum(terms.values()), terms)
 
 
 def resolvent_difference(
@@ -340,21 +353,22 @@ def power_difference(
     p = [None] + [gamma(y) for y in ys[1:]]
     bm = q.T @ ys[m]  # Q' B^m Q
 
-    h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
-    qx = q.T @ x
-    h3 = np.zeros_like(bm)
-    for i in range(m - 1):
-        for j in range(m - 1 - i):
-            k = m - 2 - i - j
-            h3 += p[i + 1].T @ s @ (p[j + 1] @ qx) @ s @ p[k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # see _report
+        h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
+        qx = q.T @ x
+        h3 = np.zeros_like(bm)
+        for i in range(m - 1):
+            for j in range(m - 1 - i):
+                k = m - 2 - i - j
+                h3 += p[i + 1].T @ s @ (p[j + 1] @ qx) @ s @ p[k + 1]
 
-    # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
-    d_id = np.zeros_like(bm)
-    bu = ys[1]
-    for i in range(m):
-        f = gamma(bu)
-        d_id -= f.T @ mm @ p[m - i]
-        if i < m - 1:
-            bu = a.solve(bu - x @ (mm @ f))
-    terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
-    return _report(a, q, side, m, t_op, None, d_id, terms, a_core=bm)
+        # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
+        d_id = np.zeros_like(bm)
+        bu = ys[1]
+        for i in range(m):
+            f = gamma(bu)
+            d_id -= f.T @ mm @ p[m - i]
+            if i < m - 1:
+                bu = a.solve(bu - x @ (mm @ f))
+        terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
+        return _report(a, q, side, m, t_op, None, d_id, terms, a_core=bm)

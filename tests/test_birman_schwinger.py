@@ -317,3 +317,51 @@ def test_core_on_a_warm_side_equals_a_cold_one(case):
     cold = bs_operator(a_cold, gam_cold, _signed(m, 11))
     assert warm.core.tobytes() == cold.core.tobytes()
     assert positivity_margin(warm) == positivity_margin(cold)
+
+
+# ----------------------------------------- orthonormalizing a Krylov block
+
+
+@pytest.mark.parametrize("floor, width", [(1e-8, 120), (1e-11, 120),
+                                          (1e-13, 115), (1e-15, 100),
+                                          (1e-17, 89)])
+def test_orthonormal_block_keeps_the_directions_of_the_block_svd(floor,
+                                                                 width):
+    # 1000 x 120 blocks with singular values graded from 1 down to the
+    # floor, which straddles RANK_TOL: the helper keeps as many directions
+    # as the SVD of the block would, orthonormal, and spans the block as
+    # well as the SVD's kept left vectors do
+    rng = np.random.Generator(np.random.Philox(0))
+    u = np.linalg.qr(rng.standard_normal((1000, 120)))[0]
+    v = np.linalg.qr(rng.standard_normal((120, 120)))[0]
+    block = (u * np.logspace(0, np.log10(floor), 120)) @ v.T
+    scale = float(np.sqrt((block * block).sum(axis=0)).max())
+    got = birman_schwinger._orthonormal_block(block, np.zeros((1000, 0)))
+    svd_u, s, _ = np.linalg.svd(block, full_matrices=False)
+    want = svd_u[:, s > birman_schwinger.RANK_TOL * scale]
+    assert got.shape == want.shape == (1000, width)
+    assert np.abs(got.T @ got - np.eye(width)).max() <= 1e-13
+
+    def outside(basis):
+        return np.linalg.norm(block - basis @ (basis.T @ block))
+
+    assert outside(got) <= 10 * outside(want)
+
+
+@pytest.mark.parametrize("case", ["box", "segment"])
+def test_krylov_blocks_keep_their_widths_and_are_orthonormal(case):
+    # the robin2d box boundary (41 x 41) and the segment2d-weyl segment
+    # (57 x 15, 64 atoms) at m = 3: each block is orthonormal and
+    # orthogonal to the earlier ones
+    if case == "box":
+        g = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (41, 41))
+        m, widths = boundary_measure(g), [160, 152, 144]
+    else:
+        g = Grid(np.array([[0.0, 1.6], [0.0, 0.4]]), (57, 15))
+        m = segment_measure(np.array([[0.3, 0.2], [1.3, 0.2]]), 64)
+        widths = [37, 37, 37]
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    side = birman_schwinger._atom_side_of(a, restriction_matrix(g, m))
+    q = side.basis(a, 3)
+    assert side._widths == widths
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13

@@ -306,11 +306,18 @@ def test_null_analysis_values_mean_the_default(tmp_path):
     assert manifest["tasks"][0]["summary"] == default["tasks"][0]["summary"]
 
 
-@pytest.mark.parametrize("task", ["resolvent_diff", "two_weight_diff"])
+@pytest.mark.parametrize("task", ["resolvent_diff", "two_weight_diff",
+                                  {"name": "power_diff", "m": 2},
+                                  "robin_diff"],
+                         ids=["resolvent_diff", "two_weight_diff",
+                              "power_diff", "robin_diff"])
 @pytest.mark.parametrize("value", [1e308, 1e200])
+@pytest.mark.filterwarnings("error")
 def test_overflowing_report_exits_4(tmp_path, capsys, value, task):
     # 1e308 overflows the cores to inf and nan, 1e200 only the residual's
-    # norms; neither may end in a traceback or an Infinity in JSON
+    # norms; neither may end in a traceback, a numpy warning (an error
+    # here, since pytest would otherwise keep it off stderr) or an
+    # Infinity in JSON: the error line is all that is printed
     cfg = base_config(
         domain={"bbox": [[0.0, 1.0]], "shape": [64]},
         measure=dict(SEGMENT_1D, count=32),
@@ -319,10 +326,9 @@ def test_overflowing_report_exits_4(tmp_path, capsys, value, task):
         tasks=[task])
     path = write_config(tmp_path, cfg)
     out = tmp_path / "runs"
-    with np.errstate(all="ignore"):
-        assert main(["run", str(path), "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert main(["run", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:"), err
     assert not list(out.glob("*/manifest.json"))
 
 
