@@ -176,8 +176,10 @@ class OperatorMatrix:
     :mod:`deltaspec.birman_schwinger`: what was computed of A on every
     atom of the last restriction content used (X = A^(-1) gamma', G, the
     factor R of the Birman-Schwinger core, taken from the
-    eigendecomposition of G, and the Krylov basis, each built on first
-    use), whatever the weights.
+    eigendecomposition of G, the Krylov basis Q and, per power m, A's
+    products on Q: A^(-1) Q, gamma A^(-j) Q for j <= m and Q' A^(-m) Q,
+    with no N-sized array for m = 1; each built on first use), whatever
+    the weights.
     ``band`` is read-only, so nothing kept can go stale.
     """
 

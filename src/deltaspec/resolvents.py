@@ -37,23 +37,29 @@ as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
 basis. Every solve goes through the block Cholesky factor of
 :class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i is factored once
 per weight and kept on its operator, so reports that share a weight share
-that factor. No report eigendecomposes A.
+that factor, and next to it, per power m, the core and gap of its sweep, so a
+second report on the same weight and power solves nothing with it. No
+report eigendecomposes A.
 
 An ``OperatorMatrix`` keeps three things: its factor, its
 eigendecomposition (only if asked for) and one atom-side slot, which
 :mod:`deltaspec.birman_schwinger` owns, fills and keys by the restriction's
 content. The side covers every atom of the restriction, whatever the
-weights, and this module only reads it: X, G and the basis Q, next to
-the R factor of the Birman-Schwinger core. The Krylov blocks of Q are
-grown one at a time, so the basis for m is the first columns of the basis
-for m + 1, and a report gets the same arrays whether the slot was warm or
-cold. Higher powers A^(-j) gamma' are not kept: X lies in the first block
-of Q (up to the directions below RANK_TOL it drops), so
-gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is read off the columns
-gamma A^(-j) Q a report forms anyway. Reports on one A and one
+weights, and this module only reads it: X, G, the basis Q and, per power
+m on the basis of that m, A's products A^(-1) Q, gamma A^(-j) Q for
+j <= m and Q' A^(-m) Q (no N-sized array for m = 1), next to the R
+factor of the Birman-Schwinger core. The Krylov blocks of Q are grown one
+at a time, so the basis for m is the first columns of the basis for
+m + 1; the products of m are built from that basis alone, never cut from
+a larger power's, so a report gets the same arrays whether the slot was
+warm or cold. X lies in the first block of Q (up to the directions below
+RANK_TOL it drops), so gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is
+read off the kept columns gamma A^(-j) Q. Reports on one A and one
 measure (the tasks of a run, a sweep over weight values, a loop of weight
-draws) therefore build X, G and Q once, and the margin checks before them
-take R from the same slot.
+draws) therefore build X, G, Q and A's products once, so a report's only
+solves with A are the m - 1 steps of the power difference's
+weight-dependent identity path, and the margin checks before them take R
+from the same slot.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -196,17 +202,19 @@ def _sweep(op, q, side, m):
     return q.T @ y[:, :r], gap
 
 
-def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
+def _report(q, side, m, plus, minus, identity, terms, a_core=None
             ) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
 
     The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q``, where ``plus`` and
     ``minus`` name P and M: the weight whose A + C is factored (once per
     weight, kept on its operator as ``perturbed``), or None for A itself,
-    whose core the caller may hand over as ``a_core``. ``residual`` is the
-    larger of the relative Frobenius disagreement of the identity-path
-    core ``identity`` with the direct core, and, for each A + C, the
-    relative part of
+    whose core ``a_core`` the caller takes from the atom side. Each
+    weight's core and gap come from one sweep per power, kept on its
+    operator, so a second report on the weight and power solves nothing.
+    ``residual`` is the larger of the relative Frobenius disagreement of
+    the identity-path core ``identity`` with the direct core, and, for
+    each A + C, the relative part of
     span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
     NumericalError when a core or the residual is not finite, as when the
     weight is so large that the cores or their norms overflow; the callers
@@ -215,12 +223,14 @@ def _report(a, q, side, m, plus, minus, identity, terms, a_core=None
     """
     cores, gap = [], 0.0
     for t_op in (plus, minus):
-        if t_op is None and a_core is not None:
+        if t_op is None:
             cores.append(a_core)
             continue
-        checked = t_op is not None and q.shape[1] < q.shape[0]
-        core, op_gap = _sweep(a if t_op is None else t_op.perturbed, q,
-                              side if checked else None, m)
+        if m not in t_op._sweeps:
+            checked = q.shape[1] < q.shape[0]
+            t_op._sweeps[m] = _sweep(t_op.perturbed, q,
+                                     side if checked else None, m)
+        core, op_gap = t_op._sweeps[m]
         cores.append(core)
         gap = max(gap, op_gap)
     direct = cores[0] - cores[1]
@@ -276,7 +286,9 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
         main = cores[0] - cores[1] if t2 is not None else cores[0]
         z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
         terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-        return _report(a, q, side, 1, t2, t1, sum(terms.values()), terms)
+        a_core = side.powers(a, 1)[2] if t2 is None else None
+        return _report(q, side, 1, t2, t1, sum(terms.values()), terms,
+                       a_core)
 
 
 def resolvent_difference(
@@ -344,14 +356,11 @@ def power_difference(
     gamma, x = side.gamma, side.x(a)
     mm = _woodbury(side.g(a), s)
 
-    # ys[j] = B^j Q for j = 1..m, so that Q' B^i W B^j Q = p[i+1]' D p[j+1]
-    # with p[j] = gamma B^j Q, and X' B^j X = gamma B^(j+1) X = p[j+1] Q'X,
-    # since X lies in the first block of Q
-    ys = [None, a.solve(q)]
-    for _ in range(m - 1):
-        ys.append(a.solve(ys[-1]))
-    p = [None] + [gamma(y) for y in ys[1:]]
-    bm = q.T @ ys[m]  # Q' B^m Q
+    # the atom side's B Q, p[j] = gamma B^j Q for j = 1..m and Q' B^m Q:
+    # Q' B^i W B^j Q = p[i+1]' D p[j+1], and X' B^j X = gamma B^(j+1) X =
+    # p[j+1] Q'X, since X lies in the first block of Q
+    bq, p, bm = side.powers(a, m)
+    p = [None, *p]
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
         h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
@@ -364,11 +373,11 @@ def power_difference(
 
         # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
         d_id = np.zeros_like(bm)
-        bu = ys[1]
+        bu = bq
         for i in range(m):
             f = gamma(bu)
             d_id -= f.T @ mm @ p[m - i]
             if i < m - 1:
                 bu = a.solve(bu - x @ (mm @ f))
         terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
-        return _report(a, q, side, m, t_op, None, d_id, terms, a_core=bm)
+        return _report(q, side, m, t_op, None, d_id, terms, bm)

@@ -813,6 +813,36 @@ def test_krein_feller_run_solves_gamma_once_and_takes_no_qr(tmp_path,
     assert qr == []
 
 
+def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
+    # a fresh run of every difference of one weight pair on the 57 x 15
+    # segment makes 19 solves: X, the growth of the basis to m = 3 (2),
+    # A's products per power (1 + 2 + 3), the m - 1 identity-path solves
+    # of each power difference (1 + 2), and one sweep of m solves per
+    # weight and power (A + C1 at m = 1, 2, 3 and A + C2 at m = 1:
+    # 1 + 2 + 3 + 1); rd's sweep of A + C1 is the one tw reads
+    cfg = base_config(
+        seed=7,
+        domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [57, 15]},
+        measure={"kind": "segment", "start": [0.3, 0.2], "end": [1.3, 0.2],
+                 "count": 64},
+        weights={"V1": {"kind": "random", "scale": 0.5},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=["resolvent_diff", "two_weight_diff",
+               {"name": "power_diff", "m": 2},
+               {"name": "power_diff", "m": 3}])
+    columns = []
+    solve = elliptic.OperatorMatrix.solve
+
+    def counting(self, rhs):
+        columns.append(np.shape(rhs)[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
+    manifest, _ = run_manifest(tmp_path, cfg)
+    assert len(manifest["tasks"]) == 4
+    assert (len(columns), sum(columns)) == (19, 1955)
+
+
 def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,
                                                           monkeypatch):
     # V1 = -2 fails the margin at t = 1 and passes at t = 2; the next run,

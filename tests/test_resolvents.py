@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -265,18 +266,22 @@ CROSS_CASES = {
 }
 
 
+def _cross_weights(a, gam, signed, seed):
+    # an admissible pair V1 >= V2 on the restriction's measure
+    m = gam.measure
+    rng = np.random.Generator(np.random.Philox(seed))
+    v2 = rng.standard_normal(m.count)
+    v2 = 0.4 * v2 if signed else np.abs(v2)
+    v1 = v2 + 0.5 * np.abs(rng.standard_normal(m.count))
+    return tuple(bs_operator(a, gam, Perturbation(m, v)) for v in (v1, v2))
+
+
 def _cross_setup(case, signed):
     bbox, shape, ends, atoms = CROSS_CASES[case]
     g = Grid(np.array(bbox), shape)
     a = assemble_neumann(g, CoefficientField.isotropic(1.0, len(shape), t=1.0))
-    m = segment_measure(np.array(ends), atoms)
-    gam = restriction_matrix(g, m)
-    rng = np.random.Generator(np.random.Philox(41 + len(shape)))
-    v2 = rng.standard_normal(atoms)
-    v2 = 0.4 * v2 if signed else np.abs(v2)
-    v1 = v2 + 0.5 * np.abs(rng.standard_normal(atoms))
-    t1, t2 = (bs_operator(a, gam, Perturbation(m, v)) for v in (v1, v2))
-    return a, t1, t2
+    gam = restriction_matrix(g, segment_measure(np.array(ends), atoms))
+    return (a, *_cross_weights(a, gam, signed, 41 + len(shape)))
 
 
 def _assert_kept_agree(got, want_matrix, floor=1e-11):
@@ -356,6 +361,53 @@ def test_reports_factor_each_operator_once(monkeypatch):
         power_difference(a, t1, 3)
         resolvent_difference(a, t2)
         assert len(calls) == 3  # A, A + C1, A + C2
+
+
+def _solves_by_operator(monkeypatch):
+    # the operator of every OperatorMatrix.solve call, in call order
+    solved = []
+    original = elliptic.OperatorMatrix.solve
+
+    def recording(self, rhs):
+        solved.append(self)
+        return original(self, rhs)
+
+    monkeypatch.setattr(elliptic.OperatorMatrix, "solve", recording)
+    return solved
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_CASES))
+def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
+    # the first draw on A fills A's atom side with its products per power
+    # and each weight's operator with its A + C sweep per power; in the
+    # second draw rd solves nothing with A, pd m only the m - 1 steps of
+    # its weight-dependent identity path, and tw only with A + C2, since
+    # rd's sweep of A + C1 at m = 1 is kept on the weight
+    solved = _solves_by_operator(monkeypatch)
+    a, *first = _cross_setup(case, signed=True)
+    _four_reports(a, *first, order=("rd", "tw", "pd2", "pd3"))
+    t1, t2 = _cross_weights(a, first[0].restriction, True, seed=46)
+    names = {id(a): "A", id(t1.perturbed): "A + C1",
+             id(t2.perturbed): "A + C2"}
+    want = {"rd": {"A + C1": 1}, "tw": {"A + C2": 1},
+            "pd2": {"A": 1, "A + C1": 2}, "pd3": {"A": 2, "A + C1": 3}}
+    for name in ("rd", "tw", "pd2", "pd3"):
+        solved.clear()
+        _four_reports(a, t1, t2, order=(name,))
+        assert Counter(names[id(op)] for op in solved) == want[name], name
+
+
+def test_node_basis_difference_solves_the_identity_once(monkeypatch):
+    # with the nodes as atoms Q = 1, X = A^(-1) is the only solve with A
+    # and is itself Q' A^(-1) Q: no second solve and no product 1' A^(-1)
+    solved = _solves_by_operator(monkeypatch)
+    a, t1, _ = _cross_setup("1d-nodes", signed=True)
+    rep = resolvent_difference(a, t1)
+    assert rep.basis.shape == (a.size, a.size)
+    assert solved == [a, t1.perturbed]
+    side = a._atom_side
+    assert side.powers(a, 1)[2] is side.x(a)
+    assert solved == [a, t1.perturbed]
 
 
 def _four_reports(a, t1, t2, order=("rd", "tw", "pd3", "pd2")):
