@@ -379,6 +379,11 @@ def validate_config(cfg, base_dir=".") -> dict:
             "window; set at most one")
     if given.get("floor", 0) < 0:
         raise ValidationError("analysis.floor must be nonnegative")
+    # a window no spectrum admits; (1, 2) stands in when none is given
+    first, last = given.get("window", (1, 2))
+    if first < 1 or last <= first:
+        raise ValidationError(
+            f"analysis.window [{first}, {last}] must have 1 <= first < last")
 
     return {
         "grid": grid, "coeffs": coeffs, "measure": measure, "gamma": gamma,
@@ -428,8 +433,9 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     difference that is pure rounding noise yields an empty spectrum rather
     than a fit to noise; ``None`` keeps the norm-relative floor of
     :func:`spectrum`. ``analysis`` acts the same for every task: an
-    explicit floor wins, an explicit window or head_drop refits. The caller
-    adds its own summary keys and ``_execute`` writes ``summary.json``.
+    explicit floor wins, and the spectrum is fitted once, on the explicit
+    window or head_drop if either is set. The caller adds its own summary
+    keys and ``_execute`` writes ``summary.json``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     floor = analysis.get("floor")
@@ -442,18 +448,17 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     for label, values in (terms or {}).items():
         outputs[f"singulars_{label}"] = str(write_singular_values(
             values, out_dir / f"singulars_{label}.csv"))
-    # explicit analysis requests are strict: a fit that cannot be produced
-    # on the requested window is a numerical failure, not a silent skip
-    window = analysis.get("window")
-    head = analysis.get("head_drop")
-    if window is not None:
-        fit = fit_power_law(sp_rep.singulars, floor=sp_rep.floor,
-                            window=tuple(window))
-    elif head is not None:
-        fit = fit_power_law(sp_rep.singulars, floor=sp_rep.floor,
-                            head_drop=float(head))
-    else:
-        fit = sp_rep.fit
+    # the default window may find no power law (null fit), but explicit
+    # analysis requests are strict: a fit that cannot be produced on the
+    # requested window is an error, not a silent skip
+    explicit = {key: analysis[key] for key in ("window", "head_drop")
+                if key in analysis}
+    try:
+        fit = fit_power_law(sp_rep.singulars, floor=sp_rep.floor, **explicit)
+    except (NumericalError, ValidationError):
+        if explicit:
+            raise
+        fit = None
     summary = {
         "fit": fit_to_dict(fit),
         "floor": sp_rep.floor,
@@ -697,7 +702,7 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     sweep_dir = Path(out_root) / (
         f"sweep-{config_hash(cfg, base_dir)}-{axis.replace('.', '_')}")
     manifests = []
-    rows = []
+    lines = ["axis_value,theta_hat,coeff_hat,r_squared"]
     a = last_cfg = None
     for value, (variant, inputs) in zip(values, variants):
         if last_cfg is None or any(variant[key] != last_cfg[key]
@@ -707,17 +712,10 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         manifest, _ = run_config(variant, out_root, force=force,
                                  base_dir=base_dir, inputs=inputs, a=a)
         manifests.append(manifest)
-        fit = _first_fit(manifest)
-        rows.append((value, fit))
+        lines.append(",".join([str(value)] + _fit_cells(
+            _first_fit(manifest), f"{axis} = {value}: fit")))
 
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["axis_value,theta_hat,coeff_hat,r_squared"]
-    for value, fit in rows:
-        if fit is None:
-            lines.append(f"{value},,,")
-        else:
-            lines.append("%s,%.17g,%.17g,%.17g" % (
-                value, fit["theta"], fit["coeff"], fit["r_squared"]))
     out_csv = sweep_dir / "summary.csv"
     out_csv.write_text("\n".join(lines) + "\n")
     print(f"sweep over {axis}: {len(values)} runs, summary at {out_csv}")
@@ -819,6 +817,16 @@ def _export_number(value, where) -> str:
     raise ValidationError(f"{where} must be a number or null")
 
 
+def _fit_cells(fit, where) -> list[str]:
+    # a summary's fit as its theta, coeff and r_squared cells, each empty
+    # when the fit is null
+    fit = fit or {}
+    if not isinstance(fit, dict):
+        raise ValidationError(f"{where} must be an object or null")
+    return [_export_number(fit.get(key), f"{where}.{key}")
+            for key in ("theta", "coeff", "r_squared")]
+
+
 def _export_row(entry, where) -> str:
     # one manifest task entry as a csv row; any other shape exits 2
     if not isinstance(entry, dict):
@@ -829,11 +837,7 @@ def _export_row(entry, where) -> str:
         raise ValidationError(f"{where}.name must be a string")
     if not isinstance(summary, dict):
         raise ValidationError(f"{where}.summary must be an object")
-    fit = summary.get("fit") or {}
-    if not isinstance(fit, dict):
-        raise ValidationError(f"{where}.summary.fit must be an object or null")
-    cells = [name] + [_export_number(fit.get(key), f"{where}.summary.fit.{key}")
-                      for key in ("theta", "coeff", "r_squared")]
+    cells = [name] + _fit_cells(summary.get("fit"), f"{where}.summary.fit")
     cells.append(_export_number(summary.get("residual"),
                                 f"{where}.summary.residual"))
     return ",".join(cells)

@@ -138,14 +138,10 @@ class CoefficientField:
         self.tensors = a
 
     @classmethod
-    def isotropic(cls, value: float | np.ndarray, dim: int, t: float = 1.0
+    def isotropic(cls, value: float, dim: int, t: float = 1.0
                   ) -> "CoefficientField":
-        """Scalar coefficient a(X) Id, constant or per node."""
-        v = np.asarray(value, dtype=float)
-        eye = np.eye(dim)
-        if v.ndim == 0:
-            return cls(float(v) * eye, t=t)
-        return cls(v[:, None, None] * eye, t=t)
+        """Constant scalar coefficient ``value * Id`` in dimension ``dim``."""
+        return cls(float(value) * np.eye(dim), t=t)
 
     @property
     def dim(self) -> int:
@@ -418,21 +414,22 @@ def assemble_robin(
 ) -> OperatorMatrix:
     """Neumann matrix plus the boundary-measure coupling of density V.
 
-    The update is the measure coupling ``gamma' diag(w V) gamma / h^N`` of
-    :func:`deltaspec.birman_schwinger.coupling_band`; on the boundary
-    measure of the grid each atom sits on a node, so it is diagonal, and
-    for V == 0 the result is bit-identical to :func:`assemble_neumann`.
-    The matrix is factored once here, and :meth:`OperatorMatrix.solve`
-    reuses that factor. Densities that push the smallest eigenvalue to
+    This is A + C of the weight's Birman-Schwinger operator (``perturbed``
+    of :func:`deltaspec.birman_schwinger.bs_operator`), C the measure
+    coupling ``gamma' diag(w V) gamma / h^N``; on the boundary measure of
+    the grid each atom sits on a node, so C is diagonal, and for V == 0
+    the result is bit-identical to :func:`assemble_neumann`. The matrix
+    is factored once here, and :meth:`OperatorMatrix.solve` reuses that
+    factor. Densities that push the smallest eigenvalue to
     zero or below raise :class:`PositivityError`; the caller should raise
     t and retry.
     """
     # imported here: birman_schwinger builds on this module
-    from .birman_schwinger import coupling_band, restriction_matrix
+    from .birman_schwinger import bs_operator, restriction_matrix
 
-    gamma = restriction_matrix(grid, boundary_p.measure)
-    robin = assemble_neumann(grid, coeffs).plus(
-        coupling_band(gamma, boundary_p))
+    robin = bs_operator(assemble_neumann(grid, coeffs),
+                        restriction_matrix(grid, boundary_p.measure),
+                        boundary_p).perturbed
     robin._cholesky()
     return robin
 

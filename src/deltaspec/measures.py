@@ -149,10 +149,6 @@ class DiscreteMeasure:
     def count(self) -> int:
         return self.atoms.shape[0]
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass(eq=False)
 class AhlforsReport:

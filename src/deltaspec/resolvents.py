@@ -186,12 +186,17 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
 
 
+def _on_basis(side, q, y):
+    """Q'y: y itself for the node basis, where Q is the identity."""
+    return y if side.nodes else q.T @ y
+
+
 def _sweep(op, q, side, m):
     """``Q' op^(-m) Q`` and the largest relative part of op^(-j) gamma',
-    1 <= j <= m, outside Q (0 when ``side`` is None), from one sweep of
+    1 <= j <= m, outside Q (0 when Q spans every node), from one sweep of
     m solves over Q and the side's gamma' stacked next to it."""
     r, gap = q.shape[1], 0.0
-    y = q if side is None else np.hstack([q, side.adjoint()])
+    y = q if r == q.shape[0] else np.hstack([q, side.adjoint()])
     for _ in range(m):
         y = op.solve(y)
         norm = float(np.linalg.norm(y[:, r:]))
@@ -199,7 +204,7 @@ def _sweep(op, q, side, m):
             outside = q @ (q.T @ y[:, r:])
             outside -= y[:, r:]  # in place: minus the part outside Q
             gap = max(gap, float(np.linalg.norm(outside)) / norm)
-    return q.T @ y[:, :r], gap
+    return _on_basis(side, q, y[:, :r]), gap
 
 
 def _report(q, side, m, plus, minus, identity, terms, a_core=None
@@ -227,9 +232,7 @@ def _report(q, side, m, plus, minus, identity, terms, a_core=None
             cores.append(a_core)
             continue
         if m not in t_op._sweeps:
-            checked = q.shape[1] < q.shape[0]
-            t_op._sweeps[m] = _sweep(t_op.perturbed, q,
-                                     side if checked else None, m)
+            t_op._sweeps[m] = _sweep(t_op.perturbed, q, side, m)
         core, op_gap = t_op._sweeps[m]
         cores.append(core)
         gap = max(gap, op_gap)
@@ -282,7 +285,7 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        p, g = q.T @ side.x(a), side.g(a)
+        p, g = _on_basis(side, q, side.x(a)), side.g(a)
         main = cores[0] - cores[1] if t2 is not None else cores[0]
         z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
         terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
@@ -364,7 +367,7 @@ def power_difference(
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
         h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
-        qx = q.T @ x
+        qx = _on_basis(side, q, x)
         h3 = np.zeros_like(bm)
         for i in range(m - 1):
             for j in range(m - 1 - i):

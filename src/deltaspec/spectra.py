@@ -66,11 +66,11 @@ class PowerLawFit:
 
 @dataclass(eq=False)
 class SpectrumReport:
-    """Singular values, counting samples, and the default decay fit."""
+    """Singular values, counting samples and the noise floor; no fit,
+    which :func:`fit_power_law` makes once per spectrum."""
 
     singulars: np.ndarray
     counting: np.ndarray  # columns: lambda, n_plus, n_minus, n
-    fit: PowerLawFit | None
     floor: float
 
 
@@ -106,12 +106,13 @@ def _counting_grid(values: np.ndarray, num: int = 160) -> np.ndarray:
 
 
 def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
-    """Full spectral report of a symmetric matrix.
+    """Spectral extraction of a symmetric matrix: no fitting.
 
     The matrix is eigendecomposed; one that is not symmetric (to 1e-10 of
     its largest entry) raises ValidationError. Magnitudes at or below the
     floor (default ``1e-11 * ||K||``) are discarded as numerical noise.
-    Counting samples live on a log-spaced lambda grid.
+    Counting samples live on a log-spaced lambda grid. The caller fits the
+    singular values once with :func:`fit_power_law`, at ``floor``.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -132,13 +133,7 @@ def spectrum(k: np.ndarray, floor: float | None = None) -> SpectrumReport:
             [grid] + [np.searchsorted(-v, -grid) for v in (pos, neg, sing)])
     else:
         counting = np.zeros((0, 4))
-
-    try:
-        fit = fit_power_law(sing, floor=lvl)
-    except (NumericalError, ValidationError):
-        fit = None
-    return SpectrumReport(singulars=sing, counting=counting, fit=fit,
-                          floor=lvl)
+    return SpectrumReport(singulars=sing, counting=counting, floor=lvl)
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -175,56 +170,50 @@ def fit_power_law(
     """Fit a decay order on descending singular values or counting samples.
 
     Exactly one of ``values`` (descending positive s_j) or ``counting``
-    (rows (lambda, n)) must be given. The automatic window drops the first
-    ``head_drop`` fraction of usable points (preasymptotic head) and
-    everything within ``100 x floor`` of the noise level; ``window``
-    overrides it with a 1-based inclusive index range into the usable
-    points. Requires at least 30 usable values, and a window of either
-    kind holding at least 2 of them (else ``ValidationError``).
+    (rows (lambda, n)) must be given. Either becomes one head-first
+    series: (j, s_j), or (lambda, n) by descending lambda. The automatic
+    window drops the first ``head_drop`` fraction of usable points
+    (preasymptotic head) and everything within ``100 x floor`` of the
+    noise level; ``window`` overrides it with a 1-based inclusive index
+    range into the usable points. Requires at least 30 usable points, and
+    a window of either kind holding at least 2 of them (else
+    ``ValidationError``).
     """
     if (values is None) == (counting is None):
         raise ValidationError("pass exactly one of values= or counting=")
 
     if values is not None:
-        s = np.asarray(values, dtype=float)
-        if np.any(np.diff(s) > 1e-12 * max(1.0, s.max(initial=0.0))):
+        kind, usable, name = ("singular_values", "values above the floor",
+                              "singular values")
+        y = np.asarray(values, dtype=float)
+        if np.any(np.diff(y) > 1e-12 * max(1.0, y.max(initial=0.0))):
             raise ValidationError("singular values must be sorted descending")
-        keep = s > TAIL_FLOOR_MULTIPLE * floor
-        s = s[keep & (s > 0)]
-        total = s.size
-        if total < MIN_USABLE:
-            raise NumericalError(
-                f"only {total} usable values above the floor; need {MIN_USABLE}"
-            )
-        j = np.arange(1, total + 1, dtype=float)
-        lo, hi = _fit_window(total, window, head_drop)
-        slope, intercept, r2 = _loglog_fit(j[lo:hi], s[lo:hi])
-        if slope >= 0:
-            raise NumericalError("singular values do not decay; no power law")
-        theta = -1.0 / slope
-        coeff = math.exp(-intercept / slope)
-        return PowerLawFit(theta=theta, coeff=coeff, window=(lo + 1, hi),
-                           r_squared=r2, kind="singular_values")
+        y = y[(y > TAIL_FLOOR_MULTIPLE * floor) & (y > 0)]
+        x = np.arange(1, y.size + 1, dtype=float)
+    else:
+        kind, usable, name = "counting", "counting samples", "counting samples"
+        samples = np.asarray(counting, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] < 2:
+            raise ValidationError("counting samples must be rows (lambda, n)")
+        lam, n = samples[:, 0], samples[:, 1]
+        keep = (lam > TAIL_FLOOR_MULTIPLE * floor) & (n >= 1)
+        order = np.argsort(lam[keep])[::-1]  # descending lambda: head first
+        x, y = lam[keep][order], n[keep][order]
 
-    samples = np.asarray(counting, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] < 2:
-        raise ValidationError("counting samples must be rows (lambda, n)")
-    lam, n = samples[:, 0], samples[:, 1]
-    keep = (lam > TAIL_FLOOR_MULTIPLE * floor) & (n >= 1)
-    lam, n = lam[keep], n[keep]
-    order = np.argsort(lam)[::-1]  # descending lambda: head first
-    lam, n = lam[order], n[order]
-    total = lam.size
+    total = x.size
     if total < MIN_USABLE:
         raise NumericalError(
-            f"only {total} usable counting samples; need {MIN_USABLE}"
-        )
+            f"only {total} usable {usable}; need {MIN_USABLE}")
     lo, hi = _fit_window(total, window, head_drop)
-    slope, intercept, r2 = _loglog_fit(lam[lo:hi], n[lo:hi])
+    slope, intercept, r2 = _loglog_fit(x[lo:hi], y[lo:hi])
     if slope >= 0:
-        raise NumericalError("counting samples do not decay; no power law")
-    return PowerLawFit(theta=-slope, coeff=math.exp(intercept),
-                       window=(lo + 1, hi), r_squared=r2, kind="counting")
+        raise NumericalError(f"{name} do not decay; no power law")
+    if kind == "singular_values":  # s_j = (coeff / j)^(1/theta)
+        theta, coeff = -1.0 / slope, math.exp(-intercept / slope)
+    else:  # n(lambda) = coeff lambda^(-theta)
+        theta, coeff = -slope, math.exp(intercept)
+    return PowerLawFit(theta=theta, coeff=coeff, window=(lo + 1, hi),
+                       r_squared=r2, kind=kind)
 
 
 def _ascending_singulars(mat: np.ndarray) -> np.ndarray:

@@ -172,7 +172,8 @@ def test_criterion_2_schrodinger_order(capsys):
 
     v = ramp((x - 0.05) / 0.15) * ramp((0.95 - x) / 0.15)
     rep = resolvent_difference(a, bs_operator(a, gam, Perturbation(m, v)))
-    fit = spectrum(rep.difference, floor=1e-11).fit
+    sp = spectrum(rep.difference, floor=1e-11)
+    fit = fit_power_law(sp.singulars, floor=sp.floor)
     elapsed = time.monotonic() - t0
     ok = (abs(fit.slope + 4.0) <= 0.4 and fit.r_squared >= 0.98
           and elapsed <= 600.0)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_io import MALFORMED, malform_measure
 
 import deltaspec
-from deltaspec import birman_schwinger, cli, elliptic, resolvents
+from deltaspec import birman_schwinger, cli, elliptic, resolvents, spectra
 from deltaspec.cli import TASK_NAMES, _set_axis, config_hash, main
 from deltaspec.errors import ValidationError
 from deltaspec.io import write_measure
@@ -195,12 +195,16 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
         {"ratio": 0.25, "translation": [0.0]},
         {"ratio": 0.25, "translation": [0.75]}]}},
     {"analysis": {"window": [5, 25], "head_drop": 0.5}},
+    {"analysis": {"window": [25, 5]}},
+    {"analysis": {"window": [0, 10]}},
+    {"analysis": {"window": [5, 5]}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
         "huge_integer", "one_map_ifs_depth", "head_drop_one",
         "head_drop_negative", "negative_floor", "weyl_check_without_v2",
-        "nonneg_string", "bbox_4d", "atom_cap", "window_and_head_drop"])
+        "nonneg_string", "bbox_4d", "atom_cap", "window_and_head_drop",
+        "window_reversed", "window_from_zero", "window_one_point"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     out = tmp_path / "runs"
@@ -380,6 +384,35 @@ def test_explicit_window_is_the_fitted_window(tmp_path, task):
     cfg = box_config(tasks=[task], analysis={"window": [5, 25]})
     manifest, _ = run_manifest(tmp_path, cfg)
     assert manifest["tasks"][0]["summary"]["fit"]["window"] == [5, 25]
+
+
+@pytest.mark.parametrize("analysis", [None, {"window": [5, 25]}])
+def test_each_spectrum_is_fitted_once(tmp_path, monkeypatch, analysis):
+    # two_weight_diff fits its spectrum, krein_feller its spectrum and its
+    # counting samples: 3 fits, whether or not the window is explicit
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [57, 15]},
+        measure={"kind": "segment", "start": [0.3, 0.2], "end": [1.3, 0.2],
+                 "count": 64},
+        weights={"V1": {"kind": "constant", "value": 2.0},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=["two_weight_diff", "krein_feller"])
+    if analysis is not None:
+        cfg["analysis"] = analysis
+    calls = []
+    original = spectra.fit_power_law
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "fit_power_law", counting)
+    monkeypatch.setattr(cli, "fit_power_law", counting)
+    manifest, _ = run_manifest(tmp_path, cfg)
+    assert len(calls) == 3
+    if analysis is not None:
+        for entry in manifest["tasks"]:
+            assert entry["summary"]["fit"]["window"] == [5, 25]
 
 
 @pytest.mark.parametrize("task", TASK_NAMES)

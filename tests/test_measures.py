@@ -74,7 +74,7 @@ def test_moran_equal_ratios_closed_form(rho, m):
 def test_cantor_measure_basics():
     m = _cantor(8)
     assert m.count == 256
-    assert abs(m.mass - 1.0) < 1e-12
+    assert abs(m.weights.sum() - 1.0) < 1e-12
     assert abs(m.nominal_dim - LOG2_OVER_LOG3) < 1e-12
     assert m.atoms.min() >= 0.0
     assert m.atoms.max() <= 1.0
@@ -102,14 +102,14 @@ def test_ifs_rotation_2d():
     ]
     m = ifs_measure(maps, depth=5)
     assert m.count == 32
-    assert abs(m.mass - 1.0) < 1e-12
+    assert abs(m.weights.sum() - 1.0) < 1e-12
     assert m.ambient_dim == 2
 
 
 def test_segment_mass_is_length():
     seg = segment_measure(np.array([[0.1, 0.2], [0.7, 1.0]]), 37)
     length = math.hypot(0.6, 0.8)
-    assert abs(seg.mass - length) < 1e-14
+    assert abs(seg.weights.sum() - length) < 1e-14
     assert seg.count == 37
     assert seg.nominal_dim == 1.0
 
@@ -132,7 +132,7 @@ def test_segment_rejects_degenerate():
 def test_boundary_measure_2d_perimeter():
     g = Grid(np.array([[0.0, 2.0], [0.0, 1.0]]), (16, 8))
     b = boundary_measure(g)
-    assert abs(b.mass - 6.0) < 1e-12
+    assert abs(b.weights.sum() - 6.0) < 1e-12
     assert b.nominal_dim == 1.0
 
 
@@ -140,7 +140,7 @@ def test_boundary_measure_1d_endpoints():
     g = Grid(np.array([[0.0, 1.0]]), (32,))
     b = boundary_measure(g)
     assert b.count == 2
-    assert abs(b.mass - 2.0) < 1e-15
+    assert abs(b.weights.sum() - 2.0) < 1e-15
     assert b.nominal_dim == 0.0
 
 
@@ -186,7 +186,7 @@ def test_boundary_measure_3d_surface_area():
     g = Grid(np.array([[0.0, a], [0.0, b], [0.0, c]]), (9, 8, 7))
     bnd = boundary_measure(g)
     assert bnd.count == 9 * 8 * 7 - 7 * 6 * 5
-    assert abs(bnd.mass - 2.0 * (a * b + b * c + c * a)) < 1e-12
+    assert abs(bnd.weights.sum() - 2.0 * (a * b + b * c + c * a)) < 1e-12
     assert bnd.nominal_dim == 2.0
     # a corner node owns three outer faces
     corner = g.cell_volume * (1.0 / g.spacing).sum()
@@ -197,7 +197,7 @@ def test_lebesgue_measure_volume():
     g = Grid(np.array([[0.0, 1.5], [0.0, 2.0]]), (6, 8))
     m = lebesgue_measure(g)
     assert m.count == g.size
-    assert abs(m.mass - 3.0) < 1e-12
+    assert abs(m.weights.sum() - 3.0) < 1e-12
     assert m.nominal_dim == 2.0
 
 
@@ -206,7 +206,7 @@ def test_union_measure_adds():
     b = segment_measure(np.array([[0.0, 1.0], [1.0, 1.0]]), 20)
     u = union_measure(a, b)
     assert u.count == 32
-    assert abs(u.mass - (a.mass + b.mass)) < 1e-14
+    assert abs(u.weights.sum() - (a.weights.sum() + b.weights.sum())) < 1e-14
 
 
 def test_moran_root_is_exact_to_the_last_bit():
