@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,19 +124,15 @@ class BSOperator:
     perturbation: Perturbation
     density: np.ndarray
     band: np.ndarray
-    _core: np.ndarray | None = field(default=None, init=False, repr=False)
     _margin: float | None = field(default=None, init=False, repr=False)
-    _perturbed: OperatorMatrix | None = field(default=None, init=False,
-                                              repr=False)
     _sweeps: dict[int, tuple] = field(default_factory=dict, init=False,
                                       repr=False)
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.operator.size
 
-    @property
+    @cached_property
     def core(self) -> np.ndarray:
         """Atom-side core with the nonzero spectrum of T (see bs_atom_gram).
 
@@ -148,18 +145,14 @@ class BSOperator:
         singular, as when two atoms share their interpolation nodes.
         Atoms where the weight vanishes are zero entries of D.
         """
-        if self._core is None:
-            r = _atom_side_of(self.operator, self.restriction).r(self.operator)
-            self._core = _sym((r * self.density) @ r.T)
-        return self._core
+        r = _atom_side_of(self.operator, self.restriction).r(self.operator)
+        return _sym((r * self.density) @ r.T)
 
-    @property
+    @cached_property
     def perturbed(self) -> OperatorMatrix:
         """A + C, built on first use; its factor is computed once, on the
         first solve."""
-        if self._perturbed is None:
-            self._perturbed = self.operator.plus(self.band)
-        return self._perturbed
+        return self.operator.plus(self.band)
 
     @property
     def coupling(self):
@@ -168,17 +161,15 @@ class BSOperator:
 
         return sp.csr_matrix(dense_from_band(self.band))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Dense sandwich T = A^(-1/2) C A^(-1/2), built on first access.
 
         Assembled from the atom-side factor ``A^(-1/2) gamma'`` scaled by
         the signed density, which keeps the Gram symmetry exact.
         """
-        if self._matrix is None:
-            x = inverse_power(self.operator, 0.5) @ self.restriction.adjoint()
-            self._matrix = _sym((x * self.density) @ x.T)
-        return self._matrix
+        x = inverse_power(self.operator, 0.5) @ self.restriction.adjoint()
+        return _sym((x * self.density) @ x.T)
 
 
 def _orthonormal_block(block: np.ndarray, q: np.ndarray) -> np.ndarray:

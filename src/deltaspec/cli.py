@@ -7,7 +7,8 @@ then executes the tasks and writes CSV/JSON artifacts under a directory
 named by the run key (the config hash, extended by the bytes of any
 weight file). ``sweep`` repeats a run over one scalar config field,
 ``verify`` executes built-in invariant suites, ``export`` re-emits a
-manifest's summaries as CSV or JSON.
+manifest's summaries as CSV or JSON. The sweep's ``summary.csv`` holds
+the CSV rows ``export`` writes for each run, the axis value in front.
 
 Config schema (version 1)::
 
@@ -65,6 +66,7 @@ from .elliptic import (
 )
 from .errors import NumericalError, PositivityError, ValidationError
 from .io import (
+    FLOAT_FMT,
     fit_to_dict,
     read_json,
     read_measure,
@@ -677,23 +679,17 @@ def _set_axis(cfg, axis, value):
         node[key] = value
 
 
-def _first_fit(manifest):
-    for entry in manifest["tasks"]:
-        fit = entry["summary"].get("fit")
-        if fit:
-            return fit
-    return None
-
-
 def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
-    """Run the config once per axis value; write a combined summary CSV.
+    """Run the config once per axis value; write the sweep's summary.csv.
 
-    Every value's config is checked, and its inputs built, before the first
-    run, and so is the base config, whose key names the sweep directory:
-    an input error anywhere in the sweep writes nothing. Runs whose
-    ``domain`` and ``operator`` equal those of the run before share its
-    assembled A (and so its factor, and the atom side A keeps for an equal
-    restriction, whatever the weights)."""
+    The summary holds the rows ``export --format csv`` writes for each
+    run's manifest, one per task in manifest order, each led by the axis
+    value. Every value's config is checked, and its inputs built, before
+    the first run, and so is the base config, whose key names the sweep
+    directory: an input error anywhere in the sweep writes nothing. Runs
+    whose ``domain`` and ``operator`` equal those of the run before share
+    its assembled A (and so its factor, and the atom side A keeps for an
+    equal restriction, whatever the weights)."""
     variants = []
     for value in values:
         variant = copy.deepcopy(cfg)
@@ -702,7 +698,7 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
     sweep_dir = Path(out_root) / (
         f"sweep-{config_hash(cfg, base_dir)}-{axis.replace('.', '_')}")
     manifests = []
-    lines = ["axis_value,theta_hat,coeff_hat,r_squared"]
+    lines = [f"axis_value,{EXPORT_HEADER}"]
     a = last_cfg = None
     for value, (variant, inputs) in zip(values, variants):
         if last_cfg is None or any(variant[key] != last_cfg[key]
@@ -712,8 +708,8 @@ def sweep_config(cfg, axis, values, out_root, force=False, base_dir="."):
         manifest, _ = run_config(variant, out_root, force=force,
                                  base_dir=base_dir, inputs=inputs, a=a)
         manifests.append(manifest)
-        lines.append(",".join([str(value)] + _fit_cells(
-            _first_fit(manifest), f"{axis} = {value}: fit")))
+        lines += [f"{value},{row}" for row in _export_rows(
+            manifest, f"{axis} = {value}: ")]
 
     sweep_dir.mkdir(parents=True, exist_ok=True)
     out_csv = sweep_dir / "summary.csv"
@@ -809,22 +805,15 @@ def run_verify(suite: str) -> int:
 # ---------------------------------------------------------------- export
 
 
+EXPORT_HEADER = "task,theta_hat,coeff_hat,r_squared,residual"
+
+
 def _export_number(value, where) -> str:
     if value is None:
         return ""
     if isinstance(value, float) or _is_numeric(value, integer=True):
-        return "%.17g" % value
+        return FLOAT_FMT % value
     raise ValidationError(f"{where} must be a number or null")
-
-
-def _fit_cells(fit, where) -> list[str]:
-    # a summary's fit as its theta, coeff and r_squared cells, each empty
-    # when the fit is null
-    fit = fit or {}
-    if not isinstance(fit, dict):
-        raise ValidationError(f"{where} must be an object or null")
-    return [_export_number(fit.get(key), f"{where}.{key}")
-            for key in ("theta", "coeff", "r_squared")]
 
 
 def _export_row(entry, where) -> str:
@@ -837,10 +826,25 @@ def _export_row(entry, where) -> str:
         raise ValidationError(f"{where}.name must be a string")
     if not isinstance(summary, dict):
         raise ValidationError(f"{where}.summary must be an object")
-    cells = [name] + _fit_cells(summary.get("fit"), f"{where}.summary.fit")
+    fit = summary.get("fit") or {}
+    if not isinstance(fit, dict):
+        raise ValidationError(f"{where}.summary.fit must be an object or null")
+    cells = [name] + [
+        _export_number(fit.get(key), f"{where}.summary.fit.{key}")
+        for key in ("theta", "coeff", "r_squared")]
     cells.append(_export_number(summary.get("residual"),
                                 f"{where}.summary.residual"))
     return ",".join(cells)
+
+
+def _export_rows(manifest, where="") -> list[str]:
+    """A manifest's task entries as csv rows under EXPORT_HEADER, one per
+    task in manifest order; error messages start with ``where``."""
+    tasks = manifest.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise ValidationError(f"{where}manifest tasks must be a list")
+    return [_export_row(entry, f"{where}tasks[{i}]")
+            for i, entry in enumerate(tasks)]
 
 
 def run_export(manifest_path: str, fmt: str) -> int:
@@ -849,13 +853,9 @@ def run_export(manifest_path: str, fmt: str) -> int:
         json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
-    # csv: one row per task with the headline fit numbers, all checked
-    # before the first line is printed
-    tasks = manifest.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ValidationError("manifest tasks must be a list")
-    rows = [_export_row(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
-    print("task,theta_hat,coeff_hat,r_squared,residual")
+    # csv: every row is checked before the first line is printed
+    rows = _export_rows(manifest)
+    print(EXPORT_HEADER)
     for row in rows:
         print(row)
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -120,8 +121,6 @@ class CoefficientField:
 
     def __post_init__(self):
         a = np.asarray(self.tensors, dtype=float)
-        if a.ndim == 0:
-            a = a[None, None] * np.eye(1)
         if a.ndim != 2 and a.ndim != 3:
             raise ValidationError("tensors must be (N,N) or (size,N,N)")
         if a.shape[-1] != a.shape[-2]:
@@ -159,15 +158,16 @@ class CoefficientField:
 
 
 class OperatorMatrix:
-    """Symmetric positive-definite banded operator with a cached factor.
+    """Symmetric positive-definite banded operator, factored on first use.
 
     The matrix is kept in lower band storage, ``band[d, j] = A[j + d, j]``.
     Every linear solve goes through its Cholesky factor A = L L', computed
-    on first use by a block Cholesky of the block-tridiagonal form (blocks
-    of size max(bandwidth, 16)); a matrix that is not positive definite
-    raises :class:`PositivityError` there. The dense ``matrix`` and its
-    full eigendecomposition (used for fractional inverse powers, the
-    small-N oracle) are built only when first asked for. Besides these the
+    on the first solve by a block Cholesky of the block-tridiagonal form
+    (blocks of size max(bandwidth, 16)) and kept; a matrix that is not
+    positive definite raises :class:`PositivityError` there, and the next
+    solve tries again. The dense ``matrix`` and its full
+    eigendecomposition (used for fractional inverse powers, the small-N
+    oracle) are likewise each built on first use and kept. Besides these the
     instance keeps one atom-side slot, owned by
     :mod:`deltaspec.birman_schwinger`: what was computed of A on every
     atom of the last restriction content used (X = A^(-1) gamma', G, the
@@ -185,37 +185,36 @@ class OperatorMatrix:
             raise ValidationError("operator matrix is zero")
         band.setflags(write=False)
         self.band = band
-        self._factor = None
-        self._dense = None
-        self._eig = None
         self._atom_side = None
 
     @property
     def size(self) -> int:
         return self.band.shape[1]
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The dense matrix, built on first access."""
-        if self._dense is None:
-            self._dense = dense_from_band(self.band)
-        return self._dense
+        return dense_from_band(self.band)
 
     def plus(self, band: np.ndarray) -> "OperatorMatrix":
         """The operator with a symmetric banded update added (lower band
         storage, any width)."""
         return OperatorMatrix(_add_bands(self.band, band))
 
+    @cached_property
     def _cholesky(self):
         # (inverse diagonal factors, subdiagonal factors) of A = L L'
-        if self._factor is None:
-            self._factor = _block_cholesky(*_blocks(self.band))
-        return self._factor
+        return _block_cholesky(*_blocks(self.band))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs through the cached Cholesky factor."""
-        inv, low = self._cholesky()
-        y = _forward(inv, low, self._split(rhs, inv.shape))
+        """Solve A x = rhs through the kept Cholesky factor."""
+        inv, low = self._cholesky
+        y = self._split(rhs, inv.shape)
+        # forward sweep with L: y_i <- L_ii^(-1) (y_i - L_(i,i-1) y_(i-1))
+        for i in range(len(inv)):
+            if i:
+                y[i] -= low[i - 1] @ y[i - 1]
+            y[i] = inv[i] @ y[i]
         # backward sweep with L': x_i = L_ii^(-T) (y_i - L_(i+1,i)' x_(i+1))
         for i in range(len(inv) - 1, -1, -1):
             if i < len(inv) - 1:
@@ -238,17 +237,16 @@ class OperatorMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigh()[0]
+        return self._eigh[0]
 
+    @cached_property
     def _eigh(self):
-        if self._eig is None:
-            w, q = np.linalg.eigh(self.matrix)
-            if w[0] <= 0:
-                raise PositivityError(
-                    f"operator matrix has min eigenvalue {w[0]:g} <= 0"
-                )
-            self._eig = (w, q)
-        return self._eig
+        w, q = np.linalg.eigh(self.matrix)
+        if w[0] <= 0:
+            raise PositivityError(
+                f"operator matrix has min eigenvalue {w[0]:g} <= 0"
+            )
+        return w, q
 
 
 def dense_from_band(band: np.ndarray) -> np.ndarray:
@@ -306,34 +304,25 @@ def _blocks(band: np.ndarray):
 
 
 def _block_cholesky(diag: np.ndarray, sub: np.ndarray):
-    """Block Cholesky of a block-tridiagonal SPD matrix.
+    """Block Cholesky of a block-tridiagonal SPD matrix, in place.
 
-    Returns the inverses L_ii^(-1) of the diagonal factors and the
-    subdiagonal factors L_(i+1,i) = A_(i+1,i) L_ii^(-T) of A = L L'.
+    Overwrites each diagonal block A_ii with the inverse L_ii^(-1) of its
+    diagonal factor and each subdiagonal block A_(i+1,i) with the factor
+    L_(i+1,i) = A_(i+1,i) L_ii^(-T) of A = L L', and returns the two
+    arrays: (inverse diagonal factors, subdiagonal factors).
     """
-    inv = np.empty_like(diag)
-    low = np.empty_like(sub)
     for i in range(len(diag)):
-        block = diag[i] - low[i - 1] @ low[i - 1].T if i else diag[i]
+        block = diag[i] - sub[i - 1] @ sub[i - 1].T if i else diag[i]
         try:
             factor = np.linalg.cholesky(block)
         except np.linalg.LinAlgError as exc:
             raise PositivityError(
                 "operator matrix is not positive definite"
             ) from exc
-        inv[i] = np.tril(np.linalg.inv(factor))
+        diag[i] = np.tril(np.linalg.inv(factor))
         if i < len(diag) - 1:
-            low[i] = sub[i] @ inv[i].T
-    return inv, low
-
-
-def _forward(inv, low, y):
-    # forward sweep, in place: y_i <- L_ii^(-1) (y_i - L_(i,i-1) y_(i-1))
-    for i in range(len(inv)):
-        if i:
-            y[i] -= low[i - 1] @ y[i - 1]
-        y[i] = inv[i] @ y[i]
-    return y
+            sub[i] = sub[i] @ diag[i].T
+    return diag, sub
 
 
 def _centered_difference(shape: tuple[int, ...], h: float, axis: int):
@@ -430,7 +419,7 @@ def assemble_robin(
     robin = bs_operator(assemble_neumann(grid, coeffs),
                         restriction_matrix(grid, boundary_p.measure),
                         boundary_p).perturbed
-    robin._cholesky()
+    robin._cholesky  # factored here, kept for every solve
     return robin
 
 
@@ -439,7 +428,7 @@ def inverse_power(a: OperatorMatrix, s: float) -> np.ndarray:
     eigendecomposition."""
     if s <= 0:
         raise ValidationError("inverse power exponent must be positive")
-    w, q = a._eigh()
+    w, q = a._eigh
     out = (q * w ** (-float(s))) @ q.T
     return 0.5 * (out + out.T)
 

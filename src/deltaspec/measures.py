@@ -198,10 +198,9 @@ def solve_moran_dimension(ratios: Sequence[float]) -> float:
     def f(d):
         return np.sum(rho ** d) - 1.0
 
-    # f(0) = m - 1 > 0; push the upper bracket until f < 0.
+    # f(0) = m - 1 > 0, and f(d) <= m rho_max^d - 1, which is rho_max - 1
+    # < 0 one past the root d0 = log m / log(1/rho_max) of the right side
     hi = np.log(rho.size) / np.log(1.0 / rho.max()) + 1.0
-    while f(hi) > 0:
-        hi *= 2.0
     d = _bisect(f, 0.0, hi)
     assert abs(f(d)) <= 1e-12
     return float(d)

@@ -81,6 +81,7 @@ from .birman_schwinger import (
 )
 from .elliptic import OperatorMatrix, dense_from_band, inverse_power
 from .errors import NumericalError, PositivityError, ValidationError
+from .spectra import FLOOR_FACTOR
 
 __all__ = [
     "ResolventReport",
@@ -237,11 +238,11 @@ def _report(q, side, m, plus, minus, identity, terms, a_core=None
         cores.append(core)
         gap = max(gap, op_gap)
     direct = cores[0] - cores[1]
-    # the inverses' norm scale: when both paths sit at or below its
-    # rounding floor the difference is numerically zero and they agree
+    # the inverses' norm scale: when both paths sit at or below the noise
+    # floor of spectra at that scale the difference is zero and they agree
     ambient = float(np.linalg.norm(cores[0]) + np.linalg.norm(cores[1]))
     scale = float(np.linalg.norm(direct))
-    if max(scale, float(np.linalg.norm(identity))) <= 1e-11 * ambient:
+    if max(scale, float(np.linalg.norm(identity))) <= FLOOR_FACTOR * ambient:
         disagreement = 0.0
     else:
         disagreement = float(np.linalg.norm(identity - direct))

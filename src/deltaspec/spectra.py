@@ -370,9 +370,11 @@ def weyl_density(
     ``a_mat`` is the (N, N) symbol tensor at the point and ``normal`` the
     Euclidean unit normal of the surface. The fiber integral
     ``r(X, xi') = (2 pi)^(-1) int a(X; xi' + y nu)^(-2) dy`` has the closed
-    form ``alpha / (4 (alpha gamma - beta^2)^(3/2))``; the tangent unit
-    sphere is two points for N = 2 and a circle (trapezoid rule,
-    spectrally accurate) for N = 3, and
+    form ``alpha / (4 (alpha gamma - beta^2)^(3/2))``. The tangent unit
+    sphere S is sampled at points xi' with one quadrature step: the two
+    points +-tau with step 1 for N = 2, and ``quadrature_points`` equally
+    spaced points of a circle with step 2 pi / ``quadrature_points`` for
+    N = 3 (the trapezoid rule, spectrally accurate), and
 
         omega = (1 / (d (2 pi)^d)) * int_{S} r(X, xi')^theta dsigma(xi')
 
@@ -395,8 +397,7 @@ def weyl_density(
     d = n_dim - 1
     if n_dim == 2:
         tau = np.array([-nu[1], nu[0]])
-        vals = [_r_fiber(a_mat, tau, nu), _r_fiber(a_mat, -tau, nu)]
-        sphere_integral = sum(v ** theta for v in vals)
+        points, step = [tau, -tau], 1.0
     elif n_dim == 3:
         # orthonormal tangent frame
         ref = np.array([1.0, 0.0, 0.0])
@@ -406,14 +407,14 @@ def weyl_density(
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(nu, e1)
         phis = 2.0 * np.pi * np.arange(quadrature_points) / quadrature_points
-        acc = 0.0
-        for phi in phis:
-            xi = math.cos(phi) * e1 + math.sin(phi) * e2
-            acc += _r_fiber(a_mat, xi, nu) ** theta
-        sphere_integral = acc * (2.0 * np.pi / quadrature_points)
+        points = [math.cos(phi) * e1 + math.sin(phi) * e2 for phi in phis]
+        step = 2.0 * np.pi / quadrature_points
     else:
         raise ValidationError("weyl_density supports N = 2 or N = 3 only")
-    return sphere_integral / (d * (2.0 * np.pi) ** d)
+    acc = 0.0
+    for xi in points:
+        acc += _r_fiber(a_mat, xi, nu) ** theta
+    return acc * step / (d * (2.0 * np.pi) ** d)
 
 
 def weyl_prediction(

@@ -198,13 +198,25 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"analysis": {"window": [25, 5]}},
     {"analysis": {"window": [0, 10]}},
     {"analysis": {"window": [5, 5]}},
+    {"measure": {"kind": "cube"}},
+    {"weights": {"V1": {"kind": "gaussian"}}},
+    {"tasks": ["eigen_diff"]},
+    {"tasks": [{"name": "power_diff", "m": 5}]},
+    {"tasks": [{"name": "resolvent_diff", "m": 2}]},
+    {"tasks": []},
+    {"measure": {"kind": "union", "parts": [SEGMENT_1D]}},
+    {"measure": {"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": 0.5, "translation": [0.0], "rotation": 0.3},
+        {"ratio": 0.5, "translation": [0.5]}]}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
         "huge_integer", "one_map_ifs_depth", "head_drop_one",
         "head_drop_negative", "negative_floor", "weyl_check_without_v2",
         "nonneg_string", "bbox_4d", "atom_cap", "window_and_head_drop",
-        "window_reversed", "window_from_zero", "window_one_point"])
+        "window_reversed", "window_from_zero", "window_one_point",
+        "measure_kind", "weight_kind", "task_name", "power_diff_m5",
+        "m_on_resolvent_diff", "no_tasks", "union_one_part", "rotation_1d"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     out = tmp_path / "runs"
@@ -244,6 +256,35 @@ def test_input_error_exits_2_before_any_output(tmp_path, capsys, overrides):
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+DUST_2D = {"kind": "ifs", "depth": 4, "maps": [
+    {"ratio": 0.25, "translation": [x, y]}
+    for x in (0.525, 0.825) for y in (0.3, 0.525)]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"domain": {"bbox": [[0.0, 1.0]], "shape": [256]},
+     "measure": {"kind": "lebesgue"}},
+    {"domain": {"bbox": [[0.0, 1.6], [0.0, 0.8]], "shape": [33, 17]},
+     "measure": {"kind": "union", "parts": [
+         {"kind": "segment", "start": [0.3, 0.2], "end": [1.3, 0.2],
+          "count": 32}, DUST_2D]}},
+    {"domain": {"bbox": [[0.0, 1.0], [0.0, 1.0]], "shape": [17, 17]},
+     "measure": {"kind": "ifs", "depth": 5, "maps": [
+         {"ratio": 0.5, "translation": [0.3, 0.2], "rotation": 0.5},
+         {"ratio": 0.5, "translation": [0.5, 0.45]}]}},
+], ids=["lebesgue", "union", "ifs_rotation"])
+def test_measure_kinds_run_every_task(tmp_path, overrides):
+    tasks = ["resolvent_diff", {"name": "power_diff", "m": 2}, "krein_feller"]
+    manifest, run_dir = run_manifest(tmp_path,
+                                     base_config(tasks=tasks, **overrides))
+    assert [entry["name"] for entry in manifest["tasks"]] == [
+        "resolvent_diff", "power_diff", "krein_feller"]
+    for entry in manifest["tasks"]:
+        for key in ("singulars", "counting", "summary"):
+            assert (run_dir / entry["outputs"][key]).is_file()
+        assert entry["summary"]["values_kept"] > 0
 
 
 def test_tasks_share_one_operator_per_weight(tmp_path, monkeypatch):
@@ -593,6 +634,18 @@ def test_non_number_weight_cell_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_weight_file_without_v_column_exits_2_before_any_output(tmp_path,
+                                                               capsys):
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "v.csv")
+    cfg = base_config(weights={"V1": {"kind": "file", "path": "v.csv"}})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: v.csv has no V column\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_weight_file_exits_2_before_any_output(tmp_path, capsys,
                                                          case):
@@ -635,10 +688,48 @@ def test_sweep_writes_combined_summary(tmp_path):
     assert rc == 0
     sweep_csv = out / f"sweep-{config_hash(cfg)}-weights_V1_value" / "summary.csv"
     lines = sweep_csv.read_text().splitlines()
-    assert lines[0] == "axis_value,theta_hat,coeff_hat,r_squared"
+    assert lines[0] == "axis_value,task,theta_hat,coeff_hat,r_squared,residual"
     assert len(lines) == 3
     assert lines[1].startswith("0.5,")
     assert len(list(out.glob("*/manifest.json"))) == 2
+
+
+def test_sweep_summary_holds_exports_rows_for_every_task(tmp_path, capsys):
+    # one row per value and task, in manifest order: resolvent_diff does
+    # not read V2, so its rows agree across values, and two_weight_diff's
+    # do not
+    cfg = base_config(
+        domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [57, 15]},
+        measure={"kind": "segment", "start": [0.3, 0.2], "end": [1.3, 0.2],
+                 "count": 64},
+        weights={"V1": {"kind": "constant", "value": 3.0},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=["resolvent_diff", "two_weight_diff"])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["sweep", str(path), "--axis", "weights.V2.value",
+                 "--values", "1,2", "--out", str(out)]) == 0
+    sweep_dir = out / f"sweep-{config_hash(cfg)}-weights_V2_value"
+    lines = (sweep_dir / "summary.csv").read_text().splitlines()
+    assert lines[0] == "axis_value,task,theta_hat,coeff_hat,r_squared,residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [
+        ["1", "resolvent_diff"], ["1", "two_weight_diff"],
+        ["2", "resolvent_diff"], ["2", "two_weight_diff"]]
+    assert all(cell != "" for row in rows for cell in row)
+    assert rows[0][2:] == rows[2][2:]
+    assert rows[1][2:] != rows[3][2:]
+    # each value's rows are the ones export writes for its run
+    for value in (1, 2):
+        variant = json.loads(json.dumps(cfg))
+        variant["weights"]["V2"]["value"] = value
+        capsys.readouterr()
+        assert main(["export", str(out / config_hash(variant)
+                                   / "manifest.json")]) == 0
+        exported = capsys.readouterr().out.splitlines()
+        assert exported[0] == lines[0].split(",", 1)[1]
+        assert [f"{value},{row}" for row in exported[1:]] == [
+            line for line in lines[1:] if line.startswith(f"{value},")]
 
 
 def test_set_axis_broadcasts_scalars_over_lists():
@@ -680,8 +771,10 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
      "weights.V1.path must be a string"),
     ({"V1": {"kind": "file"}}, "weights", "{}",
      "weights.V1.path must be a string"),
+    ({"V1": {"kind": "constant", "value": 1.0}}, "weights.V1.value", ",",
+     "--values must list at least one value"),
 ], ids=["missing_file", "weights_not_object", "weight_without_kind",
-        "path_not_string", "file_without_path"])
+        "path_not_string", "file_without_path", "no_values"])
 def test_sweep_checks_the_base_config_before_the_first_run(
         tmp_path, capsys, weights, axis, values, message):
     # the base config names the sweep directory: a weights section its

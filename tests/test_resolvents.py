@@ -341,6 +341,24 @@ def test_3d_reports_match_dense_inverses():
         assert err <= 1e-10 * np.max(np.abs(want))
 
 
+def test_power_difference_on_an_exhausted_krylov_span():
+    # 24 atoms over most of 48 nodes: the blocks of m = 4 are 24, 22 and 2
+    # wide and fill every node, so the fourth is empty and the basis stops
+    g = Grid(np.array([[0.0, 1.0]]), (48,))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=1.0))
+    m = segment_measure(np.array([[0.05], [0.95]]), 24)
+    gam = restriction_matrix(g, m)
+    t_op = bs_operator(a, gam, Perturbation.constant(m, 1.0))
+    rep = power_difference(a, t_op, 4)
+    assert birman_schwinger._atom_side_of(a, gam)._widths == [24, 22, 2]
+    assert rep.basis.shape == (48, 48)
+    assert rep.residual <= 1e-12
+    want = (np.linalg.matrix_power(perturbed_inverse(a, t_op), 4)
+            - np.linalg.matrix_power(inverse_power(a, 1.0), 4))
+    for got in (rep.difference, rep.expansion()):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_reports_factor_each_operator_once(monkeypatch):
     # every report on the same weights shares one factor of A and one of
     # each A + C, kept on the weight's operator
