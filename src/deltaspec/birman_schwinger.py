@@ -19,8 +19,9 @@ This module owns the one path from A to the atoms: the atom-side slot an
 ``OperatorMatrix`` keeps. The slot holds what depends on A and the atoms
 of one restriction but not on the weights: X = A^(-1) gamma',
 G = gamma X, the factor R of the core (R'R = G), the orthonormal
-Krylov basis Q of the resolvent reports and, per power, A's products on
-Q that the reports read, each built on first use. It
+Krylov basis Q of the resolvent reports, Q'X per basis width and, per
+power, A's k x r and r x r products on Q that the reports read, each
+built on first use. It
 covers every atom of the restriction; a weight enters only through D, so
 its zeros are zero entries of D and every weight on the measure reads
 the same side. The slot is keyed by the restriction's
@@ -206,14 +207,15 @@ class _AtomSide:
     ``x(a)`` is X = A^(-1) gamma', ``g(a)`` is G = gamma X, ``r(a)`` is
     a factor R'R = G on the atoms from the
     eigendecomposition of ``g(a)``, ``basis(a, m)`` is the
-    orthonormal basis Q of span{A^(-j) gamma' : j <= m}, and
-    ``powers(a, m)`` are A's products on that Q: A^(-1) Q (N x r, not
-    kept for m = 1), gamma A^(-j) Q for j <= m (k x r) and Q' A^(-m) Q
-    (r x r), kept per m. Each is built on first use, from the A passed
-    in, which is the operator keeping this side. With at least as many
-    atoms as nodes, G would be no smaller than N x N, and the nodes serve
-    as atoms instead: gamma = 1, so ``g(a)`` is A^(-1), and Q = 1 (the
-    node basis); R is still a factor of G on the atoms, N x k.
+    orthonormal basis Q of span{A^(-j) gamma' : j <= m}, ``qx(a, m)``
+    is Q'X on that Q (r x k), kept per basis width, and ``powers(a, m)``
+    are A's products on that Q: gamma A^(-j) Q for j <= m (k x r) and
+    Q' A^(-m) Q (r x r), kept per m. Each is built on first use, from
+    the A passed in, which is the operator keeping this side. With at
+    least as many atoms as nodes, G would be no smaller than N x N, and
+    the nodes serve as atoms instead: gamma = 1, so ``g(a)`` is A^(-1),
+    and Q = 1 (the node basis); R is still a factor of G on the atoms,
+    N x k.
     """
 
     def __init__(self, restriction: RestrictionMatrix, size: int):
@@ -225,6 +227,7 @@ class _AtomSide:
         self._g = None
         self._r = None
         self._powers: dict[int, tuple] = {}
+        self._qx: dict[int, np.ndarray] = {}
 
     def adjoint(self) -> np.ndarray:
         """gamma', formed on each call (the node basis: the identity)."""
@@ -289,26 +292,35 @@ class _AtomSide:
         q = self._blocks
         return q if r == q.shape[1] else q[:, :r].copy()
 
+    def qx(self, a: OperatorMatrix, m: int) -> np.ndarray:
+        """Q'X on the basis Q = ``basis(a, m)`` (r x k), kept per basis
+        width; X itself for the node basis."""
+        if self.nodes:
+            return self.x(a)
+        q = self.basis(a, m)
+        if q.shape[1] not in self._qx:
+            self._qx[q.shape[1]] = q.T @ self.x(a)
+        return self._qx[q.shape[1]]
+
     def powers(self, a: OperatorMatrix, m: int):
-        """A's products on the basis Q = ``basis(a, m)`` of power m:
-        A^(-1) Q (None for m = 1), the list of gamma A^(-j) Q for
-        1 <= j <= m and Q' A^(-m) Q.
+        """A's products on the basis Q = ``basis(a, m)`` of power m: the
+        list of gamma A^(-j) Q for 1 <= j <= m (k x r) and Q' A^(-m) Q.
 
         They come from m solves, the first of Q itself, and are kept per
-        m; the products of m are never cut from those of a larger power,
-        so a report gets the same bits whatever ran before it. For m = 1
-        only the k x r and r x r products are kept. The node basis takes
-        A^(-1) Q as X, with no solve, and Q' A^(-m) Q as A^(-m) itself,
-        which is what the product 1' A^(-m) gives bit for bit.
+        m; the solves' N x r results are not. The products of m are never
+        cut from those of a larger power, so a report gets the same bits
+        whatever ran before it. The node basis takes A^(-1) Q as X, with
+        no solve, and Q' A^(-m) Q as A^(-m) itself, which is what the
+        product 1' A^(-m) gives bit for bit.
         """
         if m not in self._powers:
             q = self.basis(a, m)
-            ys = [self.x(a) if self.nodes else a.solve(q)]
+            y = self.x(a) if self.nodes else a.solve(q)
+            products = [self.gamma(y)]
             for _ in range(m - 1):
-                ys.append(a.solve(ys[-1]))
-            self._powers[m] = (ys[0] if m > 1 else None,
-                               [self.gamma(y) for y in ys],
-                               ys[-1] if self.nodes else q.T @ ys[-1])
+                y = a.solve(y)
+                products.append(self.gamma(y))
+            self._powers[m] = (products, y if self.nodes else q.T @ y)
         return self._powers[m]
 
 

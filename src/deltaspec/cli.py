@@ -250,7 +250,10 @@ def _weight_file(spec, where, base_dir) -> Path:
     return path
 
 
-def _weight(spec, where, measure, grid, rng, base_dir) -> Perturbation:
+def _weight(spec, where, measure, grid, stream, base_dir) -> Perturbation:
+    # stream = (seed, child): a random weight draws from child ``child`` of
+    # the seed's SeedSequence through a counter-based Philox generator,
+    # built here so that numpy.random is imported only for such a weight
     _check_keys(spec, where, ["kind"], [
         "value", "box", "inside", "outside", "scale", "nonneg", "path",
     ])
@@ -274,6 +277,9 @@ def _weight(spec, where, measure, grid, rng, base_dir) -> Perturbation:
         _check_keys(spec, where, ["kind"], ["scale", "nonneg"])
         if not isinstance(spec.get("nonneg", False), bool):
             raise ValidationError(f"{where}.nonneg must be true or false")
+        seed, child = stream
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(child,))))
         vals = rng.standard_normal(measure.count) * float(spec.get("scale", 1.0))
         return Perturbation(measure,
                             np.abs(vals) if spec.get("nonneg") else vals)
@@ -347,11 +353,10 @@ def validate_config(cfg, base_dir=".") -> dict:
 
     weights = cfg.get("weights", {})
     _check_keys(weights, "weights", [], ["V1", "V2"])
-    # one counter-based stream per weight; V1 is zero when absent
-    streams = dict(zip(("V1", "V2"), np.random.SeedSequence(seed).spawn(2)))
+    # one stream per weight, V1 the seed's child 0 and V2 its child 1;
+    # V1 is zero when absent
     built = {key: _weight(spec, f"weights.{key}", measure, grid,
-                          np.random.Generator(np.random.Philox(streams[key])),
-                          base_dir)
+                          (seed, ("V1", "V2").index(key)), base_dir)
              for key, spec in {"V1": {"kind": "constant", "value": 0.0},
                                **weights}.items()}
 
@@ -817,13 +822,21 @@ def _export_number(value, where) -> str:
 
 
 def _export_row(entry, where) -> str:
-    # one manifest task entry as a csv row; any other shape exits 2
+    # one manifest task entry as a csv row, its task cell carrying the
+    # power of a power_diff as ``power_diff(m=3)``; any other shape exits 2
     if not isinstance(entry, dict):
         raise ValidationError(f"{where} must be an object")
     name = entry.get("name", "")
+    params = entry.get("params", {})
     summary = entry.get("summary", {})
     if not isinstance(name, str):
         raise ValidationError(f"{where}.name must be a string")
+    if not isinstance(params, dict):
+        raise ValidationError(f"{where}.params must be an object")
+    if "m" in params:
+        if not _is_numeric(params["m"], integer=True):
+            raise ValidationError(f"{where}.params.m must be an integer")
+        name = f"{name}(m={params['m']})"
     if not isinstance(summary, dict):
         raise ValidationError(f"{where}.summary must be an object")
     fit = summary.get("fit") or {}

@@ -172,10 +172,9 @@ class OperatorMatrix:
     :mod:`deltaspec.birman_schwinger`: what was computed of A on every
     atom of the last restriction content used (X = A^(-1) gamma', G, the
     factor R of the Birman-Schwinger core, taken from the
-    eigendecomposition of G, the Krylov basis Q and, per power m, A's
-    products on Q: A^(-1) Q, gamma A^(-j) Q for j <= m and Q' A^(-m) Q,
-    with no N-sized array for m = 1; each built on first use), whatever
-    the weights.
+    eigendecomposition of G, the Krylov basis Q, Q'X per basis width
+    and, per power m, A's products on Q: gamma A^(-j) Q for j <= m and
+    Q' A^(-m) Q; each built on first use), whatever the weights.
     ``band`` is read-only, so nothing kept can go stale.
     """
 
@@ -424,13 +423,14 @@ def assemble_robin(
 
 
 def inverse_power(a: OperatorMatrix, s: float) -> np.ndarray:
-    """Spectral inverse power A^(-s), formed on each call from the cached
-    eigendecomposition."""
+    """Spectral inverse power A^(-s) = F F', F = Q W^(-s/2), formed on each
+    call from the cached eigendecomposition A = Q W Q'; ``f @ f.T`` is one
+    symmetric rank-k product, so the result is exactly symmetric."""
     if s <= 0:
         raise ValidationError("inverse power exponent must be positive")
     w, q = a._eigh
-    out = (q * w ** (-float(s))) @ q.T
-    return 0.5 * (out + out.T)
+    f = q * w ** (-0.5 * float(s))
+    return f @ f.T
 
 
 def lebesgue_measure(grid: Grid) -> DiscreteMeasure:

@@ -18,7 +18,9 @@ on Q:
   labeled terms;
 * the direct path, ``Q' P^(-m) Q - Q' M^(-m) Q`` with P and M each A or
   an assembled A + C_i, factored on its own, which uses no Woodbury
-  algebra.
+  algebra; Q' (A + C_i)^(-m) Q is Z_(m-h)' Z_h with Z_j = (A + C_i)^(-j) Q
+  and h = ceil(m / 2), so a sweep solves Q h times (m times when Q spans
+  every node).
 
 ``resolvent_difference`` is the two-weight difference against the zero
 weight, whose side is A itself, and ``power_difference`` telescopes its
@@ -45,21 +47,21 @@ An ``OperatorMatrix`` keeps three things: its factor, its
 eigendecomposition (only if asked for) and one atom-side slot, which
 :mod:`deltaspec.birman_schwinger` owns, fills and keys by the restriction's
 content. The side covers every atom of the restriction, whatever the
-weights, and this module only reads it: X, G, the basis Q and, per power
-m on the basis of that m, A's products A^(-1) Q, gamma A^(-j) Q for
-j <= m and Q' A^(-m) Q (no N-sized array for m = 1), next to the R
-factor of the Birman-Schwinger core. The Krylov blocks of Q are grown one
-at a time, so the basis for m is the first columns of the basis for
-m + 1; the products of m are built from that basis alone, never cut from
-a larger power's, so a report gets the same arrays whether the slot was
-warm or cold. X lies in the first block of Q (up to the directions below
-RANK_TOL it drops), so gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is
-read off the kept columns gamma A^(-j) Q. Reports on one A and one
-measure (the tasks of a run, a sweep over weight values, a loop of weight
-draws) therefore build X, G, Q and A's products once, so a report's only
-solves with A are the m - 1 steps of the power difference's
-weight-dependent identity path, and the margin checks before them take R
-from the same slot.
+weights, and this module only reads it: X, G, the basis Q, Q'X per basis
+width and, per power m on the basis of that m, A's products
+gamma A^(-j) Q for j <= m and Q' A^(-m) Q, next to the R factor of the
+Birman-Schwinger core. The Krylov blocks of Q are grown one at a time, so
+the basis for m is the first columns of the basis for m + 1; the products
+of m are built from that basis alone, never cut from a larger power's, so
+a report gets the same arrays whether the slot was warm or cold. X lies
+in the first block of Q (up to the directions below RANK_TOL it drops),
+so gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is read off the kept
+columns gamma A^(-j) Q, and the power difference's identity path runs on
+these k x r arrays alone. Reports on one A and one measure (the tasks of
+a run, a sweep over weight values, a loop of weight draws) therefore
+build X, G, Q and A's products once; once they are built a report solves
+only with A + C_i, and the margin checks before it take R from the same
+slot.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -187,25 +189,39 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
 
 
-def _on_basis(side, q, y):
-    """Q'y: y itself for the node basis, where Q is the identity."""
-    return y if side.nodes else q.T @ y
-
-
 def _sweep(op, q, side, m):
     """``Q' op^(-m) Q`` and the largest relative part of op^(-j) gamma',
-    1 <= j <= m, outside Q (0 when Q spans every node), from one sweep of
-    m solves over Q and the side's gamma' stacked next to it."""
-    r, gap = q.shape[1], 0.0
-    y = q if r == q.shape[0] else np.hstack([q, side.adjoint()])
-    for _ in range(m):
-        y = op.solve(y)
-        norm = float(np.linalg.norm(y[:, r:]))
+    1 <= j <= m, outside Q (0 when Q spans every node).
+
+    With Z_j = op^(-j) Q and h = ceil(m / 2) the core is Z_(m-h)' Z_h: Q
+    rides with gamma' for h solves and gamma' goes on alone to j = m. For
+    m = 1 that is Q' op^(-1) Q from one solve of [Q, gamma']. A Q that
+    spans every node (the node basis among them) has no gamma' to carry:
+    it takes m solves of Q and one product with Q' (none for the node
+    basis, where Q = 1).
+    """
+    r = q.shape[1]
+    if r == q.shape[0]:
+        y = q
+        for _ in range(m):
+            y = op.solve(y)
+        return (y if side.nodes else q.T @ y), 0.0
+    h, gap, c = (m + 1) // 2, 0.0, r
+    y = np.hstack([q, side.adjoint()])
+    for j in range(1, m + 1):
+        z = op.solve(y)
+        if j == h:
+            # Z_(m-h) is Q for m = 1, else this solve's input for odd m
+            # and its output for even m
+            left = q if m == 1 else y[:, :r] if m % 2 else z[:, :r]
+            core, z, c = left.T @ z[:, :r], z[:, r:], 0
+        y = z
+        norm = float(np.linalg.norm(y[:, c:]))
         if norm > 0:
-            outside = q @ (q.T @ y[:, r:])
-            outside -= y[:, r:]  # in place: minus the part outside Q
+            outside = q @ (q.T @ y[:, c:])
+            outside -= y[:, c:]  # in place: minus the part outside Q
             gap = max(gap, float(np.linalg.norm(outside)) / norm)
-    return _on_basis(side, q, y[:, :r]), gap
+    return core, gap
 
 
 def _report(q, side, m, plus, minus, identity, terms, a_core=None
@@ -286,11 +302,11 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        p, g = _on_basis(side, q, side.x(a)), side.g(a)
+        p, g = side.qx(a, 1), side.g(a)
         main = cores[0] - cores[1] if t2 is not None else cores[0]
         z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
         terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-        a_core = side.powers(a, 1)[2] if t2 is None else None
+        a_core = side.powers(a, 1)[1] if t2 is None else None
         return _report(q, side, 1, t2, t1, sum(terms.values()), terms,
                        a_core)
 
@@ -350,38 +366,42 @@ def power_difference(
 
     where H4 is the identity-path difference minus H2 and H3. The identity
     path telescopes, with E = X M X':
-    ``(B - E)^m - B^m = - sum_i (B - E)^i E B^(m-1-i)``. The direct path
-    applies the banded factor of A + C m times to the basis.
+    ``(B - E)^m - B^m = - sum_i (B - E)^i E B^(m-1-i)``, and runs on the
+    atoms from A's kept products gamma B^j Q and Q'X, with no solve. The
+    direct path applies the banded factor of A + C to the basis
+    ceil(m / 2) times (see ``_sweep``).
     """
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
     side, (s,), q = _atom_side(a, m, margin_threshold, t_op)
-    gamma, x = side.gamma, side.x(a)
     mm = _woodbury(side.g(a), s)
 
-    # the atom side's B Q, p[j] = gamma B^j Q for j = 1..m and Q' B^m Q:
-    # Q' B^i W B^j Q = p[i+1]' D p[j+1], and X' B^j X = gamma B^(j+1) X =
-    # p[j+1] Q'X, since X lies in the first block of Q
-    bq, p, bm = side.powers(a, m)
-    p = [None, *p]
+    # the atom side's p[j] = gamma B^j Q for j = 1..m, Q' B^m Q and Q'X:
+    # Q' B^i W B^j Q = p[i+1]' D p[j+1], and X lies in the first block of
+    # Q, so gamma B^j X = p[j] Q'X (with the nodes as atoms, p[j+1] itself)
+    p, bm = side.powers(a, m)
+    p, qx = [None, *p], side.qx(a, m)
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
+        px = [None] + [p[j + 1] if side.nodes else p[j] @ qx
+                       for j in range(1, m)]
         h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
-        qx = _on_basis(side, q, x)
         h3 = np.zeros_like(bm)
         for i in range(m - 1):
             for j in range(m - 1 - i):
                 k = m - 2 - i - j
-                h3 += p[i + 1].T @ s @ (p[j + 1] @ qx) @ s @ p[k + 1]
+                h3 += p[i + 1].T @ s @ px[j + 1] @ s @ p[k + 1]
 
-        # Q' (B - E)^i X = (gamma B U_i)' with U_i = (B - E)^i Q
+        # with U_i = (B - E)^i Q, Q' (B - E)^i X = f_i' for f_i =
+        # gamma B U_i = g_i(1), where g_i(l) = gamma B^l U_i. As X'U_i =
+        # f_i, g_0(l) = p[l] and g_(i+1)(l) = g_i(l+1) - gamma B^l X M f_i:
+        # k x r arrays on the atoms, with no solve
         d_id = np.zeros_like(bm)
-        bu = bq
+        g = p[1:]  # g[l - 1] = g_i(l) for l = 1..m - i
         for i in range(m):
-            f = gamma(bu)
-            d_id -= f.T @ mm @ p[m - i]
-            if i < m - 1:
-                bu = a.solve(bu - x @ (mm @ f))
+            mf = mm @ g[0]
+            d_id -= mf.T @ p[m - i]
+            g = [g[l] - px[l] @ mf for l in range(1, m - i)]
         terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
         return _report(q, side, m, t_op, None, d_id, terms, bm)

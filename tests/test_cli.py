@@ -941,11 +941,14 @@ def test_krein_feller_run_solves_gamma_once_and_takes_no_qr(tmp_path,
 
 def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
     # a fresh run of every difference of one weight pair on the 57 x 15
-    # segment makes 19 solves: X, the growth of the basis to m = 3 (2),
-    # A's products per power (1 + 2 + 3), the m - 1 identity-path solves
-    # of each power difference (1 + 2), and one sweep of m solves per
+    # segment makes 16 solves: X, the growth of the basis to m = 3 (2),
+    # A's products per power (1 + 2 + 3), and one sweep of m solves per
     # weight and power (A + C1 at m = 1, 2, 3 and A + C2 at m = 1:
-    # 1 + 2 + 3 + 1); rd's sweep of A + C1 is the one tw reads
+    # 1 + 2 + 3 + 1), in which the basis rides with gamma' for ceil(m / 2)
+    # solves; the power differences' identity paths solve nothing, and
+    # rd's sweep of A + C1 is the one tw reads. With 64 atoms and Krylov
+    # blocks 37 wide (r = 37, 74, 111 for m = 1, 2, 3) that is 1474
+    # columns
     cfg = base_config(
         seed=7,
         domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [57, 15]},
@@ -966,7 +969,7 @@ def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
     monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
     manifest, _ = run_manifest(tmp_path, cfg)
     assert len(manifest["tasks"]) == 4
-    assert (len(columns), sum(columns)) == (19, 1955)
+    assert (len(columns), sum(columns)) == (16, 1474)
 
 
 def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,
@@ -1026,9 +1029,11 @@ def test_export_formats(tmp_path, capsys):
     {"tasks": [{"summary": {"fit": [1.0]}}]},
     {"tasks": [{"summary": {"fit": {"theta": "0.5"}}}]},
     {"tasks": [{"summary": {"residual": 10 ** 400}}]},
+    {"tasks": [{"name": "power_diff", "params": [3], "summary": {}}]},
+    {"tasks": [{"name": "power_diff", "params": {"m": 2.5}, "summary": {}}]},
 ], ids=["tasks_not_list", "task_not_object", "summary_not_object",
         "name_not_string", "fit_not_object", "theta_not_number",
-        "residual_huge_integer"])
+        "residual_huge_integer", "params_not_object", "m_not_integer"])
 def test_export_malformed_manifest_exits_2(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -1036,6 +1041,23 @@ def test_export_malformed_manifest_exits_2(tmp_path, capsys, manifest):
     out, err = capsys.readouterr()
     assert err.startswith("error:")
     assert out == ""  # nothing is printed before the manifest is checked
+
+
+def test_export_tells_powers_apart(tmp_path, capsys):
+    # two power_diff tasks export two rows, each task cell with its m
+    cfg = base_config(tasks=[{"name": "power_diff", "m": 2},
+                             {"name": "power_diff", "m": 3}])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest_path = out / config_hash(cfg) / "manifest.json"
+    assert main(["export", str(manifest_path), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("power_diff(m=2),")
+    assert lines[2].startswith("power_diff(m=3),")
+    assert lines[1] != lines[2]
 
 
 def cantor_config(**overrides):
@@ -1108,6 +1130,29 @@ def test_run_path_loads_no_scipy(tmp_path):
     assert codes == [0] * len(TASK_NAMES), proc.stderr
     assert after_import == []
     assert after_runs == []
+
+
+def test_constant_weights_leave_numpy_random_unloaded(tmp_path):
+    # only a random weight builds a Philox stream: a run of constant
+    # weights in a fresh interpreter never imports numpy.random, and a
+    # run with a random V1 after it does
+    cfgs = [base_config(tasks=["resolvent_diff", {"name": "power_diff"}]),
+            base_config(weights={"V1": {"kind": "random", "scale": 0.5}})]
+    script = (
+        "import json, sys\n"
+        "from deltaspec.cli import run_config\n"
+        "loaded = []\n"
+        f"for cfg in {cfgs!r}:\n"
+        f"    run_config(cfg, {str(tmp_path / 'runs')!r})\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "print(json.dumps(loaded))\n")
+    src_root = str(Path(deltaspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
 
 
 # Values a mutated config key may take. Every integer is small or beyond

@@ -157,6 +157,8 @@ def test_inverse_power_consistency():
     assert np.max(np.abs(inv - direct)) / np.abs(direct).max() < 1e-12
     half = inverse_power(a, 0.5)
     assert np.max(np.abs(half @ half - inv)) / np.abs(inv).max() < 1e-11
+    for power in (inv, half):
+        assert np.array_equal(power, power.T)
     with pytest.raises(ValidationError):
         inverse_power(a, -0.5)
 

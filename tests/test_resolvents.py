@@ -398,9 +398,10 @@ def _solves_by_operator(monkeypatch):
 def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
     # the first draw on A fills A's atom side with its products per power
     # and each weight's operator with its A + C sweep per power; in the
-    # second draw rd solves nothing with A, pd m only the m - 1 steps of
-    # its weight-dependent identity path, and tw only with A + C2, since
-    # rd's sweep of A + C1 at m = 1 is kept on the weight
+    # second draw no report solves with A (pd m runs its identity path on
+    # the atoms), pd m makes the m solves of its sweep of A + C1 (Q with
+    # gamma' for ceil(m / 2) of them), and tw solves only with A + C2,
+    # since rd's sweep of A + C1 at m = 1 is kept on the weight
     solved = _solves_by_operator(monkeypatch)
     a, *first = _cross_setup(case, signed=True)
     _four_reports(a, *first, order=("rd", "tw", "pd2", "pd3"))
@@ -408,11 +409,53 @@ def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
     names = {id(a): "A", id(t1.perturbed): "A + C1",
              id(t2.perturbed): "A + C2"}
     want = {"rd": {"A + C1": 1}, "tw": {"A + C2": 1},
-            "pd2": {"A": 1, "A + C1": 2}, "pd3": {"A": 2, "A + C1": 3}}
+            "pd2": {"A + C1": 2}, "pd3": {"A + C1": 3}}
     for name in ("rd", "tw", "pd2", "pd3"):
         solved.clear()
         _four_reports(a, t1, t2, order=(name,))
         assert Counter(names[id(op)] for op in solved) == want[name], name
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(CROSS_CASES))
+def test_power_identity_path_on_the_atoms_matches_the_telescoping(case, m):
+    # the identity core power_difference reads off A's kept products on
+    # the atoms, against the N-sized telescoping with solves: U_0 = Q,
+    # U_(i+1) = B U_i - X M gamma B U_i, and the core
+    # - sum_i (gamma B U_i)' M gamma B^(m-i) Q
+    a, t1, _ = _cross_setup(case, signed=True)
+    rep = power_difference(a, t1, m)
+    side, (s,), q = resolvents._atom_side(a, m, -np.inf, t1)
+    mm = resolvents._woodbury(side.g(a), s)
+    x = a.solve(side.adjoint())
+    powers = [q]
+    for _ in range(m):
+        powers.append(a.solve(powers[-1]))
+    want, u = np.zeros((q.shape[1],) * 2), q
+    for i in range(m):
+        bu = a.solve(u)
+        f = side.gamma(bu)
+        want -= f.T @ mm @ side.gamma(powers[m - i])
+        u = bu - x @ (mm @ f)
+    got = sum(rep.term_cores.values())
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_first_power_sweep_is_one_solve_of_the_basis_with_gamma(case):
+    # at m = 1 each weight's direct core is Q' (A + C)^(-1) Q from one
+    # solve of [Q, gamma'], bit for bit, and the report's core is their
+    # difference
+    a, t1, t2 = _cross_setup(case, signed=True)
+    rep = two_weight_difference(a, t1, t2)
+    q = rep.basis
+    r = q.shape[1]
+    cores = [q.T @ t_op.perturbed.solve(
+        np.hstack([q, t_op.restriction.adjoint()]))[:, :r]
+        for t_op in (t2, t1)]
+    for t_op, core in zip((t2, t1), cores):
+        assert np.array_equal(t_op._sweeps[1][0], core)
+    assert np.array_equal(rep.core, birman_schwinger._sym(cores[0] - cores[1]))
 
 
 def test_node_basis_difference_solves_the_identity_once(monkeypatch):
@@ -424,7 +467,7 @@ def test_node_basis_difference_solves_the_identity_once(monkeypatch):
     assert rep.basis.shape == (a.size, a.size)
     assert solved == [a, t1.perturbed]
     side = a._atom_side
-    assert side.powers(a, 1)[2] is side.x(a)
+    assert side.powers(a, 1)[-1] is side.x(a)
     assert solved == [a, t1.perturbed]
 
 
