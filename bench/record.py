@@ -9,7 +9,10 @@ and ``--trace 1`` (per-layer metrics and counters), each at seed 1 for
 suite (the command in ROADMAP.md) and reads the wall time of every
 acceptance criterion from its ``[criterion N]`` verdict lines. The file
 also holds a machine fingerprint (cores, BLAS name, version and threads,
-numpy and scipy versions) and the line count of ``src/``.
+numpy and scipy versions) and the line counts of ``src/``: physical
+lines, and code lines, which leave out blank lines, comment-only lines
+and module, class and function docstrings, so that deleting comments or
+docstrings does not read as less code.
 
 The output is ``BENCH_<n>.json`` at the root of the checkout, n one more
 than the highest existing file. When an earlier file exists the script
@@ -19,6 +22,7 @@ does not gate on it.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -61,10 +65,30 @@ def fingerprint() -> dict:
     }
 
 
+def code_lines(text: str) -> int:
+    """Lines that are not blank, not comment-only and not inside a module,
+    class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if i not in docstrings and line.strip()
+               and not line.lstrip().startswith("#"))
+
+
 def src_lines() -> dict:
     files = sorted((ROOT / "src").rglob("*.py"))
-    counts = {str(f.relative_to(ROOT)): sum(1 for _ in f.open()) for f in files}
-    return {"total": sum(counts.values()), "files": counts}
+    texts = {str(f.relative_to(ROOT)): f.read_text() for f in files}
+    counts = {name: len(text.splitlines()) for name, text in texts.items()}
+    code = {name: code_lines(text) for name, text in texts.items()}
+    return {"total": sum(counts.values()), "files": counts,
+            "code_total": sum(code.values()), "code_files": code}
 
 
 def run_workload(name: str, trace: int) -> dict:
@@ -116,8 +140,9 @@ def report_change(old: dict, new: dict) -> None:
     for num, crit in new["criteria"].items():
         was = old.get("criteria", {}).get(num, {}).get("elapsed_s")
         print(f"criterion {num} elapsed: {was} -> {crit['elapsed_s']}")
-    print(f"src lines: {old.get('src_lines', {}).get('total')} -> "
-          f"{new['src_lines']['total']}")
+    for key, name in (("total", "lines"), ("code_total", "code lines")):
+        print(f"src {name}: {old.get('src_lines', {}).get(key)} -> "
+              f"{new['src_lines'][key]}")
 
 
 def main() -> int:

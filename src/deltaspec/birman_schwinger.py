@@ -15,25 +15,29 @@ eigendecomposition of G = gamma A^(-1) gamma', and ``bs_atom_gram``
 returns it for a weight. The dense sandwich is formed only when
 ``BSOperator.matrix`` is read, as the oracle of the tests.
 
-This module owns the one path from A to the atoms: the atom-side slot an
-``OperatorMatrix`` keeps. The slot holds what depends on A and the atoms
-of one restriction but not on the weights: X = A^(-1) gamma',
-G = gamma X, the factor R of the core (R'R = G), the orthonormal
-Krylov basis Q of the resolvent reports, Q'X per basis width and, per
-power, A's k x r and r x r products on Q that the reports read, each
-built on first use. It
-covers every atom of the restriction; a weight enters only through D, so
-its zeros are zero entries of D and every weight on the measure reads
-the same side. The slot is keyed by the restriction's
-content (``cols`` and ``vals``), and a lookup with another key replaces
-it. It is instance state, not a global cache: it lives and dies with its
-operator and needs no invalidation, since ``band`` and the
+This module owns the one path from A to the atoms: the atom side
+(``_AtomSide``) in the one slot an ``OperatorMatrix`` keeps for it. The
+side holds what depends on A and the atoms of one restriction but not on
+the weights: X = A^(-1) gamma', G = gamma X, the factor R of the core
+(R'R = G), the orthonormal Krylov basis Q of the resolvent reports, Q'X
+per basis width and, per power, A's products on Q that the reports read,
+each built on first use, and it makes every choice that depends on
+whether the nodes serve as atoms. It covers every atom of the
+restriction; a weight enters only through D, so its zeros are zero
+entries of D and every weight on the measure reads the same side: the
+margin checks, reports and cores on one A and one measure build these
+once, and once they are built a report solves only with its A + C. The
+slot is keyed by the restriction's content (``cols`` and ``vals``), and
+a lookup with another key replaces it. It is instance state, not a
+global cache: the side reaches A by a weak reference, so it is freed
+with its operator, and it needs no invalidation, since ``band`` and the
 restriction's arrays are read-only.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -125,7 +129,6 @@ class BSOperator:
     perturbation: Perturbation
     density: np.ndarray
     band: np.ndarray
-    _margin: float | None = field(default=None, init=False, repr=False)
     _sweeps: dict[int, tuple] = field(default_factory=dict, init=False,
                                       repr=False)
 
@@ -146,8 +149,18 @@ class BSOperator:
         singular, as when two atoms share their interpolation nodes.
         Atoms where the weight vanishes are zero entries of D.
         """
-        r = _atom_side_of(self.operator, self.restriction).r(self.operator)
+        r = _atom_side_of(self.operator, self.restriction).r
         return _sym((r * self.density) @ r.T)
+
+    @cached_property
+    def margin(self) -> float:
+        """Smallest eigenvalue of 1 + T (see :func:`positivity_margin`):
+        the smallest of the core's, with the zeros T has beyond the core
+        when it is smaller than N."""
+        w_min = float(np.linalg.eigvalsh(self.core)[0])
+        if self.core.shape[0] < self.size:
+            w_min = min(w_min, 0.0)
+        return 1.0 + w_min
 
     @cached_property
     def perturbed(self) -> OperatorMatrix:
@@ -204,28 +217,27 @@ def _orthonormal_block(block: np.ndarray, q: np.ndarray) -> np.ndarray:
 class _AtomSide:
     """What the reports need of A on the atoms of one restriction.
 
-    ``x(a)`` is X = A^(-1) gamma', ``g(a)`` is G = gamma X, ``r(a)`` is
-    a factor R'R = G on the atoms from the
-    eigendecomposition of ``g(a)``, ``basis(a, m)`` is the
-    orthonormal basis Q of span{A^(-j) gamma' : j <= m}, ``qx(a, m)``
-    is Q'X on that Q (r x k), kept per basis width, and ``powers(a, m)``
-    are A's products on that Q: gamma A^(-j) Q for j <= m (k x r) and
-    Q' A^(-m) Q (r x r), kept per m. Each is built on first use, from
-    the A passed in, which is the operator keeping this side. With at
-    least as many atoms as nodes, G would be no smaller than N x N, and
-    the nodes serve as atoms instead: gamma = 1, so ``g(a)`` is A^(-1),
-    and Q = 1 (the node basis); R is still a factor of G on the atoms,
-    N x k.
+    ``x`` is X = A^(-1) gamma', ``g`` is G = gamma X, ``r`` is a factor
+    R'R = G on the atoms from the eigendecomposition of ``g``,
+    ``basis(m)`` is the orthonormal basis Q of span{A^(-j) gamma' :
+    j <= m}, ``qx(m)`` is Q'X on that Q (r x k), kept per basis width,
+    and ``powers(m)`` are A's products on that Q, kept per m. Each is
+    built on first use. The side lives in its operator's slot, so it
+    holds A by a weak reference: a strong one would make a cycle, and
+    X and Q (N x k each) would then wait for the cyclic garbage
+    collector after the last other reference to A goes. With at least
+    as many atoms as nodes, G would be no smaller than N x N, and the
+    nodes serve as atoms instead: gamma = 1, so ``g`` is A^(-1), and
+    Q = 1 (the node basis); R is still a factor of G on the atoms,
+    N x k. Every branch on the node basis lives in this class.
     """
 
-    def __init__(self, restriction: RestrictionMatrix, size: int):
+    def __init__(self, a: OperatorMatrix, restriction: RestrictionMatrix):
+        self._a = weakref.ref(a)
         self.restriction = restriction
-        self.nodes = len(restriction.cols) >= size
-        self._blocks = np.zeros((size, 0))
+        self.nodes = len(restriction.cols) >= a.size
+        self._blocks = np.zeros((a.size, 0))
         self._widths: list[int] = []
-        self._x = None
-        self._g = None
-        self._r = None
         self._powers: dict[int, tuple] = {}
         self._qx: dict[int, np.ndarray] = {}
 
@@ -239,18 +251,28 @@ class _AtomSide:
         """gamma f (f itself for the node basis)."""
         return f if self.nodes else self.restriction.apply(f)
 
-    def x(self, a: OperatorMatrix) -> np.ndarray:
+    def on_basis(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Q'Y for a basis Q of this side (Y itself for the node basis)."""
+        return y if self.nodes else q.T @ y
+
+    def coupling_core(self, t_op: BSOperator) -> np.ndarray:
+        """The weight's S with C = gamma' S gamma: diag(D) on the atoms,
+        C itself for the node basis."""
+        if self.nodes:
+            return dense_from_band(t_op.band)
+        return np.diag(t_op.density)
+
+    @cached_property
+    def x(self) -> np.ndarray:
         """X = A^(-1) gamma'."""
-        if self._x is None:
-            self._x = a.solve(self.adjoint())
-        return self._x
+        return self._a().solve(self.adjoint())
 
-    def g(self, a: OperatorMatrix) -> np.ndarray:
-        if self._g is None:
-            self._g = _sym(self.gamma(self.x(a)))
-        return self._g
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _sym(self.gamma(self.x))
 
-    def r(self, a: OperatorMatrix) -> np.ndarray:
+    @cached_property
+    def r(self) -> np.ndarray:
         """R'R = G from G = U W U': R = (U W^(1/2))', times gamma' for
         the node basis, with rounding's negative eigenvalues clipped to 0.
         Rows run from the largest eigenvalue down, so the core R D R' is
@@ -258,13 +280,11 @@ class _AtomSide:
         accuracy (1.7e-10 of a dense QR factor's on 4096 nodes and 256
         Cantor atoms; 2.6e-9 in ascending order).
         """
-        if self._r is None:
-            w, u = np.linalg.eigh(self.g(a))
-            r = (u * np.sqrt(np.clip(w, 0.0, None)))[:, ::-1]
-            self._r = (self.restriction.apply(r) if self.nodes else r).T
-        return self._r
+        w, u = np.linalg.eigh(self.g)
+        r = (u * np.sqrt(np.clip(w, 0.0, None)))[:, ::-1]
+        return (self.restriction.apply(r) if self.nodes else r).T
 
-    def basis(self, a: OperatorMatrix, m: int) -> np.ndarray:
+    def basis(self, m: int) -> np.ndarray:
         """Orthonormal basis of span{A^(1-j) X : 1 <= j <= m} by block
         Arnoldi; the identity for the node basis.
 
@@ -277,11 +297,11 @@ class _AtomSide:
         one is copied.
         """
         if self.nodes:
-            return np.eye(a.size)
+            return np.eye(self.restriction.grid.size)
         while len(self._widths) < m:
             q = self._blocks
-            block = (a.solve(q[:, q.shape[1] - self._widths[-1]:])
-                     if self._widths else self.x(a))
+            block = (self._a().solve(q[:, q.shape[1] - self._widths[-1]:])
+                     if self._widths else self.x)
             block = _orthonormal_block(block, q)
             if block.shape[1] == 0:  # the span is exhausted
                 break
@@ -292,35 +312,41 @@ class _AtomSide:
         q = self._blocks
         return q if r == q.shape[1] else q[:, :r].copy()
 
-    def qx(self, a: OperatorMatrix, m: int) -> np.ndarray:
-        """Q'X on the basis Q = ``basis(a, m)`` (r x k), kept per basis
+    def qx(self, m: int) -> np.ndarray:
+        """Q'X on the basis Q = ``basis(m)`` (r x k), kept per basis
         width; X itself for the node basis."""
         if self.nodes:
-            return self.x(a)
-        q = self.basis(a, m)
+            return self.x
+        q = self.basis(m)
         if q.shape[1] not in self._qx:
-            self._qx[q.shape[1]] = q.T @ self.x(a)
+            self._qx[q.shape[1]] = q.T @ self.x
         return self._qx[q.shape[1]]
 
-    def powers(self, a: OperatorMatrix, m: int):
-        """A's products on the basis Q = ``basis(a, m)`` of power m: the
-        list of gamma A^(-j) Q for 1 <= j <= m (k x r) and Q' A^(-m) Q.
+    def powers(self, m: int):
+        """A's products on the basis Q = ``basis(m)`` of power m: the list
+        of gamma A^(-j) Q for 1 <= j <= m (k x r), Q' A^(-m) Q, and the
+        list of gamma A^(-j) X for 1 <= j < m (k x k).
 
         They come from m solves, the first of Q itself, and are kept per
-        m; the solves' N x r results are not. The products of m are never
-        cut from those of a larger power, so a report gets the same bits
-        whatever ran before it. The node basis takes A^(-1) Q as X, with
-        no solve, and Q' A^(-m) Q as A^(-m) itself, which is what the
+        m; the solves' N x r results are not. X lies in the first block
+        of Q, so gamma A^(-j) X is (gamma A^(-j) Q)(Q'X), and
+        gamma A^(-j-1) Q itself for the node basis. The products of m are
+        never cut from those of a larger power, so a report gets the same
+        bits whatever ran before it. The node basis takes A^(-1) Q as X,
+        with no solve, and Q' A^(-m) Q as A^(-m) itself, which is what the
         product 1' A^(-m) gives bit for bit.
         """
         if m not in self._powers:
-            q = self.basis(a, m)
-            y = self.x(a) if self.nodes else a.solve(q)
+            a, q = self._a(), self.basis(m)
+            y = self.x if self.nodes else a.solve(q)
             products = [self.gamma(y)]
             for _ in range(m - 1):
                 y = a.solve(y)
                 products.append(self.gamma(y))
-            self._powers[m] = (products, y if self.nodes else q.T @ y)
+            qx = self.qx(m)
+            px = [products[j] if self.nodes else products[j - 1] @ qx
+                  for j in range(1, m)]
+            self._powers[m] = (products, self.on_basis(q, y), px)
         return self._powers[m]
 
 
@@ -336,7 +362,7 @@ def _atom_side_of(a: OperatorMatrix, restriction: RestrictionMatrix
             or not np.array_equal(side.restriction.cols, restriction.cols)
             or not np.array_equal(side.restriction.vals, restriction.vals)):
         a._atom_side = None  # the old side is freed before the new is built
-        side = a._atom_side = _AtomSide(restriction, a.size)
+        side = a._atom_side = _AtomSide(a, restriction)
     return side
 
 
@@ -396,7 +422,8 @@ def atom_density(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
 def coupling_band(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
     """C = gamma' D gamma in lower band storage, D from :func:`atom_density`:
     each atom adds D w_p w_q at the node pair of its corners p, q."""
-    if p.measure is not g.measure and p.measure.count != g.measure.count:
+    if p.measure is not g.measure and not np.array_equal(p.measure.atoms,
+                                                         g.measure.atoms):
         raise ValidationError("perturbation and restriction measures differ")
     k, corners = g.cols.shape
     vals = ((g.vals * atom_density(g, p)[:, None])[:, :, None]
@@ -450,12 +477,6 @@ def positivity_margin(t_op: BSOperator) -> float:
     margin is the smallest eigenvalue of the atom-side core (one
     eigensolve of size min(N, k), k the atom count), with the zero
     eigenvalues T has beyond the core when k < N;
-    it is computed once per operator and kept on it.
+    it is computed once per operator and kept on it as ``margin``.
     """
-    if t_op._margin is None:
-        core = t_op.core
-        w_min = float(np.linalg.eigvalsh(core)[0])
-        if core.shape[0] < t_op.size:
-            w_min = min(w_min, 0.0)
-        t_op._margin = 1.0 + w_min
-    return t_op._margin
+    return t_op.margin

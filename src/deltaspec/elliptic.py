@@ -168,14 +168,9 @@ class OperatorMatrix:
     solve tries again. The dense ``matrix`` and its full
     eigendecomposition (used for fractional inverse powers, the small-N
     oracle) are likewise each built on first use and kept. Besides these the
-    instance keeps one atom-side slot, owned by
-    :mod:`deltaspec.birman_schwinger`: what was computed of A on every
-    atom of the last restriction content used (X = A^(-1) gamma', G, the
-    factor R of the Birman-Schwinger core, taken from the
-    eigendecomposition of G, the Krylov basis Q, Q'X per basis width
-    and, per power m, A's products on Q: gamma A^(-j) Q for j <= m and
-    Q' A^(-m) Q; each built on first use), whatever the weights.
-    ``band`` is read-only, so nothing kept can go stale.
+    instance keeps one atom-side slot, which
+    :mod:`deltaspec.birman_schwinger` owns and describes. ``band`` is
+    read-only, so nothing kept can go stale.
     """
 
     def __init__(self, band: np.ndarray):

@@ -43,25 +43,10 @@ that factor, and next to it, per power m, the core and gap of its sweep, so a
 second report on the same weight and power solves nothing with it. No
 report eigendecomposes A.
 
-An ``OperatorMatrix`` keeps three things: its factor, its
-eigendecomposition (only if asked for) and one atom-side slot, which
-:mod:`deltaspec.birman_schwinger` owns, fills and keys by the restriction's
-content. The side covers every atom of the restriction, whatever the
-weights, and this module only reads it: X, G, the basis Q, Q'X per basis
-width and, per power m on the basis of that m, A's products
-gamma A^(-j) Q for j <= m and Q' A^(-m) Q, next to the R factor of the
-Birman-Schwinger core. The Krylov blocks of Q are grown one at a time, so
-the basis for m is the first columns of the basis for m + 1; the products
-of m are built from that basis alone, never cut from a larger power's, so
-a report gets the same arrays whether the slot was warm or cold. X lies
-in the first block of Q (up to the directions below RANK_TOL it drops),
-so gamma A^(-j-1) gamma' = gamma A^(-j) Q (Q' X) is read off the kept
-columns gamma A^(-j) Q, and the power difference's identity path runs on
-these k x r arrays alone. Reports on one A and one measure (the tasks of
-a run, a sweep over weight values, a loop of weight draws) therefore
-build X, G, Q and A's products once; once they are built a report solves
-only with A + C_i, and the margin checks before it take R from the same
-slot.
+Everything a report needs of A on the atoms (X, G, Q, Q'X and A's
+products per power, and every choice on the node basis) comes from A's
+atom side, which :mod:`deltaspec.birman_schwinger` owns; this module
+handles the weights, their cores and the residual.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -81,7 +66,7 @@ from .birman_schwinger import (
     _sym,
     positivity_margin,
 )
-from .elliptic import OperatorMatrix, dense_from_band, inverse_power
+from .elliptic import OperatorMatrix, inverse_power
 from .errors import NumericalError, PositivityError, ValidationError
 from .spectra import FLOOR_FACTOR
 
@@ -159,16 +144,14 @@ def _require_margin(a: OperatorMatrix, t_op: BSOperator, threshold: float
         )
 
 
-def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
+def _atom_side(a: OperatorMatrix, margin_threshold: float,
                *t_ops: BSOperator):
-    """The atom side of the weights' restriction on A, the coupling cores
-    and the basis Q for power m.
+    """The atom side of the weights' restriction on A and the coupling
+    cores S_i, C_i = gamma' S_i gamma.
 
     Every weight must be built on ``a``, pass the margin threshold and
     live on one restriction, whose side on ``a`` is read (see
-    :mod:`deltaspec.birman_schwinger`). Each coupling is
-    C_i = gamma' S_i gamma with S_i = diag(D_i) on every atom, and Q spans
-    span{A^(-j) gamma' : j <= m}; for the node basis S_i = C_i and Q = 1.
+    :mod:`deltaspec.birman_schwinger`).
     """
     for t_op in t_ops:
         _require_margin(a, t_op, margin_threshold)
@@ -176,11 +159,7 @@ def _atom_side(a: OperatorMatrix, m: int, margin_threshold: float,
     if any(t_op.restriction is not restriction for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
     side = _atom_side_of(a, restriction)
-    if side.nodes:
-        cores = [dense_from_band(t_op.band) for t_op in t_ops]
-    else:
-        cores = [np.diag(t_op.density) for t_op in t_ops]
-    return side, cores, side.basis(a, m)
+    return side, [side.coupling_core(t_op) for t_op in t_ops]
 
 
 def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -205,7 +184,7 @@ def _sweep(op, q, side, m):
         y = q
         for _ in range(m):
             y = op.solve(y)
-        return (y if side.nodes else q.T @ y), 0.0
+        return side.on_basis(q, y), 0.0
     h, gap, c = (m + 1) // 2, 0.0, r
     y = np.hstack([q, side.adjoint()])
     for j in range(1, m + 1):
@@ -224,14 +203,13 @@ def _sweep(op, q, side, m):
     return core, gap
 
 
-def _report(q, side, m, plus, minus, identity, terms, a_core=None
-            ) -> ResolventReport:
+def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
 
-    The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q``, where ``plus`` and
-    ``minus`` name P and M: the weight whose A + C is factored (once per
-    weight, kept on its operator as ``perturbed``), or None for A itself,
-    whose core ``a_core`` the caller takes from the atom side. Each
+    The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q`` on the side's basis
+    Q of power m, where ``plus`` and ``minus`` name P and M: the weight
+    whose A + C is factored (once per weight, kept on its operator as
+    ``perturbed``), or None for A itself, whose core the side keeps. Each
     weight's core and gap come from one sweep per power, kept on its
     operator, so a second report on the weight and power solves nothing.
     ``residual`` is the larger of the relative Frobenius disagreement of
@@ -243,10 +221,10 @@ def _report(q, side, m, plus, minus, identity, terms, a_core=None
     run the identity path and this function with overflow and invalid
     values silenced, so that error is all such a report prints.
     """
-    cores, gap = [], 0.0
+    q, cores, gap = side.basis(m), [], 0.0
     for t_op in (plus, minus):
         if t_op is None:
-            cores.append(a_core)
+            cores.append(side.powers(m)[1])
             continue
         if m not in t_op._sweeps:
             t_op._sweeps[m] = _sweep(t_op.perturbed, q, side, m)
@@ -300,15 +278,13 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     # two_weight_difference); t2 None is the zero weight, whose coupling
     # core and Z2 vanish and whose side of the difference is A itself
     t_ops = (t1,) if t2 is None else (t1, t2)
-    side, cores, q = _atom_side(a, 1, margin_threshold, *t_ops)
+    side, cores = _atom_side(a, margin_threshold, *t_ops)
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        p, g = side.qx(a, 1), side.g(a)
+        p, g = side.qx(1), side.g
         main = cores[0] - cores[1] if t2 is not None else cores[0]
         z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
         terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
-        a_core = side.powers(a, 1)[1] if t2 is None else None
-        return _report(q, side, 1, t2, t1, sum(terms.values()), terms,
-                       a_core)
+        return _report(side, 1, t2, t1, sum(terms.values()), terms)
 
 
 def resolvent_difference(
@@ -374,18 +350,15 @@ def power_difference(
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
-    side, (s,), q = _atom_side(a, m, margin_threshold, t_op)
-    mm = _woodbury(side.g(a), s)
+    side, (s,) = _atom_side(a, margin_threshold, t_op)
+    mm = _woodbury(side.g, s)
 
-    # the atom side's p[j] = gamma B^j Q for j = 1..m, Q' B^m Q and Q'X:
-    # Q' B^i W B^j Q = p[i+1]' D p[j+1], and X lies in the first block of
-    # Q, so gamma B^j X = p[j] Q'X (with the nodes as atoms, p[j+1] itself)
-    p, bm = side.powers(a, m)
-    p, qx = [None, *p], side.qx(a, m)
+    # the atom side's p[j] = gamma B^j Q for j = 1..m, Q' B^m Q and
+    # px[j] = gamma B^j X for j < m: Q' B^i W B^j Q = p[i+1]' D p[j+1]
+    p, bm, px = side.powers(m)
+    p, px = [None, *p], [None, *px]
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        px = [None] + [p[j + 1] if side.nodes else p[j] @ qx
-                       for j in range(1, m)]
         h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
         h3 = np.zeros_like(bm)
         for i in range(m - 1):
@@ -404,4 +377,4 @@ def power_difference(
             d_id -= mf.T @ p[m - i]
             g = [g[l] - px[l] @ mf for l in range(1, m - i)]
         terms = {"H2": h2, "H3": h3, "H4": d_id - h2 - h3}
-        return _report(q, side, m, t_op, None, d_id, terms, bm)
+        return _report(side, m, t_op, None, d_id, terms)

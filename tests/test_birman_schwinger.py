@@ -168,6 +168,26 @@ def test_grid_measure_dimension_mismatch():
         restriction_matrix(g, m2)
 
 
+@pytest.mark.parametrize("ends, atoms", [
+    ([[0.1, 0.1], [0.3, 0.9]], 16),  # as many atoms, elsewhere
+    ([[0.2, 0.5], [0.8, 0.5]], 15),  # fewer atoms on the same segment
+], ids=["other_atoms", "other_count"])
+def test_weight_on_another_measure_is_rejected(ends, atoms):
+    # a weight's values belong to the atoms of its own measure: on a
+    # restriction to other atoms they would land where they were not drawn
+    g = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (20, 20))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    gam = restriction_matrix(
+        g, segment_measure(np.array([[0.2, 0.5], [0.8, 0.5]]), 16))
+    other = segment_measure(np.array(ends), atoms)
+    with pytest.raises(ValidationError):
+        bs_operator(a, gam, Perturbation.constant(other, 1.0))
+    # a measure with the restriction's atoms is accepted
+    same = DiscreteMeasure(gam.measure.atoms.copy(), gam.measure.weights,
+                           nominal_dim=1.0)
+    assert bs_operator(a, gam, Perturbation.constant(same, 1.0)).band.any()
+
+
 # ------------------------------------------------ the operator's atom side
 
 ATOM_SIDE_CASES = {
@@ -362,6 +382,6 @@ def test_krylov_blocks_keep_their_widths_and_are_orthonormal(case):
         widths = [37, 37, 37]
     a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
     side = birman_schwinger._atom_side_of(a, restriction_matrix(g, m))
-    q = side.basis(a, 3)
+    q = side.basis(3)
     assert side._widths == widths
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13

@@ -1,7 +1,9 @@
 """Exact inverse-perturbation identities checked matrix against matrix."""
 
+import gc
 import itertools
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -22,6 +24,7 @@ from deltaspec import (
     inverse_power,
     lebesgue_measure,
     perturbed_inverse,
+    positivity_margin,
     power_difference,
     resolvent_difference,
     restriction_matrix,
@@ -425,8 +428,9 @@ def test_power_identity_path_on_the_atoms_matches_the_telescoping(case, m):
     # - sum_i (gamma B U_i)' M gamma B^(m-i) Q
     a, t1, _ = _cross_setup(case, signed=True)
     rep = power_difference(a, t1, m)
-    side, (s,), q = resolvents._atom_side(a, m, -np.inf, t1)
-    mm = resolvents._woodbury(side.g(a), s)
+    side, (s,) = resolvents._atom_side(a, -np.inf, t1)
+    q = side.basis(m)
+    mm = resolvents._woodbury(side.g, s)
     x = a.solve(side.adjoint())
     powers = [q]
     for _ in range(m):
@@ -467,7 +471,7 @@ def test_node_basis_difference_solves_the_identity_once(monkeypatch):
     assert rep.basis.shape == (a.size, a.size)
     assert solved == [a, t1.perturbed]
     side = a._atom_side
-    assert side.powers(a, 1)[-1] is side.x(a)
+    assert side.powers(1)[1] is side.x
     assert solved == [a, t1.perturbed]
 
 
@@ -537,6 +541,32 @@ def test_atom_side_is_replaced_on_another_support_or_restriction():
     assert a._atom_side is not kept
 
 
+def test_the_atom_side_never_keeps_its_operator_alive():
+    # the side lives in A's slot and reaches A by a weak reference, so with
+    # the cyclic collector off A and its side (X, Q and A's products) are
+    # freed as soon as the last name of A, its weights and reports goes
+    g = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (20, 20))
+    m = segment_measure(np.array([[0.2, 0.5], [0.8, 0.5]]), 16)
+    gam = restriction_matrix(g, m)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+        t1 = bs_operator(a, gam, _signed_perturbation(m, 61, scale=0.3))
+        t2 = bs_operator(a, gam, Perturbation.constant(m, 1.0))
+        reports = [resolvent_difference(a, t1),
+                   two_weight_difference(a, t1, t2),
+                   power_difference(a, t1, 3)]
+        margin, core = positivity_margin(t1), t1.core
+        a_ref, side_ref = weakref.ref(a), weakref.ref(a._atom_side)
+        del a, t1, t2, reports, margin, core
+        assert a_ref() is None
+        assert side_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_lebesgue_weight_with_zeros_takes_the_node_basis():
     # the basis follows the measure: 48 atoms on 48 nodes take the node
     # basis, also for a weight that vanishes on every fifth atom
@@ -563,9 +593,8 @@ def test_residual_catches_a_short_basis(monkeypatch):
     a, t1, t2 = _cross_setup("1d", signed=True)
     full = birman_schwinger._AtomSide.basis
 
-    def short(side, a, m):
-        return np.delete(full(side, a, m), full(side, a, 1).shape[1] - 1,
-                         axis=1)
+    def short(side, m):
+        return np.delete(full(side, m), full(side, 1).shape[1] - 1, axis=1)
 
     monkeypatch.setattr(birman_schwinger._AtomSide, "basis", short)
     reports = {
