@@ -292,9 +292,8 @@ class _AtomSide:
         last, orthonormalized off the basis so far by
         :func:`_orthonormal_block`, which keeps the directions above
         RANK_TOL of the block's scale. The blocks are kept, so the basis
-        for m is the first columns of the basis for m + 1. The basis of
-        every block built is read-only and handed out as it is; a shorter
-        one is copied.
+        for m is the first columns of the basis for m + 1, handed out as a
+        read-only view of the kept blocks.
         """
         if self.nodes:
             return np.eye(self.restriction.grid.size)
@@ -308,9 +307,7 @@ class _AtomSide:
             self._blocks = np.hstack([q, block])
             self._blocks.setflags(write=False)
             self._widths.append(block.shape[1])
-        r = sum(self._widths[:m])
-        q = self._blocks
-        return q if r == q.shape[1] else q[:, :r].copy()
+        return self._blocks[:, :sum(self._widths[:m])]
 
     def qx(self, m: int) -> np.ndarray:
         """Q'X on the basis Q = ``basis(m)`` (r x k), kept per basis

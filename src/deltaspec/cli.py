@@ -21,13 +21,14 @@ Config schema (version 1)::
                    "count": 64},
       "weights":  {"V1": {"kind": "constant", "value": 1.0}},
       "tasks":    ["resolvent_diff", {"name": "power_diff", "m": 2}],
-      "analysis": {"floor": null, "window": null, "head_drop": 0.1,
-                   "margin": 0.05}
+      "analysis": {"floor": null, "window": [5, 25], "margin": 0.05}
     }
 
-Measure kinds: ifs | segment | boundary | lebesgue | union. Weight kinds:
-constant | step | random | file; a file's atoms must be the measure's
-atoms. Unknown keys anywhere are errors. All randomness derives from the
+Every key's rule is stated once, in the table of its section (``CONFIG``,
+``DOMAIN``, ``OPERATOR``, ``MAP``, ``WEIGHTS``, ``TASK``, ``ANALYSIS``)
+or, for a measure or a weight, of its kind (``MEASURE_KINDS``,
+``WEIGHT_KINDS``); a key outside its table is an error. A file weight's
+atoms must be the measure's atoms. All randomness derives from the
 single seed through counter-based generators, so a fixed config yields
 byte-identical numeric CSVs. The output root is ``$DELTASPEC_OUT`` or
 ``./runs``; ``--out`` overrides both.
@@ -107,18 +108,12 @@ MAX_T_RAISES = 3
 
 # ---------------------------------------------------------------- config
 #
-# Each function below checks one config section and builds its object.
-
-
-def _check_keys(obj, where, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValidationError(f"unknown key(s) {unknown} in {where}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ValidationError(f"missing key(s) {missing} in {where}")
+# One table per config section, and one per measure kind and weight kind,
+# states each key's rule once: a type (str, bool, list or dict), or a
+# number rule (int or float, with the allowed shapes, () being a bare
+# number, listed or given by a function of the grid). A section is a
+# (required, optional) pair of such tables, which ``_section`` checks;
+# the builders below read only checked values.
 
 
 def _is_numeric(value, integer):
@@ -133,67 +128,114 @@ def _is_numeric(value, integer):
         return False
 
 
-SCALAR = [()]  # the allowed shapes of a bare number
-
-
-def _check_numbers(obj, where, shapes, integers=()):
-    # each key present must hold finite numbers (integers where listed)
-    # nested to one of its allowed shapes, () being a bare number, so a
-    # malformed value fails here instead of deep inside the numerics
-    for key, allowed in shapes.items():
-        if key not in obj:
-            continue
-        value = obj[key]
-        kind = "integer" if key in integers else "number"
-        shape = None
-        if _is_numeric(value, key in integers):
-            try:
-                shape = np.shape(value)
-            except ValueError:  # ragged nesting
-                pass
-        if shape not in allowed:
-            texts = [f"shape {a}" if a else f"one {kind}" for a in allowed]
-            raise ValidationError(
-                f"{where}.{key} must be finite {kind}s, "
-                f"{' or '.join(texts)}; got {value!r}")
-
-
-def _point(dim):
+def _point(grid):
     # one entry per axis; a bare number also names the one axis of 1D
+    dim = grid.ambient_dim
     return [(dim,), ()] if dim == 1 else [(dim,)]
 
 
+NUMBER, INTEGER, POINT = (float, [()]), (int, [()]), (float, _point)
+CONFIG = ({"schema_version": INTEGER, "domain": dict, "operator": dict,
+           "measure": dict, "tasks": list},
+          {"weights": dict, "analysis": dict, "seed": INTEGER})
+# Grid checks that ``shape`` has one entry per axis of ``bbox``
+DOMAIN = ({"bbox": (float, [(1, 2), (2, 2), (3, 2), (2,), (4,), (6,)]),
+           "shape": (int, [(), (1,), (2,), (3,)])}, {})
+OPERATOR = ({}, {"t": NUMBER, "coefficients": (float, lambda g: [
+    (), (g.ambient_dim,) * 2, (g.size,) + (g.ambient_dim,) * 2])})
+MAP = ({"ratio": NUMBER, "translation": POINT}, {"rotation": NUMBER})
+MEASURE_KINDS = {
+    "ifs": ({"maps": list, "depth": INTEGER}, {}),
+    "segment": ({"start": POINT, "end": POINT, "count": INTEGER}, {}),
+    "boundary": ({}, {}),
+    "lebesgue": ({}, {}),
+    "union": ({"parts": list}, {}),
+}
+WEIGHTS = ({}, {"V1": dict, "V2": dict})
+WEIGHT_KINDS = {
+    "constant": ({"value": NUMBER}, {}),
+    "step": ({"inside": NUMBER, "box": (float, lambda g: [
+        (g.ambient_dim, 2), (2 * g.ambient_dim,)])}, {"outside": NUMBER}),
+    "random": ({}, {"scale": NUMBER, "nonneg": bool}),
+    "file": ({"path": str}, {}),
+}
+TASK = ({"name": str}, {"m": INTEGER})
+ANALYSIS = ({}, {"floor": NUMBER, "window": (int, [(2,)]), "margin": NUMBER})
+_TYPE_TEXT = {str: "a string", bool: "true or false", list: "a list",
+              dict: "an object"}
+
+
+def _breach(value, rule, grid):
+    # what ``rule`` asks of a value it rejects; None for a value it allows
+    if isinstance(rule, type):
+        return None if isinstance(value, rule) else _TYPE_TEXT[rule]
+    numeric, shapes = rule
+    shapes = shapes(grid) if callable(shapes) else shapes
+    integer = numeric is int
+    shape = None
+    if _is_numeric(value, integer):
+        try:
+            shape = np.shape(value)
+        except ValueError:  # ragged nesting
+            pass
+    if shape in shapes:
+        return None
+    kind = "integer" if integer else "number"
+    texts = [f"shape {a}" if a else f"one {kind}" for a in shapes]
+    return f"finite {kind}s, {' or '.join(texts)}"
+
+
+def _section(obj, where, required, optional, grid=None):
+    """Check ``obj`` against a section's (required, optional) tables: an
+    object with no key outside them, whose required keys are all present
+    and whose every value keeps its key's rule. ``grid`` gives the shapes
+    that depend on it; the first breach raises, naming its key's path, so
+    a malformed value fails here instead of deep inside the numerics."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown key(s) {unknown} in {where}")
+    for key, rule in {**required, **optional}.items():
+        if key in obj or key in required:
+            breach = _breach(obj.get(key), rule, grid)
+            if breach:
+                got = f"got {obj[key]!r}" if key in obj else "it is missing"
+                raise ValidationError(f"{where}.{key} must be {breach}; {got}")
+
+
+def _kind(spec, where, kinds):
+    """The (required, optional) pair of the kind ``spec`` names, with
+    ``kind`` itself required."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"{where} must be an object with a kind, one "
+                              f"of {', '.join(kinds)}")
+    required, optional = kinds[kind]
+    return {"kind": str, **required}, optional
+
+
 def _grid(spec) -> Grid:
-    _check_keys(spec, "domain", ["bbox", "shape"])
-    _check_numbers(spec, "domain", {
-        "bbox": [(1, 2), (2, 2), (3, 2), (2,), (4,), (6,)]})
-    dim = np.size(spec["bbox"]) // 2
-    _check_numbers(spec, "domain", {"shape": _point(dim)}, integers=["shape"])
+    _section(spec, "domain", *DOMAIN)
     return Grid(np.asarray(spec["bbox"], dtype=float), spec["shape"])
 
 
 def _coeffs(spec, grid) -> CoefficientField:
     # the symbol of A at the configured t; a field has one tensor per node
-    _check_keys(spec, "operator", [], ["coefficients", "t"])
-    dim = grid.ambient_dim
-    _check_numbers(spec, "operator", {
-        "coefficients": SCALAR + [(dim, dim), (grid.size, dim, dim)],
-        "t": SCALAR,
-    })
+    _section(spec, "operator", *OPERATOR, grid)
     arr = np.asarray(spec.get("coefficients", 1.0), dtype=float)
     t_value = float(spec.get("t", 1.0))
     if arr.ndim == 0:
-        return CoefficientField.isotropic(float(arr), dim, t=t_value)
+        return CoefficientField.isotropic(float(arr), grid.ambient_dim,
+                                          t=t_value)
     return CoefficientField(arr, t=t_value)
 
 
-def _similitude(spec, where, dim) -> Similitude:
-    _check_keys(spec, where, ["ratio", "translation"], ["rotation"])
-    _check_numbers(spec, where, {
-        "ratio": SCALAR, "translation": _point(dim), "rotation": SCALAR})
-    rot = np.eye(dim)
+def _similitude(spec, where, grid) -> Similitude:
+    _section(spec, where, *MAP, grid)
+    rot = np.eye(grid.ambient_dim)
     if "rotation" in spec:
-        if dim != 2:
+        if grid.ambient_dim != 2:
             raise ValidationError("map rotation angles only apply in 2D")
         ang = float(spec["rotation"])
         rot = np.array([[math.cos(ang), -math.sin(ang)],
@@ -203,47 +245,31 @@ def _similitude(spec, where, dim) -> Similitude:
 
 
 def _measure(spec, where, grid) -> DiscreteMeasure:
-    _check_keys(spec, where, ["kind"], [
-        "maps", "depth", "start", "end", "count", "parts",
-    ])
-    point = _point(grid.ambient_dim)
-    _check_numbers(spec, where, {
-        "start": point, "end": point, "count": SCALAR, "depth": SCALAR,
-    }, integers=["count", "depth"])
+    _section(spec, where, *_kind(spec, where, MEASURE_KINDS), grid)
     kind = spec["kind"]
     if kind == "ifs":
-        _check_keys(spec, where, ["kind", "maps", "depth"])
-        maps = spec["maps"]
-        if not isinstance(maps, list) or not maps:
+        if not spec["maps"]:
             raise ValidationError(f"{where}.maps must be a nonempty list")
-        maps = [_similitude(m, f"{where}.maps[{i}]", grid.ambient_dim)
-                for i, m in enumerate(maps)]
+        maps = [_similitude(m, f"{where}.maps[{i}]", grid)
+                for i, m in enumerate(spec["maps"])]
         return ifs_measure(maps, spec["depth"])
     if kind == "segment":
-        _check_keys(spec, where, ["kind", "start", "end", "count"])
         # in 1D either end may be a bare number or a one-entry list
         ends = np.array([np.ravel(spec[key]) for key in ("start", "end")],
                         dtype=float)
         return segment_measure(ends, spec["count"])
     if kind == "boundary":
-        _check_keys(spec, where, ["kind"])
         return boundary_measure(grid)
     if kind == "lebesgue":
-        _check_keys(spec, where, ["kind"])
         return lebesgue_measure(grid)
-    if kind == "union":
-        _check_keys(spec, where, ["kind", "parts"])
-        parts = spec["parts"]
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise ValidationError(f"{where}.parts must list exactly 2 specs")
-        return union_measure(*(_measure(part, f"{where}.parts[{i}]", grid)
-                               for i, part in enumerate(parts)))
-    raise ValidationError(f"unknown measure kind {kind!r} in {where}")
+    parts = spec["parts"]  # a union
+    if len(parts) != 2:
+        raise ValidationError(f"{where}.parts must list exactly 2 specs")
+    return union_measure(*(_measure(part, f"{where}.parts[{i}]", grid)
+                           for i, part in enumerate(parts)))
 
 
-def _weight_file(spec, where, base_dir) -> Path:
-    if not isinstance(spec.get("path"), str):
-        raise ValidationError(f"{where}.path must be a string")
+def _weight_file(spec, base_dir) -> Path:
     path = Path(base_dir) / spec["path"]
     if not path.is_file():
         raise ValidationError(f"weight file {path} not found")
@@ -254,62 +280,46 @@ def _weight(spec, where, measure, grid, stream, base_dir) -> Perturbation:
     # stream = (seed, child): a random weight draws from child ``child`` of
     # the seed's SeedSequence through a counter-based Philox generator,
     # built here so that numpy.random is imported only for such a weight
-    _check_keys(spec, where, ["kind"], [
-        "value", "box", "inside", "outside", "scale", "nonneg", "path",
-    ])
-    dim = grid.ambient_dim
-    _check_numbers(spec, where, {
-        "value": SCALAR, "box": [(dim, 2), (2 * dim,)], "inside": SCALAR,
-        "outside": SCALAR, "scale": SCALAR,
-    })
+    _section(spec, where, *_kind(spec, where, WEIGHT_KINDS), grid)
     kind = spec["kind"]
     if kind == "constant":
-        _check_keys(spec, where, ["kind", "value"])
         return Perturbation.constant(measure, float(spec["value"]))
     if kind == "step":
-        _check_keys(spec, where, ["kind", "box", "inside"], ["outside"])
-        box = np.asarray(spec["box"], dtype=float).reshape(dim, 2)
+        box = np.asarray(spec["box"], dtype=float).reshape(-1, 2)
         inside = np.all((measure.atoms >= box[:, 0])
                         & (measure.atoms <= box[:, 1]), axis=1)
         return Perturbation(measure, np.where(
             inside, float(spec["inside"]), float(spec.get("outside", 0.0))))
     if kind == "random":
-        _check_keys(spec, where, ["kind"], ["scale", "nonneg"])
-        if not isinstance(spec.get("nonneg", False), bool):
-            raise ValidationError(f"{where}.nonneg must be true or false")
         seed, child = stream
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(child,))))
         vals = rng.standard_normal(measure.count) * float(spec.get("scale", 1.0))
         return Perturbation(measure,
                             np.abs(vals) if spec.get("nonneg") else vals)
-    if kind == "file":
-        _check_keys(spec, where, ["kind", "path"])
-        atoms, _, values = read_measure(_weight_file(spec, where, base_dir))
-        if values is None:
-            raise ValidationError(f"{spec['path']} has no V column")
-        # the values belong to the file's atoms, so those must be the
-        # measure's atoms, each coordinate to 1e-12 of the bbox span
-        span = grid.bbox[:, 1] - grid.bbox[:, 0]
-        if (atoms.shape != measure.atoms.shape or np.any(
-                np.abs(atoms - measure.atoms) > 1e-12 * span)):
-            raise ValidationError(
-                f"the {len(atoms)} atoms of {spec['path']} are not the "
-                f"{measure.count} atoms of the measure")
-        return Perturbation(measure, values)
-    raise ValidationError(f"unknown weight kind {kind!r} in {where}")
+    atoms, _, values = read_measure(_weight_file(spec, base_dir))  # a file
+    if values is None:
+        raise ValidationError(f"{spec['path']} has no V column")
+    # the values belong to the file's atoms, so those must be the
+    # measure's atoms, each coordinate to 1e-12 of the bbox span
+    span = grid.bbox[:, 1] - grid.bbox[:, 0]
+    if (atoms.shape != measure.atoms.shape or np.any(
+            np.abs(atoms - measure.atoms) > 1e-12 * span)):
+        raise ValidationError(
+            f"the {len(atoms)} atoms of {spec['path']} are not the "
+            f"{measure.count} atoms of the measure")
+    return Perturbation(measure, values)
 
 
 def _task(entry, where) -> dict:
     if isinstance(entry, str):
         entry = {"name": entry}
-    _check_keys(entry, where, ["name"], ["m"])
+    _section(entry, where, *TASK)
     name = entry["name"]
     if name not in TASK_NAMES:
         raise ValidationError(f"unknown task {name!r} in {where}")
     if name == "power_diff":
-        m = entry.get("m", 2)
-        if not isinstance(m, int) or not 2 <= m <= 4:
+        if not 2 <= entry.get("m", 2) <= 4:
             raise ValidationError(f"{where}: power_diff m must be 2, 3, or 4")
     elif "m" in entry:
         raise ValidationError(f"{where}: key 'm' only applies to power_diff")
@@ -335,16 +345,14 @@ def validate_config(cfg, base_dir=".") -> dict:
     """Check a config and build the inputs of its run: everything that
     does not depend on the shift t. Raises ValidationError on any problem,
     unknown keys included; ``base_dir`` anchors ``file`` weight paths."""
-    _check_keys(cfg, "config",
-                ["schema_version", "domain", "operator", "measure", "tasks"],
-                ["weights", "analysis", "seed"])
+    _section(cfg, "config", *CONFIG)
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {cfg['schema_version']!r}; "
             f"this tool reads version {SCHEMA_VERSION}"
         )
     seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     grid = _grid(cfg["domain"])
     coeffs = _coeffs(cfg["operator"], grid)
@@ -352,7 +360,7 @@ def validate_config(cfg, base_dir=".") -> dict:
     gamma = restriction_matrix(grid, measure)
 
     weights = cfg.get("weights", {})
-    _check_keys(weights, "weights", [], ["V1", "V2"])
+    _section(weights, "weights", *WEIGHTS)
     # one stream per weight, V1 the seed's child 0 and V2 its child 1;
     # V1 is zero when absent
     built = {key: _weight(spec, f"weights.{key}", measure, grid,
@@ -361,7 +369,7 @@ def validate_config(cfg, base_dir=".") -> dict:
                                **weights}.items()}
 
     tasks = cfg["tasks"]
-    if not isinstance(tasks, list) or not tasks:
+    if not tasks:
         raise ValidationError("tasks must be a nonempty list")
     entries = [_task(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
     names = [entry["name"] for entry in entries]
@@ -370,20 +378,10 @@ def validate_config(cfg, base_dir=".") -> dict:
                 and "V2" not in built:
             raise ValidationError(f"{name} needs weights.V2")
 
-    analysis = cfg.get("analysis", {})
-    _check_keys(analysis, "analysis", [],
-                ["floor", "window", "head_drop", "margin"])
     # null asks for the default, as an absent key does
-    given = {k: v for k, v in analysis.items() if v is not None}
-    _check_numbers(given, "analysis", {"floor": SCALAR, "window": [(2,)],
-                                       "head_drop": SCALAR, "margin": SCALAR},
-                   integers=["window"])
-    if not 0 <= given.get("head_drop", 0) < 1:
-        raise ValidationError("analysis.head_drop must lie in [0, 1)")
-    if "window" in given and "head_drop" in given:
-        raise ValidationError(
-            "analysis.window and analysis.head_drop both choose the fit "
-            "window; set at most one")
+    given = {key: value for key, value in cfg.get("analysis", {}).items()
+             if value is not None or key not in ANALYSIS[1]}
+    _section(given, "analysis", *ANALYSIS)
     if given.get("floor", 0) < 0:
         raise ValidationError("analysis.floor must be nonnegative")
     # a window no spectrum admits; (1, 2) stands in when none is given
@@ -410,14 +408,13 @@ def config_hash(cfg, base_dir=".") -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode())
     weights = cfg.get("weights", {})
-    if not isinstance(weights, dict):
-        raise ValidationError("weights must be an object")
+    _section(weights, "weights", *WEIGHTS)
     for key in sorted(weights):
         spec, where = weights[key], f"weights.{key}"
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ValidationError(f"{where} must be an object with a kind")
-        if spec["kind"] == "file":
-            data = _weight_file(spec, where, base_dir).read_bytes()
+        rules = _kind(spec, where, WEIGHT_KINDS)
+        if spec["kind"] == "file":  # whose rules need no grid
+            _section(spec, where, *rules)
+            data = _weight_file(spec, base_dir).read_bytes()
             digest.update(hashlib.sha256(data).digest())
     return digest.hexdigest()[:12]
 
@@ -441,7 +438,7 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     than a fit to noise; ``None`` keeps the norm-relative floor of
     :func:`spectrum`. ``analysis`` acts the same for every task: an
     explicit floor wins, and the spectrum is fitted once, on the explicit
-    window or head_drop if either is set. The caller adds its own summary
+    window if one is set. The caller adds its own summary
     keys and ``_execute`` writes ``summary.json``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -458,12 +455,12 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     # the default window may find no power law (null fit), but explicit
     # analysis requests are strict: a fit that cannot be produced on the
     # requested window is an error, not a silent skip
-    explicit = {key: analysis[key] for key in ("window", "head_drop")
-                if key in analysis}
+    window = analysis.get("window")
     try:
-        fit = fit_power_law(sp_rep.singulars, floor=sp_rep.floor, **explicit)
+        fit = fit_power_law(sp_rep.singulars, floor=sp_rep.floor,
+                            window=window)
     except (NumericalError, ValidationError):
-        if explicit:
+        if window is not None:
             raise
         fit = None
     summary = {

@@ -146,12 +146,12 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _fit_window(total: int, window, head_drop: float) -> tuple[int, int]:
+def _fit_window(total: int, window) -> tuple[int, int]:
     # 0-based slice bounds: the explicit 1-based inclusive window, or all
-    # points past the head fraction; either must lie within the usable
-    # points and hold at least 2 of them
+    # points past the HEAD_DROP fraction; either must lie within the
+    # usable points and hold at least 2 of them
     if window is None:
-        lo, hi = int(math.floor(head_drop * total)), total
+        lo, hi = int(math.floor(HEAD_DROP * total)), total
     else:
         lo, hi = int(window[0]) - 1, int(window[1])
     if lo < 0 or hi > total or hi - lo < 2:
@@ -165,14 +165,13 @@ def fit_power_law(
     counting: np.ndarray | None = None,
     floor: float = 0.0,
     window: tuple[int, int] | None = None,
-    head_drop: float = HEAD_DROP,
 ) -> PowerLawFit:
     """Fit a decay order on descending singular values or counting samples.
 
     Exactly one of ``values`` (descending positive s_j) or ``counting``
     (rows (lambda, n)) must be given. Either becomes one head-first
     series: (j, s_j), or (lambda, n) by descending lambda. The automatic
-    window drops the first ``head_drop`` fraction of usable points
+    window drops the first ``HEAD_DROP`` fraction of usable points
     (preasymptotic head) and everything within ``100 x floor`` of the
     noise level; ``window`` overrides it with a 1-based inclusive index
     range into the usable points. Requires at least 30 usable points, and
@@ -204,7 +203,7 @@ def fit_power_law(
     if total < MIN_USABLE:
         raise NumericalError(
             f"only {total} usable {usable}; need {MIN_USABLE}")
-    lo, hi = _fit_window(total, window, head_drop)
+    lo, hi = _fit_window(total, window)
     slope, intercept, r2 = _loglog_fit(x[lo:hi], y[lo:hi])
     if slope >= 0:
         raise NumericalError(f"{name} do not decay; no power law")

@@ -385,3 +385,22 @@ def test_krylov_blocks_keep_their_widths_and_are_orthonormal(case):
     q = side.basis(3)
     assert side._widths == widths
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+
+
+def test_warm_basis_calls_copy_no_basis(monkeypatch):
+    # the segment2d-weyl segment with m = 3 built: qx and powers of lower
+    # powers read read-only views of the kept blocks, no N x r copies
+    g = Grid(np.array([[0.0, 1.6], [0.0, 0.4]]), (57, 15))
+    m = segment_measure(np.array([[0.3, 0.2], [1.3, 0.2]]), 64)
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    side = birman_schwinger._atom_side_of(a, restriction_matrix(g, m))
+    side.basis(3)
+    handed, basis = [], side.basis
+    monkeypatch.setattr(side, "basis",
+                        lambda m: handed.append(basis(m)) or handed[-1])
+    for power in (1, 2):
+        side.qx(power)
+        side.powers(power)
+    assert {q.shape[1] for q in handed} == {37, 74}
+    for q in handed:
+        assert np.shares_memory(q, side._blocks) and not q.flags.writeable

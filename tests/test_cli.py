@@ -208,6 +208,8 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
     {"measure": {"kind": "ifs", "depth": 2, "maps": [
         {"ratio": 0.5, "translation": [0.0], "rotation": 0.3},
         {"ratio": 0.5, "translation": [0.5]}]}},
+    {"schema_version": True},
+    {"schema_version": 1.0},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
@@ -216,13 +218,28 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
         "nonneg_string", "bbox_4d", "atom_cap", "window_and_head_drop",
         "window_reversed", "window_from_zero", "window_one_point",
         "measure_kind", "weight_kind", "task_name", "power_diff_m5",
-        "m_on_resolvent_diff", "no_tasks", "union_one_part", "rotation_1d"])
+        "m_on_resolvent_diff", "no_tasks", "union_one_part", "rotation_1d",
+        "schema_true", "schema_float"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     out = tmp_path / "runs"
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("overrides", [
+    {"measure": dict(SEGMENT_1D, depth=2)},
+    {"weights": {"V1": {"kind": "constant", "value": 1.0, "scale": 2.0}}},
+    {"weights": {"V1": {"kind": "file", "path": "w.csv", "value": 1.0}}},
+], ids=["segment_depth", "constant_scale", "file_value"])
+def test_key_of_another_kind_is_unknown(tmp_path, capsys, overrides):
+    # each kind takes its own keys only, not those of the other kinds
+    seg = segment_measure(np.array([[0.25], [0.75]]), 24)
+    write_measure(seg, tmp_path / "w.csv", Perturbation.constant(seg, 1.0))
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 SEGMENT_2D = {"kind": "segment", "start": [0.1, 0.2], "end": [1.5, 0.2],
@@ -345,7 +362,7 @@ def test_truncated_cached_manifest_is_recomputed(tmp_path, capsys):
 
 def test_null_analysis_values_mean_the_default(tmp_path):
     cfg = base_config(analysis={"floor": None, "window": None,
-                                "head_drop": None, "margin": None})
+                                "margin": None})
     manifest, _ = run_manifest(tmp_path, cfg)
     default, _ = run_manifest(tmp_path, base_config(), name="default.json")
     assert manifest["tasks"][0]["summary"] == default["tasks"][0]["summary"]
@@ -389,7 +406,7 @@ def test_hopeless_positivity_exits_3(tmp_path, capsys):
 def test_unreachable_fit_request_exits_4(tmp_path):
     # 24 atoms leave far fewer usable values than a fit needs, and an
     # explicit analysis request must fail loudly instead of fitting nothing
-    cfg = base_config(analysis={"head_drop": 0.1})
+    cfg = base_config(analysis={"window": [1, 10]})
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 4
 

@@ -77,11 +77,6 @@ def test_fit_input_validation():
         fit_power_law(values=good[::-1])
     with pytest.raises(ValidationError):
         fit_power_law(values=good, window=(40, 80))
-    # the head-drop window obeys the same rule: 0.99 of 40 values leaves
-    # one point, and a negative fraction starts before the first
-    for head_drop in (0.99, -0.5):
-        with pytest.raises(ValidationError):
-            fit_power_law(values=good[:40], head_drop=head_drop)
     with pytest.raises(NumericalError):
         fit_power_law(values=good[:20])
     with pytest.raises(NumericalError):
