@@ -73,6 +73,28 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
+def _sym_inplace(x: np.ndarray) -> np.ndarray:
+    """``_sym(x)`` written over the square ``x``, bit for bit, and returned.
+
+    A row block at a time, 1/32 of the rows: the block's entries from the
+    diagonal on and the mirror column block take 0.5 * (x' + x) (the same
+    sum, as addition commutes) in one temporary of the block's size, and
+    no entry is read after it is written, so an N x N result needs no
+    second N x N array (numpy's ufunc buffer, at most 8192 values, adds
+    about one more block on small x).
+    """
+    n = len(x)
+    rows = -(-n // 32)
+    for i in range(0, n, rows):
+        block = x[i:, i:i + rows].T.copy()
+        block += x[i:i + rows, i:]
+        block *= 0.5
+        x[i:i + rows, i:] = block
+        x[i:, i:i + rows] = block.T
+        del block  # freed before the next block is formed
+    return x
+
+
 @dataclass(eq=False)
 class RestrictionMatrix:
     """Interpolation rows mapping grid functions to atom values.
@@ -183,7 +205,7 @@ class BSOperator:
         the signed density, which keeps the Gram symmetry exact.
         """
         x = inverse_power(self.operator, 0.5) @ self.restriction.adjoint()
-        return _sym((x * self.density) @ x.T)
+        return _sym_inplace((x * self.density) @ x.T)
 
 
 def _orthonormal_block(block: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -241,11 +263,20 @@ class _AtomSide:
         self._powers: dict[int, tuple] = {}
         self._qx: dict[int, np.ndarray] = {}
 
-    def adjoint(self) -> np.ndarray:
-        """gamma', formed on each call (the node basis: the identity)."""
+    def adjoint(self, left: np.ndarray | None = None) -> np.ndarray:
+        """gamma', formed on each call (the identity for the node basis,
+        each node its own atom); [left, gamma'] in one array when ``left``
+        is given."""
+        n = self.restriction.grid.size
+        cols, vals = self.restriction.cols, self.restriction.vals
         if self.nodes:
-            return np.eye(self.restriction.grid.size)
-        return self.restriction.adjoint()
+            cols, vals = np.arange(n)[:, None], np.ones((n, 1))
+        lead = 0 if left is None else left.shape[1]
+        out = np.zeros((n, lead + len(cols)))
+        if lead:
+            out[:, :lead] = left
+        out[cols, lead + np.arange(len(cols))[:, None]] = vals
+        return out
 
     def gamma(self, f: np.ndarray) -> np.ndarray:
         """gamma f (f itself for the node basis)."""
@@ -264,12 +295,13 @@ class _AtomSide:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """X = A^(-1) gamma'."""
-        return self._a().solve(self.adjoint())
+        """X = A^(-1) gamma', solved over the gamma' it is formed from."""
+        return self._a().solve(self.adjoint(), overwrite=True)
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _sym(self.gamma(self.x))
+        # symmetrized on a copy: for the node basis gamma X is X itself
+        return _sym_inplace(self.gamma(self.x).copy())
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -324,8 +356,9 @@ class _AtomSide:
         of gamma A^(-j) Q for 1 <= j <= m (k x r), Q' A^(-m) Q, and the
         list of gamma A^(-j) X for 1 <= j < m (k x k).
 
-        They come from m solves, the first of Q itself, and are kept per
-        m; the solves' N x r results are not. X lies in the first block
+        They come from m solves, the first of Q itself and each further
+        one over its input (outside the node basis), and are kept per m;
+        the solves' N x r results are not. X lies in the first block
         of Q, so gamma A^(-j) X is (gamma A^(-j) Q)(Q'X), and
         gamma A^(-j-1) Q itself for the node basis. The products of m are
         never cut from those of a larger power, so a report gets the same
@@ -338,7 +371,8 @@ class _AtomSide:
             y = self.x if self.nodes else a.solve(q)
             products = [self.gamma(y)]
             for _ in range(m - 1):
-                y = a.solve(y)
+                # the node basis keeps each y as its product, X the first
+                y = a.solve(y, overwrite=not self.nodes)
                 products.append(self.gamma(y))
             qx = self.qx(m)
             px = [products[j] if self.nodes else products[j - 1] @ qx

@@ -200,34 +200,42 @@ class OperatorMatrix:
         # (inverse diagonal factors, subdiagonal factors) of A = L L'
         return _block_cholesky(*_blocks(self.band))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs through the kept Cholesky factor."""
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve A x = rhs through the kept Cholesky factor.
+
+        The sweeps run over the full blocks of rows as views of one array:
+        a row-major copy of ``rhs``, or with ``overwrite=True`` ``rhs``
+        itself when it is a float array with contiguous rows (column
+        slices included), whose values the solution then replaces and
+        which is returned. Only a last block shorter than the block size
+        goes through one zero-padded scratch block, so that every product
+        has the shape of a full block's, and the solution has the same
+        bits either way.
+        """
         inv, low = self._cholesky
-        y = self._split(rhs, inv.shape)
+        b = inv.shape[1]
+        x = np.asarray(rhs, dtype=float)
+        if not overwrite or x.strides[-1] != x.itemsize:
+            x = np.array(x, order="C")
+        y = x.reshape(self.size, math.prod(x.shape[1:]))
+        blocks = [y[i:i + b] for i in range(0, self.size, b)]
+        tail = len(blocks[-1])
+        if tail < b:
+            blocks[-1] = np.zeros((b, y.shape[1]))
+            blocks[-1][:tail] = y[-tail:]
         # forward sweep with L: y_i <- L_ii^(-1) (y_i - L_(i,i-1) y_(i-1))
-        for i in range(len(inv)):
+        for i in range(len(blocks)):
             if i:
-                y[i] -= low[i - 1] @ y[i - 1]
-            y[i] = inv[i] @ y[i]
+                blocks[i] -= low[i - 1] @ blocks[i - 1]
+            blocks[i][...] = inv[i] @ blocks[i]
         # backward sweep with L': x_i = L_ii^(-T) (y_i - L_(i+1,i)' x_(i+1))
-        for i in range(len(inv) - 1, -1, -1):
-            if i < len(inv) - 1:
-                y[i] -= low[i].T @ y[i + 1]
-            y[i] = inv[i].T @ y[i]
-        return self._join(y, rhs)
-
-    def _split(self, rhs, shape):
-        # rhs as (blocks, block size, columns), zero-padded past the end
-        rhs = np.asarray(rhs, dtype=float)
-        cols = rhs.reshape(self.size, math.prod(rhs.shape[1:]))
-        out = np.zeros((shape[0] * shape[1], cols.shape[1]))
-        out[:self.size] = cols
-        return out.reshape(shape[0], shape[1], -1)
-
-    def _join(self, blocks, rhs):
-        rows = blocks.shape[0] * blocks.shape[1]
-        return blocks.reshape(rows, blocks.shape[2])[:self.size].reshape(
-            np.shape(rhs))
+        for i in range(len(blocks) - 1, -1, -1):
+            if i < len(blocks) - 1:
+                blocks[i] -= low[i].T @ blocks[i + 1]
+            blocks[i][...] = inv[i].T @ blocks[i]
+        if tail < b:
+            y[-tail:] = blocks[-1][:tail]
+        return y.reshape(x.shape)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -54,6 +54,7 @@ handles the weights, their cores and the residual.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,7 @@ from .birman_schwinger import (
     BSOperator,
     _atom_side_of,
     _sym,
+    _sym_inplace,
     positivity_margin,
 )
 from .elliptic import OperatorMatrix, inverse_power
@@ -79,7 +81,23 @@ __all__ = [
 ]
 
 def _embed(basis: np.ndarray, core: np.ndarray) -> np.ndarray:
-    return _sym((basis @ core) @ basis.T)
+    return _sym_inplace((basis @ core) @ basis.T)
+
+
+class _Terms(Mapping):
+    """Read-only map of labels to N x N terms, each formed when read."""
+
+    def __init__(self, basis: np.ndarray, cores: dict[str, np.ndarray]):
+        self._basis, self._cores = basis, cores
+
+    def __getitem__(self, label: str) -> np.ndarray:
+        return _embed(self._basis, self._cores[label])
+
+    def __iter__(self):
+        return iter(self._cores)
+
+    def __len__(self) -> int:
+        return len(self._cores)
 
 
 @dataclass(eq=False)
@@ -92,7 +110,8 @@ class ResolventReport:
     the identity-path core; ``residual`` is the larger of the relative
     Frobenius distance between the two paths and the relative part of the
     difference's range outside Q. ``difference`` and ``terms`` give the
-    same matrices at size N x N, and ``expansion()`` the identity-path sum.
+    same matrices at size N x N, and ``expansion()`` the identity-path sum;
+    each such request forms one N x N array and no second one.
     """
 
     basis: np.ndarray
@@ -106,10 +125,11 @@ class ResolventReport:
         return _embed(self.basis, self.core)
 
     @property
-    def terms(self) -> dict[str, np.ndarray]:
-        """The signed terms as N x N matrices, formed on each access."""
-        return {label: _embed(self.basis, core)
-                for label, core in self.term_cores.items()}
+    def terms(self) -> Mapping[str, np.ndarray]:
+        """The signed terms as N x N matrices: a read-only mapping that
+        forms a term each time it is read and keeps none, so
+        ``sum(rep.terms.values())`` holds one term at a time."""
+        return _Terms(self.basis, self.term_cores)
 
     def expansion(self) -> np.ndarray:
         """Sum of the labeled terms (the identity-path evaluation)."""
@@ -182,19 +202,22 @@ def _sweep(op, q, side, m):
     r = q.shape[1]
     if r == q.shape[0]:
         y = q
-        for _ in range(m):
-            y = op.solve(y)
+        for j in range(m):
+            y = op.solve(y, overwrite=j > 0)
         return side.on_basis(q, y), 0.0
     h, gap, c = (m + 1) // 2, 0.0, r
-    y = np.hstack([q, side.adjoint()])
+    # [Q, gamma'] in one array, each solve written over its input
+    y = side.adjoint(left=q)
     for j in range(1, m + 1):
-        z = op.solve(y)
         if j == h:
-            # Z_(m-h) is Q for m = 1, else this solve's input for odd m
-            # and its output for even m
-            left = q if m == 1 else y[:, :r] if m % 2 else z[:, :r]
-            core, z, c = left.T @ z[:, :r], z[:, r:], 0
-        y = z
+            # Z_(m-h) is Q for m = 1, this solve's input for odd m (its Q
+            # part copied before the solve overwrites it) and its output
+            # for even m
+            left = q if m == 1 else y[:, :r].copy() if m % 2 else None
+        y = op.solve(y, overwrite=True)
+        if j == h:
+            left = y[:, :r] if left is None else left
+            core, y, c = left.T @ y[:, :r], y[:, r:], 0
         norm = float(np.linalg.norm(y[:, c:]))
         if norm > 0:
             outside = q @ (q.T @ y[:, c:])
@@ -269,7 +292,7 @@ def perturbed_inverse(
     # with 1 + T = L L' and Y = L^(-1) A^(-1/2), the product is Y'Y
     y = np.linalg.solve(np.linalg.cholesky(np.eye(t_op.size) + t_op.matrix),
                         inverse_power(a, 0.5))
-    return _sym(y.T @ y)
+    return _sym_inplace(y.T @ y)
 
 
 def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")

@@ -404,3 +404,14 @@ def test_warm_basis_calls_copy_no_basis(monkeypatch):
     assert {q.shape[1] for q in handed} == {37, 74}
     for q in handed:
         assert np.shares_memory(q, side._blocks) and not q.flags.writeable
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 1089])
+def test_in_place_symmetrizer_gives_the_bytes_of_sym(n):
+    # row blocks of ceil(n / 32) rows, over square sizes around a power
+    # of two and the node count of a 33 x 33 grid
+    x = np.random.Generator(np.random.Philox(n)).standard_normal((n, n))
+    want = birman_schwinger._sym(x)
+    got = birman_schwinger._sym_inplace(x)
+    assert got is x
+    assert got.tobytes() == want.tobytes()

@@ -945,9 +945,9 @@ def test_krein_feller_run_solves_gamma_once_and_takes_no_qr(tmp_path,
     columns = []
     solve = elliptic.OperatorMatrix.solve
 
-    def counting(self, rhs):
+    def counting(self, rhs, **kwargs):
         columns.append(np.shape(rhs)[1:])
-        return solve(self, rhs)
+        return solve(self, rhs, **kwargs)
 
     monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
     qr = _counting(monkeypatch, np.linalg, "qr")
@@ -979,9 +979,9 @@ def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
     columns = []
     solve = elliptic.OperatorMatrix.solve
 
-    def counting(self, rhs):
+    def counting(self, rhs, **kwargs):
         columns.append(np.shape(rhs)[1])
-        return solve(self, rhs)
+        return solve(self, rhs, **kwargs)
 
     monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
     manifest, _ = run_manifest(tmp_path, cfg)

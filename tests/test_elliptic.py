@@ -251,6 +251,49 @@ def test_block_factor_matches_lapack_banded(name):
                        atol=1e-14 * np.max(np.abs(a.solve(rhs))))
 
 
+def _padded_solve(a, rhs):
+    # the two sweeps as first written: over a zero-padded copy of the
+    # right-hand side cut into full blocks
+    inv, low = a._cholesky
+    nb, b = inv.shape[:2]
+    y = np.zeros((nb * b, rhs.reshape(a.size, -1).shape[1]))
+    y[:a.size] = rhs.reshape(a.size, -1)
+    y = y.reshape(nb, b, -1)
+    for i in range(nb):
+        if i:
+            y[i] -= low[i - 1] @ y[i - 1]
+        y[i] = inv[i] @ y[i]
+    for i in range(nb - 1, -1, -1):
+        if i < nb - 1:
+            y[i] -= low[i].T @ y[i + 1]
+        y[i] = inv[i].T @ y[i]
+    return y.reshape(nb * b, -1)[:a.size].reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("name, tail", [("robin-41x41", 1), ("57x15", 7)])
+def test_solve_pads_only_a_short_last_block_and_can_overwrite(name, tail):
+    # blocks of 42 over 1681 rows and of 16 over 855 leave a last block of
+    # 1 and 7 rows: the solve has the bits of the padded sweeps, leaves
+    # rhs as it was, and with overwrite=True returns rhs itself holding
+    # the same bits, a column slice (as a sweep passes Z[:, r:]) included
+    a = _factor_case(name)
+    assert a.size % a._cholesky[0].shape[1] == tail
+    wide = np.random.Generator(np.random.Philox(8)).standard_normal(
+        (a.size, 12))
+    for part in (np.s_[:, :], np.s_[:, 5:], np.s_[:, 0]):
+        rhs = wide[part].copy()
+        want = _padded_solve(a, rhs)
+        assert a.solve(rhs).tobytes() == want.tobytes()
+        assert np.array_equal(rhs, wide[part])
+        work = wide.copy()
+        view = work[part] if rhs.ndim == 2 else rhs  # a contiguous vector
+        got = a.solve(view, overwrite=True)
+        assert np.shares_memory(got, view)
+        assert got.tobytes() == view.tobytes() == want.tobytes()
+        work[part] = wide[part]
+        assert np.array_equal(work, wide)  # nothing outside the view moved
+
+
 def _blocks_scattering_every_entry(band):
     # the block split as first written: every (offset, column) pair inside
     # the matrix is scattered, the zero band rows included

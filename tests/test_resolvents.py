@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -362,6 +363,34 @@ def test_power_difference_on_an_exhausted_krylov_span():
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def _peak_doubles(fn):
+    # the peak of the memory traced while fn runs, in doubles; numpy
+    # reports its array buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_requests_form_one_n_by_n_array_at_a_time():
+    # the difference, each term and the expansion are each one N x N
+    # product symmetrized in place (the N x r factor and the row block of
+    # the symmetrizer are small), and terms forms a term only when it is
+    # read, so summing them holds the running sum, one term and their sum
+    a, t1, t2 = _cross_setup("2d", signed=True)
+    rep = two_weight_difference(a, t1, t2)
+    n2 = a.size ** 2
+    assert _peak_doubles(lambda: rep.difference) <= 1.1 * n2
+    for label in rep.terms:
+        assert _peak_doubles(lambda: rep.terms[label]) <= 1.1 * n2, label
+    assert _peak_doubles(rep.expansion) <= 1.1 * n2
+    assert _peak_doubles(lambda: sum(rep.terms.values())) <= 3 * n2
+    with pytest.raises(TypeError):
+        rep.terms["main"] = rep.difference
+
+
 def test_reports_factor_each_operator_once(monkeypatch):
     # every report on the same weights shares one factor of A and one of
     # each A + C, kept on the weight's operator
@@ -389,9 +418,9 @@ def _solves_by_operator(monkeypatch):
     solved = []
     original = elliptic.OperatorMatrix.solve
 
-    def recording(self, rhs):
+    def recording(self, rhs, **kwargs):
         solved.append(self)
-        return original(self, rhs)
+        return original(self, rhs, **kwargs)
 
     monkeypatch.setattr(elliptic.OperatorMatrix, "solve", recording)
     return solved
