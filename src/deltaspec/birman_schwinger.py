@@ -67,6 +67,13 @@ MARGIN_DEFAULT = 0.05
 # Krylov directions below this fraction of their block's scale are taken as
 # numerically dependent; keeping a spurious one would only add a zero value
 RANK_TOL = 1e-12
+# The weakest direction one Gram matrix B'B resolves, as a fraction of the
+# block's largest singular value: B'B carries rounding of about eps s_top^2,
+# so at GRAM_RESOLUTION s_top a direction has s^2 to a relative 1e-4 (eps /
+# GRAM_RESOLUTION^2) and its left vector B v / s is orthogonal to the others
+# to about that, which one Cholesky QR pass takes to eps; weaker directions
+# wait for the Gram of what is left once the resolved ones are taken out
+GRAM_RESOLUTION = 1e2 * np.sqrt(np.finfo(float).eps)
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
@@ -208,32 +215,58 @@ class BSOperator:
         return _sym_inplace((x * self.density) @ x.T)
 
 
-def _orthonormal_block(block: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _orthonormal_block(block: np.ndarray, q: np.ndarray,
+                       overwrite: bool = False) -> np.ndarray:
     """Orthonormal basis of the part of ``block`` (N x k) outside the
-    orthonormal columns of ``q``, keeping the directions above RANK_TOL
-    of the block's scale (its largest column norm).
+    orthonormal columns of ``q``: the directions whose singular value
+    exceeds RANK_TOL of the block's scale (its largest column norm),
+    strongest first.
 
-    The block is projected twice off ``q``. The singular values s and
-    right vectors V come from the k x k triangular factor R of a QR of
-    the block (no N x k orthogonal factor is formed), and the kept left
-    vectors are ``block V / s``. Column i is off by about eps |block| /
-    s_i, so each kept component s_i u_i is reproduced to eps |block|, as
-    by an SVD of the block itself, and the columns are orthonormal to
-    about 1e-3 at worst. They are projected off ``q`` once more (a weak
-    direction carries back about eps/s of it) and one Cholesky QR pass,
-    ``U L'^(-1)`` with L L' = U'U, makes them orthonormal. The order is s
-    descending, so the last column is the block's weakest direction.
+    No QR or SVD of the block is formed. The block B is projected twice
+    off ``q`` and taken apart in Gram passes. A pass takes the k x k
+    eigendecomposition B'B = V s^2 V' and keeps the directions with s
+    above RANK_TOL of the scale and above GRAM_RESOLUTION of the pass's
+    largest s, where s^2 is resolved to a relative 1e-4 and the left
+    vectors ``B V / s`` are orthonormal to about that. They are projected
+    off ``q`` and the earlier passes once (a weak direction carries back
+    about eps |B| / s of them), and one Cholesky QR pass, ``U L'^(-1)``
+    with L L' = U'U, makes them orthonormal to rounding. If the pass left
+    directions it could not resolve, B is deflated twice, B - U U'B, and
+    the next pass reads what remains. The passes stop at one that keeps
+    every direction or none, or whose cut is RANK_TOL of the scale
+    itself, so that it resolved every direction down to it; each keeps
+    at least its strongest direction, so they end. The part of the block
+    the result leaves out is its directions below RANK_TOL of the scale
+    plus rounding of about eps |block|, as for an SVD of the block.
+    ``block`` is written over when ``overwrite`` is set; otherwise it is
+    copied before it is first written.
     """
     scale = float(np.sqrt((block * block).sum(axis=0)).max())
-    if q.shape[1]:
-        for _ in range(2):
-            block = block - q @ (q.T @ block)
-    _, s, vt = np.linalg.svd(np.linalg.qr(block, mode="r"))
-    keep = s > RANK_TOL * scale
-    u = block @ (vt[keep].T / s[keep])
-    if q.shape[1]:
-        u = u - q @ (q.T @ u)
-    return u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+    floor = RANK_TOL * scale
+    passes: list[np.ndarray] = []
+    out = q  # the columns to take out of the block, twice, before a pass
+    while True:
+        if out.shape[1]:
+            if not overwrite:
+                block, overwrite = block.copy(), True
+            for _ in range(2):
+                block -= out @ (out.T @ block)
+        w, v = np.linalg.eigh(block.T @ block)
+        s = np.sqrt(np.clip(w[::-1], 0.0, None))
+        cut = max(floor, GRAM_RESOLUTION * s[0])
+        keep = s > cut
+        if not keep.any():
+            break
+        u = block @ (v[:, ::-1][:, keep] / s[keep])
+        for p in ([q] if q.shape[1] else []) + passes:
+            u -= p @ (p.T @ u)
+        out = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+        passes.append(out)
+        if keep.all() or cut == floor:
+            break
+    if len(passes) == 1:
+        return passes[0]
+    return np.hstack(passes) if passes else np.zeros((len(block), 0))
 
 
 class _AtomSide:
@@ -260,6 +293,7 @@ class _AtomSide:
         self.nodes = len(restriction.cols) >= a.size
         self._blocks = np.zeros((a.size, 0))
         self._widths: list[int] = []
+        self._spent = False
         self._powers: dict[int, tuple] = {}
         self._qx: dict[int, np.ndarray] = {}
 
@@ -323,23 +357,39 @@ class _AtomSide:
         The first block is X, and each further one is A^(-1) applied to the
         last, orthonormalized off the basis so far by
         :func:`_orthonormal_block`, which keeps the directions above
-        RANK_TOL of the block's scale. The blocks are kept, so the basis
-        for m is the first columns of the basis for m + 1, handed out as a
-        read-only view of the kept blocks.
+        RANK_TOL of the block's scale. The blocks are kept in one array,
+        so the basis for m is the first columns of the basis for m + 1,
+        handed out as a read-only view. A call that adds blocks grows the
+        array once, by room for its blocks at the width of its first (a
+        block has at most the width of the one it is solved from). The
+        span is exhausted when a block comes out empty or the basis spans
+        every node; that is kept, so no later call solves again.
         """
         if self.nodes:
             return np.eye(self.restriction.grid.size)
-        while len(self._widths) < m:
-            q = self._blocks
-            block = (self._a().solve(q[:, q.shape[1] - self._widths[-1]:])
-                     if self._widths else self.x)
-            block = _orthonormal_block(block, q)
-            if block.shape[1] == 0:  # the span is exhausted
+        while len(self._widths) < m and not self._spent:
+            r = sum(self._widths)
+            q = self._blocks[:, :r]
+            if self._widths:
+                block = _orthonormal_block(
+                    self._a().solve(q[:, r - self._widths[-1]:]), q,
+                    overwrite=True)
+            else:
+                block = _orthonormal_block(self.x, q)
+            width = block.shape[1]
+            self._spent = width == 0 or r + width == len(q)
+            if not width:
                 break
-            self._blocks = np.hstack([q, block])
-            self._blocks.setflags(write=False)
-            self._widths.append(block.shape[1])
-        return self._blocks[:, :sum(self._widths[:m])]
+            if r + width > self._blocks.shape[1]:
+                grown = np.empty((len(q), r + (m - len(self._widths)) * width))
+                grown[:, :r] = q
+                self._blocks = grown
+            self._blocks[:, r:r + width] = block
+            self._widths.append(width)
+            del block  # freed before the next block is solved
+        q = self._blocks[:, :sum(self._widths[:m])]
+        q.setflags(write=False)
+        return q
 
     def qx(self, m: int) -> np.ndarray:
         """Q'X on the basis Q = ``basis(m)`` (r x k), kept per basis

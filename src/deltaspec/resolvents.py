@@ -10,9 +10,12 @@ holds at matrix level, and every difference this module reports, powers
 included, has its range in span{A^(-j) gamma' : j <= m}, of dimension at
 most m rank(gamma). Each report builds an orthonormal basis Q of that span
 (block Arnoldi: a banded solve with A alternating with projection off the
-blocks so far and orthonormalization of the new block through its k x k
-triangular factor) and evaluates the difference two ways, as r x r cores
-on Q:
+blocks so far and orthonormalization of the new block B from its k x k
+Gram matrix B'B, in passes that each resolve down to 1.5e-6 of their
+largest singular value: the directions above RANK_TOL = 1e-12 of the
+block's largest column norm are kept, so the span leaves out only B's
+part below that and rounding of about eps |B|) and evaluates the
+difference two ways, as r x r cores on Q:
 
 * the identity path, through the Woodbury cores and their expansion into
   labeled terms;

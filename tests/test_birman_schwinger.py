@@ -1,5 +1,7 @@
 """Restriction interpolation and sandwich-operator spectral identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,11 +264,13 @@ def test_weights_on_one_support_take_one_eigendecomposition_of_g(
     from deltaspec import power_difference, resolvent_difference
 
     a, gam, m = _side_setup("2d")
+    side = birman_schwinger._atom_side_of(a, gam)
     calls = []
     eigh = np.linalg.eigh
 
     def counting(x, *args, **kwargs):
-        if np.shape(x) == (m.count, m.count):
+        # the Krylov blocks' Gram matrices are k x k too; count G alone
+        if x is side.__dict__.get("g"):
             calls.append(1)
         return eigh(x, *args, **kwargs)
 
@@ -366,6 +370,87 @@ def test_orthonormal_block_keeps_the_directions_of_the_block_svd(floor,
         return np.linalg.norm(block - basis @ (basis.T @ block))
 
     assert outside(got) <= 10 * outside(want)
+
+
+def test_orthonormal_block_takes_a_weak_cluster_in_a_second_pass(
+        monkeypatch):
+    # 1000 x 60 block with 30 singular values in [0.5, 1] and 30 in
+    # [1e-9, 2e-9]: one Gram matrix cannot resolve the weak cluster (its
+    # eigenvalues sit near the rounding of the strong ones), so a second
+    # pass on the deflated block keeps it; every direction is kept,
+    # orthonormal, and the block is spanned as by the SVD's left vectors
+    rng = np.random.Generator(np.random.Philox(1))
+    u = np.linalg.qr(rng.standard_normal((1000, 60)))[0]
+    v = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+    s = np.concatenate([np.linspace(1.0, 0.5, 30),
+                        np.linspace(2e-9, 1e-9, 30)])
+    block = (u * s) @ v.T
+    grams, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda x: grams.append(x.shape) or eigh(x))
+    got = birman_schwinger._orthonormal_block(block, np.zeros((1000, 0)))
+    assert grams == [(60, 60)] * 2
+    assert got.shape == (1000, 60)
+    assert np.abs(got.T @ got - np.eye(60)).max() <= 1e-13
+    svd_u = np.linalg.svd(block, full_matrices=False)[0]
+
+    def outside(basis):
+        return np.linalg.norm(block - basis @ (basis.T @ block))
+
+    assert outside(got) <= 10 * outside(svd_u)
+
+
+def test_orthonormal_block_of_duplicated_columns_has_the_rank_as_width():
+    # X = A^-1 gamma' of atoms that share nodes (atoms 3 and 4 coincide,
+    # 7, 8 and 9 lie in one cell) has rank k - 2, and X beside itself has
+    # the same rank: each block's width is that rank, and X is not written
+    a, gam, m = _shared_cell_setup()
+    x = birman_schwinger._atom_side_of(a, gam).x
+    before = x.copy()
+    for block in (x, np.hstack([x, x])):
+        got = birman_schwinger._orthonormal_block(block, np.zeros((32, 0)))
+        assert got.shape == (32, m.count - 2)
+        assert np.abs(got.T @ got - np.eye(m.count - 2)).max() <= 1e-13
+        assert np.linalg.norm(block - got @ (got.T @ block)) <= (
+            1e-12 * np.linalg.norm(block))
+    assert x.tobytes() == before.tobytes()
+
+
+def test_krylov_basis_takes_no_qr_and_no_svd(monkeypatch):
+    # the robin2d box (41 x 41): the blocks of m = 3 are orthonormalized
+    # from their Gram matrices alone
+    g = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]), (41, 41))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    side = birman_schwinger._atom_side_of(
+        a, restriction_matrix(g, boundary_measure(g)))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a QR or an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    assert side.basis(3).shape == (a.size, 160 + 152 + 144)
+
+
+def test_basis_grows_its_blocks_in_one_array():
+    # the segment2d-weyl segment (57 x 15, 64 atoms) with X built: basis(3)
+    # allocates its 111 columns once, and beside them holds one block's
+    # working set (the solved block, its kept directions and one product);
+    # its traced peak is 2.05 basis sizes, and 2.37 when each block copied
+    # the basis so far and was projected on a copy of its own
+    g = Grid(np.array([[0.0, 1.6], [0.0, 0.4]]), (57, 15))
+    m = segment_measure(np.array([[0.3, 0.2], [1.3, 0.2]]), 64)
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 2, t=1.0))
+    side = birman_schwinger._atom_side_of(a, restriction_matrix(g, m))
+    side.x
+    tracemalloc.start()
+    try:
+        q = side.basis(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (a.size, 111)
+    assert peak <= 2.2 * q.nbytes
 
 
 @pytest.mark.parametrize("case", ["box", "segment"])

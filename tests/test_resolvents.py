@@ -345,13 +345,17 @@ def test_3d_reports_match_dense_inverses():
         assert err <= 1e-10 * np.max(np.abs(want))
 
 
-def test_power_difference_on_an_exhausted_krylov_span():
+def _exhausted_setup():
     # 24 atoms over most of 48 nodes: the blocks of m = 4 are 24, 22 and 2
     # wide and fill every node, so the fourth is empty and the basis stops
     g = Grid(np.array([[0.0, 1.0]]), (48,))
     a = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=1.0))
     m = segment_measure(np.array([[0.05], [0.95]]), 24)
-    gam = restriction_matrix(g, m)
+    return a, restriction_matrix(g, m), m
+
+
+def test_power_difference_on_an_exhausted_krylov_span():
+    a, gam, m = _exhausted_setup()
     t_op = bs_operator(a, gam, Perturbation.constant(m, 1.0))
     rep = power_difference(a, t_op, 4)
     assert birman_schwinger._atom_side_of(a, gam)._widths == [24, 22, 2]
@@ -361,6 +365,25 @@ def test_power_difference_on_an_exhausted_krylov_span():
             - np.linalg.matrix_power(inverse_power(a, 1.0), 4))
     for got in (rep.difference, rep.expansion()):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_an_exhausted_krylov_span_is_not_solved_again(monkeypatch):
+    # m = 4 solves with A for X, the two blocks after it (the third fills
+    # every node, so no fourth is solved) and the four powers; later basis
+    # calls solve nothing, and a second weight's m = 4 report solves only
+    # with its A + C
+    solved = _solves_by_operator(monkeypatch)
+    a, gam, m = _exhausted_setup()
+    power_difference(a, bs_operator(a, gam, Perturbation.constant(m, 1.0)), 4)
+    assert sum(op is a for op in solved) == 7
+    solved.clear()
+    side = birman_schwinger._atom_side_of(a, gam)
+    for power in (4, 5):
+        assert side.basis(power).shape == (48, 48)
+    assert not solved
+    t_op = bs_operator(a, gam, Perturbation.constant(m, 2.0))
+    power_difference(a, t_op, 4)
+    assert solved and all(op is t_op.perturbed for op in solved)
 
 
 def _peak_doubles(fn):
