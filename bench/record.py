@@ -9,10 +9,11 @@ and ``--trace 1`` (per-layer metrics and counters), each at seed 1 for
 suite (the command in ROADMAP.md) and reads the wall time of every
 acceptance criterion from its ``[criterion N]`` verdict lines. The file
 also holds a machine fingerprint (cores, BLAS name, version and threads,
-numpy and scipy versions) and the line counts of ``src/``: physical
+numpy and scipy versions), the line counts of ``src/``: physical
 lines, and code lines, which leave out blank lines, comment-only lines
 and module, class and function docstrings, so that deleting comments or
-docstrings does not read as less code.
+docstrings does not read as less code, and ``config_keys``, the number
+of keys the config schema in ``deltaspec/cli.py`` names.
 
 The output is ``BENCH_<n>.json`` at the root of the checkout, n one more
 than the highest existing file. When an earlier file exists the script
@@ -91,6 +92,32 @@ def src_lines() -> dict:
             "code_total": sum(code.values()), "code_files": code}
 
 
+def _rule_pair(row) -> bool:
+    # a config table row ends in its (required, optional) key tables
+    return (isinstance(row, tuple) and len(row) >= 2
+            and all(isinstance(table, dict) for table in row[-2:]))
+
+
+def config_keys() -> int:
+    """Keys the config schema names, read from ``deltaspec.cli``'s tables:
+    every key of each section's (required, optional) pair and of each
+    kind's, plus the key (``kind`` or ``name``) that picks a kind."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from deltaspec import cli
+
+    count = 0
+    for name, table in vars(cli).items():
+        if not name.isupper():
+            continue
+        if _rule_pair(table) and len(table) == 2:  # a section
+            count += len(table[0]) + len(table[1])
+        elif (isinstance(table, dict) and table
+              and all(_rule_pair(row) for row in table.values())):
+            count += 1 + sum(len(row[-2]) + len(row[-1])
+                             for row in table.values())
+    return count
+
+
 def run_workload(name: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
            name, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace",
@@ -143,11 +170,13 @@ def report_change(old: dict, new: dict) -> None:
     for key, name in (("total", "lines"), ("code_total", "code lines")):
         print(f"src {name}: {old.get('src_lines', {}).get(key)} -> "
               f"{new['src_lines'][key]}")
+    print(f"config keys: {old.get('config_keys')} -> {new['config_keys']}")
 
 
 def main() -> int:
     record = {"created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
               "machine": fingerprint(), "src_lines": src_lines(),
+              "config_keys": config_keys(),
               "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for name in WORKLOADS:
         record["workloads"][name] = {

@@ -431,17 +431,22 @@ class _AtomSide:
         return self._powers[m]
 
 
+def _same_restriction(g1: RestrictionMatrix, g2: RestrictionMatrix) -> bool:
+    """Whether two restrictions are one map: the same ``cols`` and
+    ``vals``, as when both were built from one grid and measure."""
+    return g1 is g2 or (np.array_equal(g1.cols, g2.cols)
+                        and np.array_equal(g1.vals, g2.vals))
+
+
 def _atom_side_of(a: OperatorMatrix, restriction: RestrictionMatrix
                   ) -> _AtomSide:
     """``a``'s atom side for the restriction.
 
-    The side in ``a``'s slot serves when its restriction has the same
-    ``cols`` and ``vals``; otherwise a new, empty side replaces it.
+    The side in ``a``'s slot serves when its restriction is the same map
+    (:func:`_same_restriction`); otherwise a new, empty side replaces it.
     """
     side = a._atom_side
-    if (side is None
-            or not np.array_equal(side.restriction.cols, restriction.cols)
-            or not np.array_equal(side.restriction.vals, restriction.vals)):
+    if side is None or not _same_restriction(side.restriction, restriction):
         a._atom_side = None  # the old side is freed before the new is built
         side = a._atom_side = _AtomSide(a, restriction)
     return side

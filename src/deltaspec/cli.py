@@ -21,17 +21,21 @@ Config schema (version 1)::
                    "count": 64},
       "weights":  {"V1": {"kind": "constant", "value": 1.0}},
       "tasks":    ["resolvent_diff", {"name": "power_diff", "m": 2}],
-      "analysis": {"floor": null, "window": [5, 25], "margin": 0.05}
+      "analysis": {"window": [5, 25]}
     }
 
-Every key's rule is stated once, in the table of its section (``CONFIG``,
-``DOMAIN``, ``OPERATOR``, ``MAP``, ``WEIGHTS``, ``TASK``, ``ANALYSIS``)
-or, for a measure or a weight, of its kind (``MEASURE_KINDS``,
-``WEIGHT_KINDS``); a key outside its table is an error. A file weight's
-atoms must be the measure's atoms. All randomness derives from the
-single seed through counter-based generators, so a fixed config yields
-byte-identical numeric CSVs. The output root is ``$DELTASPEC_OUT`` or
-``./runs``; ``--out`` overrides both.
+Every key's rule, its range included, is stated once, in the table of
+its section (``CONFIG``, ``DOMAIN``, ``OPERATOR``, ``MAP``, ``WEIGHTS``,
+``ANALYSIS``) or of its kind (``MEASURE_KINDS`` and ``WEIGHT_KINDS`` by
+``kind``, ``TASKS`` by ``name``); a key outside its table is an error.
+The noise floor and the positivity margin are not options: a resolvent
+task's floor is ``FLOOR_FACTOR / t^m``, and every task but
+``robin_diff`` holds its weights to the margin threshold
+``MARGIN_DEFAULT``. A file weight's atoms must be the measure's atoms.
+All randomness derives from the single seed through counter-based
+generators, so a fixed config yields byte-identical numeric CSVs. The
+output root is ``$DELTASPEC_OUT`` or ``./runs``; ``--out`` overrides
+both.
 
 Exit codes: 0 success, 2 validation failure, 3 positivity failure after
 the capped t-raises, 4 numerical failure, 1 failed verify suite.
@@ -48,13 +52,13 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .birman_schwinger import (
-    MARGIN_DEFAULT,
     bs_operator,
     positivity_margin,
     restriction_matrix,
@@ -108,12 +112,13 @@ MAX_T_RAISES = 3
 
 # ---------------------------------------------------------------- config
 #
-# One table per config section, and one per measure kind and weight kind,
-# states each key's rule once: a type (str, bool, list or dict), or a
-# number rule (int or float, with the allowed shapes, () being a bare
-# number, listed or given by a function of the grid). A section is a
-# (required, optional) pair of such tables, which ``_section`` checks;
-# the builders below read only checked values.
+# One table per config section, and one per measure kind, weight kind and
+# task (``TASKS``, with the task functions below), states each key's rule
+# once: a type (str, bool, list or dict), or a number rule (int or float,
+# with the allowed shapes, () being a bare number, listed or given by a
+# function of the grid, and optionally a closed range lo, hi that every
+# entry keeps). A section is a (required, optional) pair of such tables,
+# which ``_section`` checks; the builders below read only checked values.
 
 
 def _is_numeric(value, integer):
@@ -135,9 +140,9 @@ def _point(grid):
 
 
 NUMBER, INTEGER, POINT = (float, [()]), (int, [()]), (float, _point)
-CONFIG = ({"schema_version": INTEGER, "domain": dict, "operator": dict,
-           "measure": dict, "tasks": list},
-          {"weights": dict, "analysis": dict, "seed": INTEGER})
+CONFIG = ({"schema_version": (int, [()], SCHEMA_VERSION, SCHEMA_VERSION),
+           "domain": dict, "operator": dict, "measure": dict, "tasks": list},
+          {"weights": dict, "analysis": dict, "seed": (int, [()], 0, math.inf)})
 # Grid checks that ``shape`` has one entry per axis of ``bbox``
 DOMAIN = ({"bbox": (float, [(1, 2), (2, 2), (3, 2), (2,), (4,), (6,)]),
            "shape": (int, [(), (1,), (2,), (3,)])}, {})
@@ -159,8 +164,7 @@ WEIGHT_KINDS = {
     "random": ({}, {"scale": NUMBER, "nonneg": bool}),
     "file": ({"path": str}, {}),
 }
-TASK = ({"name": str}, {"m": INTEGER})
-ANALYSIS = ({}, {"floor": NUMBER, "window": (int, [(2,)]), "margin": NUMBER})
+ANALYSIS = ({}, {"window": (int, [(2,)], 1, math.inf)})
 _TYPE_TEXT = {str: "a string", bool: "true or false", list: "a list",
               dict: "an object"}
 
@@ -169,7 +173,7 @@ def _breach(value, rule, grid):
     # what ``rule`` asks of a value it rejects; None for a value it allows
     if isinstance(rule, type):
         return None if isinstance(value, rule) else _TYPE_TEXT[rule]
-    numeric, shapes = rule
+    numeric, shapes, lo, hi = (*rule, -math.inf, math.inf)[:4]
     shapes = shapes(grid) if callable(shapes) else shapes
     integer = numeric is int
     shape = None
@@ -178,11 +182,12 @@ def _breach(value, rule, grid):
             shape = np.shape(value)
         except ValueError:  # ragged nesting
             pass
-    if shape in shapes:
+    if shape in shapes and lo <= np.min(value) and np.max(value) <= hi:
         return None
     kind = "integer" if integer else "number"
     texts = [f"shape {a}" if a else f"one {kind}" for a in shapes]
-    return f"finite {kind}s, {' or '.join(texts)}"
+    span = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo}, {hi}]"
+    return f"finite {kind}s{span}, {' or '.join(texts)}"
 
 
 def _section(obj, where, required, optional, grid=None):
@@ -204,15 +209,16 @@ def _section(obj, where, required, optional, grid=None):
                 raise ValidationError(f"{where}.{key} must be {breach}; {got}")
 
 
-def _kind(spec, where, kinds):
-    """The (required, optional) pair of the kind ``spec`` names, with
-    ``kind`` itself required."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
+def _kind(spec, where, kinds, key="kind"):
+    """The (required, optional) pair of the kind ``spec`` names under
+    ``key``, with ``key`` itself required: the last two entries of the
+    kind's row in ``kinds``."""
+    kind = spec.get(key) if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"{where} must be an object with a kind, one "
+        raise ValidationError(f"{where} must be an object with a {key}, one "
                               f"of {', '.join(kinds)}")
-    required, optional = kinds[kind]
-    return {"kind": str, **required}, optional
+    required, optional = kinds[kind][-2:]
+    return {key: str, **required}, optional
 
 
 def _grid(spec) -> Grid:
@@ -312,17 +318,9 @@ def _weight(spec, where, measure, grid, stream, base_dir) -> Perturbation:
 
 
 def _task(entry, where) -> dict:
-    if isinstance(entry, str):
-        entry = {"name": entry}
-    _section(entry, where, *TASK)
-    name = entry["name"]
-    if name not in TASK_NAMES:
-        raise ValidationError(f"unknown task {name!r} in {where}")
-    if name == "power_diff":
-        if not 2 <= entry.get("m", 2) <= 4:
-            raise ValidationError(f"{where}: power_diff m must be 2, 3, or 4")
-    elif "m" in entry:
-        raise ValidationError(f"{where}: key 'm' only applies to power_diff")
+    # a bare name is a task with no options
+    entry = {"name": entry} if isinstance(entry, str) else entry
+    _section(entry, where, *_kind(entry, where, TASKS, "name"))
     return entry
 
 
@@ -346,14 +344,7 @@ def validate_config(cfg, base_dir=".") -> dict:
     does not depend on the shift t. Raises ValidationError on any problem,
     unknown keys included; ``base_dir`` anchors ``file`` weight paths."""
     _section(cfg, "config", *CONFIG)
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {cfg['schema_version']!r}; "
-            f"this tool reads version {SCHEMA_VERSION}"
-        )
     seed = cfg.get("seed", 0)
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
     grid = _grid(cfg["domain"])
     coeffs = _coeffs(cfg["operator"], grid)
     measure = _measure(cfg["measure"], "measure", grid)
@@ -374,26 +365,22 @@ def validate_config(cfg, base_dir=".") -> dict:
     entries = [_task(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
     names = [entry["name"] for entry in entries]
     for name in names:
-        if name in ("two_weight_diff", "robin_diff", "weyl_check") \
-                and "V2" not in built:
+        if TASKS[name].needs_v2 and "V2" not in built:
             raise ValidationError(f"{name} needs weights.V2")
 
     # null asks for the default, as an absent key does
     given = {key: value for key, value in cfg.get("analysis", {}).items()
              if value is not None or key not in ANALYSIS[1]}
     _section(given, "analysis", *ANALYSIS)
-    if given.get("floor", 0) < 0:
-        raise ValidationError("analysis.floor must be nonnegative")
     # a window no spectrum admits; (1, 2) stands in when none is given
     first, last = given.get("window", (1, 2))
-    if first < 1 or last <= first:
+    if last <= first:
         raise ValidationError(
-            f"analysis.window [{first}, {last}] must have 1 <= first < last")
+            f"analysis.window [{first}, {last}] must have first < last")
 
     return {
         "grid": grid, "coeffs": coeffs, "measure": measure, "gamma": gamma,
         "weights": built, "tasks": entries, "analysis": given,
-        "margin": float(given.get("margin", MARGIN_DEFAULT)),
         "weyl": (_weyl(measure, coeffs, gamma, built)
                  if "weyl_check" in names else None),
     }
@@ -422,7 +409,7 @@ def config_hash(cfg, base_dir=".") -> str:
 # ---------------------------------------------------------------- tasks
 
 
-def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
+def _write_spectrum(mat, out_dir, analysis, floor, terms=None):
     """Write a task's spectrum artifacts; return (summary, outputs, spectrum).
 
     ``mat`` is the small symmetric core carrying the task's nonzero
@@ -431,19 +418,17 @@ def _write_spectrum(mat, out_dir, analysis, default_floor, terms=None):
     size, the most values the spectrum can keep.
 
     ``terms`` maps labels to the descending singular values of expansion
-    terms, each written as ``singulars_<label>.csv``. ``default_floor`` is
-    the task's noise floor: the resolvent tasks anchor it to the scale of
-    the unperturbed inverse (1/t^m at constant coefficients), so a
-    difference that is pure rounding noise yields an empty spectrum rather
-    than a fit to noise; ``None`` keeps the norm-relative floor of
-    :func:`spectrum`. ``analysis`` acts the same for every task: an
-    explicit floor wins, and the spectrum is fitted once, on the explicit
-    window if one is set. The caller adds its own summary
-    keys and ``_execute`` writes ``summary.json``.
+    terms, each written as ``singulars_<label>.csv``. ``floor`` is the
+    task's noise floor: the resolvent tasks anchor it to the scale of the
+    unperturbed inverse (1/t^m at constant coefficients), so a difference
+    that is pure rounding noise yields an empty spectrum rather than a fit
+    to noise; ``None`` keeps the norm-relative floor of :func:`spectrum`.
+    ``analysis`` acts the same for every task: the spectrum is fitted
+    once, on the explicit window if one is set. The caller adds its own
+    summary keys and ``_execute`` writes ``summary.json``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    floor = analysis.get("floor")
-    sp_rep = spectrum(mat, floor=default_floor if floor is None else floor)
+    sp_rep = spectrum(mat, floor=floor)
     outputs = {
         "singulars": str(write_singular_values(
             sp_rep.singulars, out_dir / "singulars.csv")),
@@ -484,21 +469,20 @@ def _write_report(rep, out_dir, ctx, power=1, with_terms=True):
 
 
 def _task_resolvent_diff(ctx, entry, out_dir):
-    rep = resolvent_difference(ctx["a"], ctx["T"]["V1"], ctx["margin"])
+    rep = resolvent_difference(ctx["a"], ctx["T"]["V1"])
     summary, outputs = _write_report(rep, out_dir, ctx)
     summary["margin"] = positivity_margin(ctx["T"]["V1"])
     return summary, outputs
 
 
 def _task_two_weight_diff(ctx, entry, out_dir):
-    rep = two_weight_difference(ctx["a"], ctx["T"]["V1"], ctx["T"]["V2"],
-                                ctx["margin"])
+    rep = two_weight_difference(ctx["a"], ctx["T"]["V1"], ctx["T"]["V2"])
     return _write_report(rep, out_dir, ctx)
 
 
 def _task_power_diff(ctx, entry, out_dir):
     m = int(entry.get("m", 2))
-    rep = power_difference(ctx["a"], ctx["T"]["V1"], m, ctx["margin"])
+    rep = power_difference(ctx["a"], ctx["T"]["V1"], m)
     summary, outputs = _write_report(rep, out_dir, ctx, power=m)
     summary["m"] = m
     return summary, outputs
@@ -546,15 +530,18 @@ def _task_weyl_check(ctx, entry, out_dir):
     return summary, outputs
 
 
-_TASK_FNS = {
-    "resolvent_diff": _task_resolvent_diff,
-    "two_weight_diff": _task_two_weight_diff,
-    "power_diff": _task_power_diff,
-    "krein_feller": _task_krein_feller,
-    "robin_diff": _task_robin_diff,
-    "weyl_check": _task_weyl_check,
+# the task table, keyed by ``name``: each task's function, whether it
+# needs V2, and the (required, optional) tables of its options
+Task = namedtuple("Task", "run needs_v2 required optional")
+TASKS = {
+    "resolvent_diff": Task(_task_resolvent_diff, False, {}, {}),
+    "two_weight_diff": Task(_task_two_weight_diff, True, {}, {}),
+    "power_diff": Task(_task_power_diff, False, {}, {"m": (int, [()], 2, 4)}),
+    "krein_feller": Task(_task_krein_feller, False, {}, {}),
+    "robin_diff": Task(_task_robin_diff, True, {}, {}),
+    "weyl_check": Task(_task_weyl_check, True, {}, {}),
 }
-TASK_NAMES = tuple(_TASK_FNS)
+TASK_NAMES = tuple(TASKS)
 
 
 # ---------------------------------------------------------------- run
@@ -578,7 +565,7 @@ def _execute(inputs, out_dir, t_value, a=None):
         counts[name] = counts.get(name, 0) + 1
         dir_name = name if counts[name] == 1 else f"{name}_{counts[name]}"
         task_dir = out_dir / dir_name
-        summary, outputs = _TASK_FNS[name](ctx, entry, task_dir)
+        summary, outputs = TASKS[name].run(ctx, entry, task_dir)
         outputs["summary"] = str(write_json(summary, task_dir / "summary.json"))
         task_entries.append({
             "name": name,

@@ -67,6 +67,7 @@ from .birman_schwinger import (
     MARGIN_DEFAULT,
     BSOperator,
     _atom_side_of,
+    _same_restriction,
     _sym,
     _sym_inplace,
     positivity_margin,
@@ -173,13 +174,15 @@ def _atom_side(a: OperatorMatrix, margin_threshold: float,
     cores S_i, C_i = gamma' S_i gamma.
 
     Every weight must be built on ``a``, pass the margin threshold and
-    live on one restriction, whose side on ``a`` is read (see
+    live on one restriction (equal ``cols`` and ``vals``; two built from
+    one grid and measure are one), whose side on ``a`` is read (see
     :mod:`deltaspec.birman_schwinger`).
     """
     for t_op in t_ops:
         _require_margin(a, t_op, margin_threshold)
     restriction = t_ops[0].restriction
-    if any(t_op.restriction is not restriction for t_op in t_ops):
+    if not all(_same_restriction(t_op.restriction, restriction)
+               for t_op in t_ops):
         raise ValidationError("the weights live on different restrictions")
     side = _atom_side_of(a, restriction)
     return side, [side.coupling_core(t_op) for t_op in t_ops]

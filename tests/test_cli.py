@@ -210,6 +210,8 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
         {"ratio": 0.5, "translation": [0.5]}]}},
     {"schema_version": True},
     {"schema_version": 1.0},
+    {"schema_version": 2},
+    {"measure": {"kind": "ifs", "maps": [], "depth": 2}},
 ], ids=["shape", "count", "t", "negative_seed", "maps", "path", "bbox",
         "start", "ragged_coefficients", "window", "margin", "head_drop",
         "floor", "box", "segment_atom_cap", "missing_weight_file",
@@ -219,7 +221,7 @@ SEGMENT_1D = {"kind": "segment", "start": [0.25], "end": [0.75], "count": 24}
         "window_reversed", "window_from_zero", "window_one_point",
         "measure_kind", "weight_kind", "task_name", "power_diff_m5",
         "m_on_resolvent_diff", "no_tasks", "union_one_part", "rotation_1d",
-        "schema_true", "schema_float"])
+        "schema_true", "schema_float", "schema_2", "ifs_no_maps"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, base_config(**overrides))
     out = tmp_path / "runs"
@@ -361,11 +363,19 @@ def test_truncated_cached_manifest_is_recomputed(tmp_path, capsys):
 
 
 def test_null_analysis_values_mean_the_default(tmp_path):
-    cfg = base_config(analysis={"floor": None, "window": None,
-                                "margin": None})
+    cfg = base_config(analysis={"window": None})
     manifest, _ = run_manifest(tmp_path, cfg)
     default, _ = run_manifest(tmp_path, base_config(), name="default.json")
     assert manifest["tasks"][0]["summary"] == default["tasks"][0]["summary"]
+
+
+@pytest.mark.parametrize("key, value", [("floor", 1e-3), ("margin", 0.1)])
+def test_floor_and_margin_are_not_options(tmp_path, capsys, key, value):
+    # the floor and the margin threshold are fixed: setting either, even
+    # to a value in range, is an unknown key
+    path = write_config(tmp_path, base_config(analysis={key: value}))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task", ["resolvent_diff", "two_weight_diff",

@@ -8,6 +8,7 @@ from deltaspec import (
     Grid,
     Perturbation,
     PositivityError,
+    Similitude,
     ValidationError,
     assemble_neumann,
     assemble_robin,
@@ -183,6 +184,33 @@ def test_grid_node_cap():
     # a product that wraps around in int64 must not slip under the cap
     with pytest.raises(ValidationError):
         Grid(box, (2**32, 2**32))
+
+
+UNIT, EYE2 = [[0.0, 1.0]], np.eye(2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Grid(np.array(UNIT * 4), (3, 3, 3, 3)), "1D, 2D and 3D"),
+    (lambda: Grid(np.array(UNIT * 2), (4,)), "disagree"),
+    (lambda: Grid(np.array(UNIT * 2), (4, 2)), "at least 3 nodes"),
+    (lambda: Grid(np.array([[0.0, 1.0], [0.5, 0.5]]), (4, 4)),
+     "upper bounds"),
+    (lambda: CoefficientField(np.ones((2, 3))), "square"),
+    (lambda: CoefficientField(np.array([[1.0, 0.5], [0.0, 1.0]])),
+     "symmetric"),
+    (lambda: CoefficientField(np.diag([1.0, -1.0])), "not elliptic"),
+    (lambda: CoefficientField(EYE2, t=0.0), "shift t"),
+    (lambda: CoefficientField(EYE2, t=float("nan")), "shift t"),
+    (lambda: Similitude(1.0, EYE2, np.zeros(2)), "ratio"),
+    (lambda: Similitude(0.0, EYE2, np.zeros(2)), "ratio"),
+    (lambda: Similitude(0.5, np.array([[1.0, 0.1], [0.0, 1.0]]),
+                        np.zeros(2)), "not orthogonal"),
+], ids=["grid_4d", "shape_bbox_lengths", "two_nodes", "bbox_hi_at_lo",
+        "tensor_not_square", "tensor_not_symmetric", "tensor_not_elliptic",
+        "t_zero", "t_nan", "ratio_one", "ratio_zero", "rotation_skewed"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_solve_matches_dense_solver():

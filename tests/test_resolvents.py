@@ -593,6 +593,29 @@ def test_atom_side_is_replaced_on_another_support_or_restriction():
     assert a._atom_side is not kept
 
 
+def test_a_restriction_built_twice_is_one_restriction():
+    # two restriction_matrix calls on one grid and measure give one map:
+    # the two-weight report from them equals, bit for bit, the report from
+    # one shared restriction; weights on another measure are still refused
+    g = Grid(np.array([[0.0, 1.0]]), (64,))
+    coeffs = CoefficientField.isotropic(1.0, 1, t=1.0)
+    m = segment_measure(np.array([[0.2], [0.8]]), 20)
+    p1, p2 = _signed_perturbation(m, 5), _signed_perturbation(m, 6)
+    a = assemble_neumann(g, coeffs)
+    gam = restriction_matrix(g, m)
+    shared = two_weight_difference(a, bs_operator(a, gam, p1),
+                                   bs_operator(a, gam, p2))
+    a = assemble_neumann(g, coeffs)
+    twice = two_weight_difference(
+        a, bs_operator(a, restriction_matrix(g, m), p1),
+        bs_operator(a, restriction_matrix(g, m), p2))
+    _assert_same_bytes(twice, shared)
+    other = segment_measure(np.array([[0.3], [0.7]]), 20)
+    with pytest.raises(ValidationError, match="different restrictions"):
+        two_weight_difference(a, bs_operator(a, gam, p1), bs_operator(
+            a, restriction_matrix(g, other), Perturbation.constant(other, 1.0)))
+
+
 def test_the_atom_side_never_keeps_its_operator_alive():
     # the side lives in A's slot and reaches A by a weak reference, so with
     # the cyclic collector off A and its side (X, Q and A's products) are
