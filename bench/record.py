@@ -15,6 +15,14 @@ and module, class and function docstrings, so that deleting comments or
 docstrings does not read as less code, and ``config_keys``, the number
 of keys the config schema in ``deltaspec/cli.py`` names.
 
+``factor`` times the banded factor through the public API, in this
+process: for each operator of ``FACTOR_CASES`` (unit boxes, t = 1; the
+Robin case with V = 1 on the box boundary) it builds a fresh
+``OperatorMatrix`` on the assembled band and solves one fixed 64-column
+right-hand side twice. ``first_solve_s`` (factor plus sweeps) and
+``second_solve_s`` (sweeps only) are medians over ``FACTOR_REPEATS``
+operators.
+
 The output is ``BENCH_<n>.json`` at the root of the checkout, n one more
 than the highest existing file. When an earlier file exists the script
 prints each metric next to its previous value; it reports the change and
@@ -27,6 +35,7 @@ import ast
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -40,6 +49,9 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # pytest -q prints a verdict line after the progress dots of its file
 VERDICT = re.compile(r"\[criterion (\d+)\] (PASS|FAIL) \((.*)\)$", re.M)
 ELAPSED = re.compile(r"(\d+(?:\.\d+)?)s$")
+FACTOR_CASES = ("1d-512", "1d-4096", "33x33", "57x15", "robin-41x41")
+FACTOR_REPEATS = 21
+FACTOR_COLUMNS = 64
 
 
 def fingerprint() -> dict:
@@ -102,7 +114,6 @@ def config_keys() -> int:
     """Keys the config schema names, read from ``deltaspec.cli``'s tables:
     every key of each section's (required, optional) pair and of each
     kind's, plus the key (``kind`` or ``name``) that picks a kind."""
-    sys.path.insert(0, str(ROOT / "src"))
     from deltaspec import cli
 
     count = 0
@@ -116,6 +127,47 @@ def config_keys() -> int:
             count += 1 + sum(len(row[-2]) + len(row[-1])
                              for row in table.values())
     return count
+
+
+def _factor_operator(name: str):
+    import numpy as np
+    from deltaspec import (CoefficientField, Grid, Perturbation,
+                           assemble_neumann, assemble_robin, boundary_measure)
+
+    sizes = name.removeprefix("1d-").removeprefix("robin-").split("x")
+    shape = tuple(int(n) for n in sizes)
+    grid = Grid(np.array([[0.0, 1.0]] * len(shape)), shape)
+    coeffs = CoefficientField.isotropic(1.0, len(shape))
+    if name.startswith("robin-"):
+        return assemble_robin(grid, coeffs, Perturbation.constant(
+            boundary_measure(grid), 1.0))
+    return assemble_neumann(grid, coeffs)
+
+
+def factor_timings() -> dict:
+    """Median seconds of a fresh operator's first solve (factor plus
+    sweeps) and second solve (sweeps only) of one 64-column right-hand
+    side, per case of ``FACTOR_CASES``."""
+    import numpy as np
+    from deltaspec import OperatorMatrix
+
+    out = {}
+    for name in FACTOR_CASES:
+        band = _factor_operator(name).band
+        rhs = np.random.Generator(np.random.Philox(SEED)).standard_normal(
+            (band.shape[1], FACTOR_COLUMNS))
+        first, second = [], []
+        for _ in range(FACTOR_REPEATS):
+            op = OperatorMatrix(band)
+            t0 = time.perf_counter()
+            op.solve(rhs)
+            t1 = time.perf_counter()
+            op.solve(rhs)
+            first.append(t1 - t0)
+            second.append(time.perf_counter() - t1)
+        out[name] = {"first_solve_s": statistics.median(first),
+                     "second_solve_s": statistics.median(second)}
+    return out
 
 
 def run_workload(name: str, trace: int) -> dict:
@@ -167,6 +219,10 @@ def report_change(old: dict, new: dict) -> None:
     for num, crit in new["criteria"].items():
         was = old.get("criteria", {}).get(num, {}).get("elapsed_s")
         print(f"criterion {num} elapsed: {was} -> {crit['elapsed_s']}")
+    for name, times in new["factor"].items():
+        for key, value in times.items():
+            was = old.get("factor", {}).get(name, {}).get(key)
+            print(f"factor {name} {key}: {was} -> {value}")
     for key, name in (("total", "lines"), ("code_total", "code lines")):
         print(f"src {name}: {old.get('src_lines', {}).get(key)} -> "
               f"{new['src_lines'][key]}")
@@ -174,9 +230,10 @@ def report_change(old: dict, new: dict) -> None:
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
     record = {"created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
               "machine": fingerprint(), "src_lines": src_lines(),
-              "config_keys": config_keys(),
+              "config_keys": config_keys(), "factor": factor_timings(),
               "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for name in WORKLOADS:
         record["workloads"][name] = {

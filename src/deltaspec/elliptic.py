@@ -13,7 +13,7 @@ closed-form spectrum ``t + (2/h^2) (1 - cos(k pi / n))`` with eigenvectors
 eigenvalues converge to ``t + (k pi)^2`` at rate O(h^2).
 
 Operators are assembled from numpy index and value arrays straight into
-lower band storage and factored by a block Cholesky in numpy
+lower band storage and factored by a block LDL' in numpy
 (:class:`OperatorMatrix`); nothing here needs SciPy.
 """
 
@@ -46,6 +46,8 @@ __all__ = [
 
 NODE_CAP_DEFAULT = 5000
 _ELLIPTICITY_FLOOR = 1e-8
+# the positivity check's Cholesky chunk: a bound on the memory it adds
+_CHECK_BYTES = 1 << 18
 
 
 @dataclass(eq=False)
@@ -161,16 +163,17 @@ class OperatorMatrix:
     """Symmetric positive-definite banded operator, factored on first use.
 
     The matrix is kept in lower band storage, ``band[d, j] = A[j + d, j]``.
-    Every linear solve goes through its Cholesky factor A = L L', computed
-    on the first solve by a block Cholesky of the block-tridiagonal form
-    (blocks of size max(bandwidth, 16)) and kept; a matrix that is not
-    positive definite raises :class:`PositivityError` there, and the next
-    solve tries again. The dense ``matrix`` and its full
-    eigendecomposition (used for fractional inverse powers, the small-N
-    oracle) are likewise each built on first use and kept. Besides these the
-    instance keeps one atom-side slot, which
-    :mod:`deltaspec.birman_schwinger` owns and describes. ``band`` is
-    read-only, so nothing kept can go stale.
+    Every linear solve goes through its factor A = L D L', computed on the
+    first solve by a block LDL' of the block-tridiagonal form (blocks of
+    size max(bandwidth, 16)) and kept: the inverse of each pivot block
+    and each multiplier block, 16 nb b^2 bytes for nb blocks of size b. A
+    matrix that is not positive definite raises :class:`PositivityError`
+    there, from one check over the pivots, and the next solve tries
+    again. The dense ``matrix`` and its full eigendecomposition (used for
+    fractional inverse powers, the small-N oracle) are likewise each built
+    on first use and kept. Besides these the instance keeps one atom-side
+    slot, which :mod:`deltaspec.birman_schwinger` owns and describes.
+    ``band`` is read-only, so nothing kept can go stale.
     """
 
     def __init__(self, band: np.ndarray):
@@ -196,12 +199,12 @@ class OperatorMatrix:
         return OperatorMatrix(_add_bands(self.band, band))
 
     @cached_property
-    def _cholesky(self):
-        # (inverse diagonal factors, subdiagonal factors) of A = L L'
-        return _block_cholesky(*_blocks(self.band))
+    def _factor(self):
+        # (inverse pivot blocks S_i^(-1), multipliers W_i) of A = L D L'
+        return _block_ldl(*_blocks(self.band))
 
     def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Solve A x = rhs through the kept Cholesky factor.
+        """Solve A x = rhs through the kept block LDL' factor.
 
         The sweeps run over the full blocks of rows as views of one array:
         a row-major copy of ``rhs``, or with ``overwrite=True`` ``rhs``
@@ -212,7 +215,7 @@ class OperatorMatrix:
         has the shape of a full block's, and the solution has the same
         bits either way.
         """
-        inv, low = self._cholesky
+        inv, low = self._factor
         b = inv.shape[1]
         x = np.asarray(rhs, dtype=float)
         if not overwrite or x.strides[-1] != x.itemsize:
@@ -223,16 +226,15 @@ class OperatorMatrix:
         if tail < b:
             blocks[-1] = np.zeros((b, y.shape[1]))
             blocks[-1][:tail] = y[-tail:]
-        # forward sweep with L: y_i <- L_ii^(-1) (y_i - L_(i,i-1) y_(i-1))
-        for i in range(len(blocks)):
-            if i:
-                blocks[i] -= low[i - 1] @ blocks[i - 1]
-            blocks[i][...] = inv[i] @ blocks[i]
-        # backward sweep with L': x_i = L_ii^(-T) (y_i - L_(i+1,i)' x_(i+1))
+        # forward sweep with L: z_i = y_i - W_(i-1) z_(i-1)
+        for i in range(1, len(blocks)):
+            blocks[i] -= low[i - 1] @ blocks[i - 1]
+        # backward sweep with D L': x_i = S_i^(-1) z_i - W_i' x_(i+1)
         for i in range(len(blocks) - 1, -1, -1):
+            z = inv[i] @ blocks[i]
             if i < len(blocks) - 1:
-                blocks[i] -= low[i].T @ blocks[i + 1]
-            blocks[i][...] = inv[i].T @ blocks[i]
+                z -= low[i].T @ blocks[i + 1]
+            blocks[i][...] = z
         if tail < b:
             y[-tail:] = blocks[-1][:tail]
         return y.reshape(x.shape)
@@ -305,25 +307,37 @@ def _blocks(band: np.ndarray):
     return diag, sub
 
 
-def _block_cholesky(diag: np.ndarray, sub: np.ndarray):
-    """Block Cholesky of a block-tridiagonal SPD matrix, in place.
+def _block_ldl(diag: np.ndarray, sub: np.ndarray):
+    """Block LDL' of a block-tridiagonal SPD matrix, in place.
 
-    Overwrites each diagonal block A_ii with the inverse L_ii^(-1) of its
-    diagonal factor and each subdiagonal block A_(i+1,i) with the factor
-    L_(i+1,i) = A_(i+1,i) L_ii^(-T) of A = L L', and returns the two
-    arrays: (inverse diagonal factors, subdiagonal factors).
+    With pivots S_0 = A_00 and S_(i+1) = A_(i+1,i+1) - W_i A_(i+1,i)',
+    W_i = A_(i+1,i) S_i^(-1), A = L D L' for D = diag(S_i) and L the unit
+    block-bidiagonal matrix with subdiagonal blocks W_i. Overwrites each
+    diagonal block A_ii with S_i^(-1) and each subdiagonal block
+    A_(i+1,i) with W_i, and returns the two arrays. The matrix is
+    positive definite iff every S_i^(-1) is: one Cholesky factorization
+    over stacked blocks checks that after the sweep, ``_CHECK_BYTES`` (or
+    one block) at a time. A failed check, an exactly singular
+    pivot or a non-finite result raises :class:`PositivityError`.
     """
-    for i in range(len(diag)):
-        block = diag[i] - sub[i - 1] @ sub[i - 1].T if i else diag[i]
-        try:
-            factor = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError as exc:
-            raise PositivityError(
-                "operator matrix is not positive definite"
-            ) from exc
-        diag[i] = np.tril(np.linalg.inv(factor))
-        if i < len(diag) - 1:
-            sub[i] = sub[i] @ diag[i].T
+    try:
+        # overflow past an indefinite pivot is reported by the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(diag)):
+                diag[i] = np.linalg.inv(diag[i])
+                if i < len(sub):
+                    w = sub[i] @ diag[i]
+                    diag[i + 1] -= w @ sub[i].T
+                    sub[i] = w
+        step = max(1, _CHECK_BYTES // diag[0].nbytes)
+        for i in range(0, len(diag), step):
+            if not np.isfinite(diag[i:i + step]).all():
+                raise np.linalg.LinAlgError("non-finite pivot inverse")
+            np.linalg.cholesky(diag[i:i + step])
+    except np.linalg.LinAlgError as exc:
+        raise PositivityError(
+            "operator matrix is not positive definite"
+        ) from exc
     return diag, sub
 
 
@@ -421,7 +435,7 @@ def assemble_robin(
     robin = bs_operator(assemble_neumann(grid, coeffs),
                         restriction_matrix(grid, boundary_p.measure),
                         boundary_p).perturbed
-    robin._cholesky  # factored here, kept for every solve
+    robin._factor  # factored here, kept for every solve
     return robin
 
 

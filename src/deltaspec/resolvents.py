@@ -39,7 +39,7 @@ of those columns outside Q. Reported spectra come from the cores; the N x N
 for. When there are at least as many atoms as nodes (Lebesgue measure has
 k = N) an atom-side G would be no smaller than N x N, and the nodes serve
 as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
-basis. Every solve goes through the block Cholesky factor of
+basis. Every solve goes through the block LDL' factor of
 :class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i is factored once
 per weight and kept on its operator, so reports that share a weight share
 that factor, and next to it, per power m, the core and gap of its sweep, so a

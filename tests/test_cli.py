@@ -893,7 +893,7 @@ def test_sweep_shares_the_operator_while_domain_and_operator_hold(
         _set_axis(variant, axis, json.loads(value))
         alone.append(run_manifest(tmp_path, variant, "alone.json")[1])
     assembled = _counting(monkeypatch, cli, "assemble_neumann")
-    factored = _counting(monkeypatch, elliptic, "_block_cholesky")
+    factored = _counting(monkeypatch, elliptic, "_block_ldl")
     built = _counting(monkeypatch, birman_schwinger._AtomSide, "__init__")
     path = write_config(tmp_path, cfg)
     out = tmp_path / "sweep"

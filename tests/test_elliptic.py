@@ -1,5 +1,8 @@
 """Grid assembly against closed-form Neumann spectra and Robin updates."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,8 +261,8 @@ def _factor_case(name):
                                   "57x15", "robin-41x41", "anisotropic-20x13",
                                   "anisotropic-7x6x5"])
 def test_block_factor_matches_lapack_banded(name):
-    # the block Cholesky gives the unique factor A = L L' that LAPACK's
-    # banded Cholesky gives; 1d-100 is not a multiple of the block size 16
+    # the block LDL' solves as LAPACK's banded Cholesky does, both through
+    # a factor of the same A; 1d-100 is not a multiple of the block size 16
     sla = pytest.importorskip("scipy.linalg")
 
     a = _factor_case(name)
@@ -280,21 +283,20 @@ def test_block_factor_matches_lapack_banded(name):
 
 
 def _padded_solve(a, rhs):
-    # the two sweeps as first written: over a zero-padded copy of the
-    # right-hand side cut into full blocks
-    inv, low = a._cholesky
+    # the two sweeps over a zero-padded copy of the right-hand side cut
+    # into full blocks
+    inv, low = a._factor
     nb, b = inv.shape[:2]
     y = np.zeros((nb * b, rhs.reshape(a.size, -1).shape[1]))
     y[:a.size] = rhs.reshape(a.size, -1)
     y = y.reshape(nb, b, -1)
-    for i in range(nb):
-        if i:
-            y[i] -= low[i - 1] @ y[i - 1]
-        y[i] = inv[i] @ y[i]
+    for i in range(1, nb):
+        y[i] -= low[i - 1] @ y[i - 1]
     for i in range(nb - 1, -1, -1):
+        z = inv[i] @ y[i]
         if i < nb - 1:
-            y[i] -= low[i].T @ y[i + 1]
-        y[i] = inv[i].T @ y[i]
+            z -= low[i].T @ y[i + 1]
+        y[i] = z
     return y.reshape(nb * b, -1)[:a.size].reshape(rhs.shape)
 
 
@@ -305,7 +307,7 @@ def test_solve_pads_only_a_short_last_block_and_can_overwrite(name, tail):
     # rhs as it was, and with overwrite=True returns rhs itself holding
     # the same bits, a column slice (as a sweep passes Z[:, r:]) included
     a = _factor_case(name)
-    assert a.size % a._cholesky[0].shape[1] == tail
+    assert a.size % a._factor[0].shape[1] == tail
     wide = np.random.Generator(np.random.Philox(8)).standard_normal(
         (a.size, 12))
     for part in (np.s_[:, :], np.s_[:, 5:], np.s_[:, 0]):
@@ -446,15 +448,51 @@ def test_3d_constant_mode(tensor):
     assert err <= 1e-13 * np.abs(a.band).max()
 
 
-@pytest.mark.parametrize("where", ["everywhere", "last node"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["everywhere", "last node", "middle block",
+                                   "huge middle node", "overflow", "nan",
+                                   "singular"])
 def test_indefinite_matrix_raises_positivity_error(where):
-    # the failing pivot is in the first block, or in the padded last one
+    # the failing pivot is in the first block, in the padded last one or in
+    # a middle one; a -1e300 coupling of nodes 47 and 48, across the border
+    # of blocks 2 and 3, overflows the next pivot; a NaN leaves every
+    # Cholesky factorization silent, so only the finiteness check sees it;
+    # A - t 1 has the constant vector in its kernel. None of them warns
     g, coeffs = _box((100,))
     a = assemble_neumann(g, coeffs)
-    shift = np.zeros((1, a.size))
+    shift = np.zeros((2, a.size))
     if where == "everywhere":
         shift[0] = -5.0
-    else:
+    elif where == "last node":
         shift[0, -1] = -1e6
-    with pytest.raises(PositivityError):
+    elif where == "middle block":
+        shift[0, 50] = -1e6
+    elif where == "huge middle node":
+        shift[0, 50] = -1e300
+    elif where == "overflow":
+        shift[1, 47] = -1e300
+    elif where == "nan":
+        shift[0, 50] = np.nan
+    else:
+        shift[0] = -coeffs.t
+    with pytest.raises(PositivityError, match="not positive definite"):
         a.plus(shift).solve(np.ones(a.size))
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)],
+                         ids=["65x65", "17x17x17"])
+def test_factor_peak_memory_stays_near_its_own_size(shape):
+    # the blocks are factored where _blocks puts them, and the positivity
+    # check holds only a small chunk of them at a time: tracemalloc's peak
+    # over building the factor stays within 1.25 x its 16 nb b^2 bytes
+    g, coeffs = _box(shape)
+    a = assemble_neumann(g, coeffs)
+    tracemalloc.start()
+    try:
+        inv, _ = a._factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nb, b = inv.shape[:2]
+    assert b == math.prod(shape[1:])
+    assert peak <= 1.25 * 16 * nb * b * b

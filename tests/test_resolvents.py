@@ -418,13 +418,13 @@ def test_reports_factor_each_operator_once(monkeypatch):
     # every report on the same weights shares one factor of A and one of
     # each A + C, kept on the weight's operator
     calls = []
-    original = elliptic._block_cholesky
+    original = elliptic._block_ldl
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(elliptic, "_block_cholesky", counting)
+    monkeypatch.setattr(elliptic, "_block_ldl", counting)
     for signed in (False, True):
         calls.clear()
         a, t1, t2 = _cross_setup("2d", signed)
