@@ -23,6 +23,12 @@ right-hand side twice. ``first_solve_s`` (factor plus sweeps) and
 ``second_solve_s`` (sweeps only) are medians over ``FACTOR_REPEATS``
 operators.
 
+``size_rule`` checks the size rule against runs: for ``weyl_check`` on
+criterion 3's segment (n - 1 atoms, V 3 against 1 on [0, 1.6]^2) at each
+n of ``SIZE_RULE_SIDES`` it records the bytes ``held_bytes`` predicts,
+the tracemalloc peak of a CLI run in a child process, and the peak RSS
+(``ru_maxrss``) of a second, untraced child.
+
 The output is ``BENCH_<n>.json`` at the root of the checkout, n one more
 than the highest existing file. When an earlier file exists the script
 prints each metric next to its previous value; it reports the change and
@@ -52,6 +58,23 @@ ELAPSED = re.compile(r"(\d+(?:\.\d+)?)s$")
 FACTOR_CASES = ("1d-512", "1d-4096", "33x33", "57x15", "robin-41x41")
 FACTOR_REPEATS = 21
 FACTOR_COLUMNS = 64
+SIZE_RULE_SIDES = (65, 129, 257)
+# runs the CLI on the config given as JSON, tracemalloc on if asked, and
+# prints the run's exit code, traced peak and peak RSS as a JSON line
+SIZE_CHILD = """
+import json, resource, sys, tempfile, tracemalloc
+from deltaspec.cli import main
+cfg, traced = json.loads(sys.argv[1]), sys.argv[2] == "1"
+with tempfile.TemporaryDirectory() as tmp:
+    with open(tmp + "/cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    if traced:
+        tracemalloc.start()
+    code = main(["run", tmp + "/cfg.json", "--out", tmp + "/runs"])
+    peak = tracemalloc.get_traced_memory()[1] if traced else None
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+print(json.dumps({"code": code, "peak": peak, "rss": rss}))
+"""
 
 
 def fingerprint() -> dict:
@@ -170,6 +193,54 @@ def factor_timings() -> dict:
     return out
 
 
+def _segment_config(n: int) -> dict:
+    return {"schema_version": 1, "seed": SEED,
+            "domain": {"bbox": [[0.0, 1.6], [0.0, 1.6]], "shape": [n, n]},
+            "operator": {"coefficients": 1.0, "t": 1.0},
+            "measure": {"kind": "segment", "start": [0.3, 0.8],
+                        "end": [1.3, 0.8], "count": n - 1},
+            "weights": {"V1": {"kind": "constant", "value": 3.0},
+                        "V2": {"kind": "constant", "value": 1.0}},
+            "tasks": ["weyl_check"]}
+
+
+def _src_env() -> dict:
+    # the environment with this checkout's src/ first on PYTHONPATH
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + old if old else "")
+    return env
+
+
+def _size_child(cfg: dict, traced: bool) -> dict:
+    proc = subprocess.run([sys.executable, "-c", SIZE_CHILD, json.dumps(cfg),
+                           str(int(traced))], env=_src_env(),
+                          capture_output=True, text=True, check=False)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if proc.returncode or result["code"]:
+        raise SystemExit(f"size rule run exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return result
+
+
+def size_rule() -> dict:
+    """Predicted bytes, tracemalloc peak and peak RSS of the segment's
+    ``weyl_check`` run at each n of ``SIZE_RULE_SIDES``."""
+    from deltaspec.cli import validate_config
+    from deltaspec.elliptic import held_bytes
+
+    out = {}
+    for n in SIZE_RULE_SIDES:
+        cfg = _segment_config(n)
+        inputs = validate_config(cfg)
+        out[f"{n}x{n}"] = {
+            "predicted_bytes": held_bytes(inputs["grid"],
+                                          inputs["measure"].count),
+            "traced_peak_bytes": _size_child(cfg, True)["peak"],
+            "maxrss_bytes": _size_child(cfg, False)["rss"]}
+    return out
+
+
 def run_workload(name: str, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
            name, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace",
@@ -192,11 +263,8 @@ def criteria(log: str) -> dict:
 
 
 def tier1_log() -> tuple[str, float]:
-    env = dict(os.environ)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + old if old else "")
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=_src_env(),
                           capture_output=True, text=True, check=False)
     return proc.stdout + proc.stderr, time.perf_counter() - t0
 
@@ -223,6 +291,10 @@ def report_change(old: dict, new: dict) -> None:
         for key, value in times.items():
             was = old.get("factor", {}).get(name, {}).get(key)
             print(f"factor {name} {key}: {was} -> {value}")
+    for name, sizes in new["size_rule"].items():
+        for key, value in sizes.items():
+            was = old.get("size_rule", {}).get(name, {}).get(key)
+            print(f"size rule {name} {key}: {was} -> {value}")
     for key, name in (("total", "lines"), ("code_total", "code lines")):
         print(f"src {name}: {old.get('src_lines', {}).get(key)} -> "
               f"{new['src_lines'][key]}")
@@ -234,6 +306,7 @@ def main() -> int:
     record = {"created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
               "machine": fingerprint(), "src_lines": src_lines(),
               "config_keys": config_keys(), "factor": factor_timings(),
+              "size_rule": size_rule(),
               "seed": SEED, "seconds": SECONDS, "workloads": {}}
     for name in WORKLOADS:
         record["workloads"][name] = {

@@ -269,6 +269,20 @@ def _orthonormal_block(block: np.ndarray, q: np.ndarray,
     return np.hstack(passes) if passes else np.zeros((len(block), 0))
 
 
+# What a report holds on the atom side at its peak, counted for the size
+# rule of ``elliptic.held_bytes``, with k atoms, power m and r = min(m k, N)
+# the widest basis. Arrays of N rows and at most r columns: X, the basis Q,
+# and in ``resolvents._sweep`` [Q, gamma'] (two), the copy of Q's part for
+# odd m > 1 and the part outside Q, six in all. Cores of at most r x r:
+# Q'X, G, the coupling cores, the Woodbury cores and their temporaries, the
+# products of ``powers``, the terms and the report's cores. Their number
+# grows with m; tracemalloc peaks of runs on 1D to 3D grids with m = 1 to
+# 4 needed at most 21.5 of them (m = 4 with r = N, where the N-row arrays
+# are N x N too, as on the node basis), and 24 covers that.
+ROW_ARRAYS = 6
+CORE_ARRAYS = 24
+
+
 class _AtomSide:
     """What the reports need of A on the atoms of one restriction.
 

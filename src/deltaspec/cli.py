@@ -66,6 +66,7 @@ from .birman_schwinger import (
 from .elliptic import (
     CoefficientField,
     Grid,
+    _admit,
     assemble_neumann,
     lebesgue_measure,
 )
@@ -127,6 +128,10 @@ def _is_numeric(value, integer):
     if isinstance(value, bool) or not isinstance(value, int if integer
                                                  else (int, float)):
         return False
+    if integer:
+        # exact at any size: a huge grid shape meets the size rule, which
+        # counts in Python integers, and every other integer its range
+        return True
     try:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
@@ -367,6 +372,8 @@ def validate_config(cfg, base_dir=".") -> dict:
     for name in names:
         if TASKS[name].needs_v2 and "V2" not in built:
             raise ValidationError(f"{name} needs weights.V2")
+    # the grid admitted its factors and bands; the run adds its atom side
+    _admit(grid, measure.count, max(map(_power, entries)))
 
     # null asks for the default, as an absent key does
     given = {key: value for key, value in cfg.get("analysis", {}).items()
@@ -480,8 +487,13 @@ def _task_two_weight_diff(ctx, entry, out_dir):
     return _write_report(rep, out_dir, ctx)
 
 
+def _power(entry) -> int:
+    # the largest inverse power a task takes: m for power_diff, else 1
+    return entry.get("m", 2) if entry["name"] == "power_diff" else 1
+
+
 def _task_power_diff(ctx, entry, out_dir):
-    m = int(entry.get("m", 2))
+    m = _power(entry)
     rep = power_difference(ctx["a"], ctx["T"]["V1"], m)
     summary, outputs = _write_report(rep, out_dir, ctx, power=m)
     summary["m"] = m
@@ -789,7 +801,7 @@ EXPORT_HEADER = "task,theta_hat,coeff_hat,r_squared,residual"
 def _export_number(value, where) -> str:
     if value is None:
         return ""
-    if isinstance(value, float) or _is_numeric(value, integer=True):
+    if isinstance(value, float) or _is_numeric(value, integer=False):
         return FLOAT_FMT % value
     raise ValidationError(f"{where} must be a number or null")
 

@@ -15,6 +15,12 @@ eigenvalues converge to ``t + (k pi)^2`` at rate O(h^2).
 Operators are assembled from numpy index and value arrays straight into
 lower band storage and factored by a block LDL' in numpy
 (:class:`OperatorMatrix`); nothing here needs SciPy.
+
+A run is admitted by the bytes it will hold, not by its node count:
+:func:`held_bytes` bounds the dense arrays of a run on a grid with k atoms
+and inverse powers up to m, and no :class:`Grid` is built whose factors
+and bands alone exceed ``HELD_BYTES_BOUND``; the config runner applies the
+same rule again once the atoms and powers are known.
 """
 
 from __future__ import annotations
@@ -34,17 +40,22 @@ if TYPE_CHECKING:
     from .weights import Perturbation
 
 __all__ = [
-    "NODE_CAP_DEFAULT",
+    "HELD_BYTES_BOUND",
     "CoefficientField",
     "Grid",
     "OperatorMatrix",
     "assemble_neumann",
     "assemble_robin",
+    "held_bytes",
     "inverse_power",
     "lebesgue_measure",
 ]
 
-NODE_CAP_DEFAULT = 5000
+# The most bytes of dense arrays a run may hold (see held_bytes): three
+# quarters of the 8 GB, 2-core reference host, which leaves the rest to the
+# interpreter, numpy's temporaries outside the count and the system. The
+# rule bounds what a run holds at its peak, so no further margin is taken
+HELD_BYTES_BOUND = 6 * 10**9
 _ELLIPTICITY_FLOOR = 1e-8
 # the positivity check's Cholesky chunk: a bound on the memory it adds
 _CHECK_BYTES = 1 << 18
@@ -55,7 +66,10 @@ class Grid:
     """Cell-centered box grid in one, two or three dimensions.
 
     ``shape`` counts nodes (= cells) per axis; nodes are flattened in C
-    order, the last axis fastest.
+    order, the last axis fastest. A grid whose operators' factors and
+    bands alone would hold more than ``HELD_BYTES_BOUND`` bytes (see
+    :func:`held_bytes`) raises :class:`ValidationError`: 257 x 257 and
+    33 x 33 x 33 are built, 40 x 40 x 40 and 513 x 513 are not.
     """
 
     bbox: np.ndarray
@@ -72,13 +86,9 @@ class Grid:
             raise ValidationError("need at least 3 nodes per axis")
         if np.any(bbox[:, 1] <= bbox[:, 0]):
             raise ValidationError("bbox upper bounds must exceed lower bounds")
-        size = math.prod(shape)  # Python ints: no wraparound on huge shapes
-        if size > NODE_CAP_DEFAULT:
-            raise ValidationError(
-                f"{size} nodes exceeds the node cap {NODE_CAP_DEFAULT}"
-            )
         self.bbox = bbox
         self.shape = shape
+        _admit(self)
 
     @property
     def ambient_dim(self) -> int:
@@ -86,7 +96,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> np.ndarray:
@@ -107,6 +117,58 @@ class Grid:
         axes = [self.axis_nodes(i) for i in range(self.ambient_dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def held_bytes(grid: Grid, atoms: int = 0, power: int = 1) -> int:
+    """Bound on the bytes of dense arrays a run on ``grid`` holds at once,
+    with ``atoms`` atoms and inverse powers up to ``power``; Python
+    integers throughout, so no shape wraps around or overflows.
+
+    With N nodes, S the sum of the axis strides (no operator on the grid
+    is wider: not A with its cross terms, not a measure's coupling, whose
+    atoms reach the far corner of their cell) and b = ``_block_size(S)``,
+    a run keeps the block LDL' factor of A and of each weight's A + C,
+    16 ceil(N / b) b^2 bytes each, and five bands of at most S + 1 rows,
+    8 (S + 1) N bytes each: A, the two couplings C and the two A + C.
+    With atoms, the atom side adds what a report holds at its peak,
+    ``ROW_ARRAYS`` arrays of N rows and ``CORE_ARRAYS`` cores, all at most
+    r = min(power * atoms, N) wide (counted next to
+    ``birman_schwinger._AtomSide``).
+    """
+    n = math.prod(grid.shape)
+    stride = sum(math.prod(grid.shape[axis + 1:])
+                 for axis in range(len(grid.shape)))
+    b = _block_size(stride)
+    held = 3 * 16 * -(-n // b) * b * b + 5 * 8 * (stride + 1) * n
+    if atoms:
+        # imported here: birman_schwinger builds on this module
+        from .birman_schwinger import CORE_ARRAYS, ROW_ARRAYS
+
+        r = min(power * atoms, n)
+        held += 8 * r * (ROW_ARRAYS * n + CORE_ARRAYS * r)
+    return held
+
+
+def _admit(grid: Grid, atoms: int = 0, power: int = 1) -> None:
+    """Raise ValidationError when a run on ``grid`` with ``atoms`` atoms
+    and powers up to ``power`` would hold more than ``HELD_BYTES_BOUND``
+    bytes by :func:`held_bytes`."""
+    held = held_bytes(grid, atoms, power)
+    if held > HELD_BYTES_BOUND:
+        what = f", {atoms} atoms and powers up to {power}" if atoms else ""
+        raise ValidationError(
+            f"a run on {_count(grid.size)} nodes{what} would hold "
+            f"{_count(held)} bytes of dense arrays; at most "
+            f"{_count(HELD_BYTES_BOUND)} are allowed")
+
+
+def _count(value: int) -> str:
+    if value < 10**18:
+        return f"{value:,}"
+    # Decimal prints integers of any size, where str() and float() stop
+    from decimal import Decimal
+
+    return format(Decimal(value), ".3e")
 
 
 @dataclass(eq=False)
@@ -165,13 +227,15 @@ class OperatorMatrix:
     The matrix is kept in lower band storage, ``band[d, j] = A[j + d, j]``.
     Every linear solve goes through its factor A = L D L', computed on the
     first solve by a block LDL' of the block-tridiagonal form (blocks of
-    size max(bandwidth, 16)) and kept: the inverse of each pivot block
-    and each multiplier block, 16 nb b^2 bytes for nb blocks of size b. A
-    matrix that is not positive definite raises :class:`PositivityError`
-    there, from one check over the pivots, and the next solve tries
-    again. The dense ``matrix`` and its full eigendecomposition (used for
-    fractional inverse powers, the small-N oracle) are likewise each built
-    on first use and kept. Besides these the instance keeps one atom-side
+    ``_block_size`` of the half-bandwidth) and kept: the inverse of each
+    pivot block and each multiplier block, 16 nb b^2 bytes for nb blocks
+    of size b. A matrix that is not positive definite raises
+    :class:`PositivityError` there, from one check over the pivots, and
+    the next solve tries again. The dense ``matrix`` and its full
+    eigendecomposition (used for fractional inverse powers, the small-N
+    oracle) are likewise each built on first use and kept; the
+    decomposition does not read ``matrix``, so taking inverse powers keeps
+    no dense copy of A. Besides these the instance keeps one atom-side
     slot, which :mod:`deltaspec.birman_schwinger` owns and describes.
     ``band`` is read-only, so nothing kept can go stale.
     """
@@ -245,7 +309,9 @@ class OperatorMatrix:
 
     @cached_property
     def _eigh(self):
-        w, q = np.linalg.eigh(self.matrix)
+        # from its own dense copy, freed once decomposed, so that the
+        # operator does not keep ``matrix`` beside the eigenvectors
+        w, q = np.linalg.eigh(dense_from_band(self.band))
         if w[0] <= 0:
             raise PositivityError(
                 f"operator matrix has min eigenvalue {w[0]:g} <= 0"
@@ -283,12 +349,20 @@ def _add_bands(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_size(halfwidth: int) -> int:
+    """The block size of the factor of a matrix of this half-bandwidth: at
+    least the half-bandwidth, so the blocks are tridiagonal, and at least
+    16, so that small bands still make blocks worth a BLAS call."""
+    return max(halfwidth, 16)
+
+
 def _blocks(band: np.ndarray):
     """Diagonal blocks A_ii and subdiagonal blocks A_(i+1,i) of the banded
-    matrix, block size max(bandwidth, 16), so the matrix is block
-    tridiagonal; the last block is padded with the identity."""
+    matrix, block size ``_block_size`` of its half-bandwidth, so the
+    matrix is block tridiagonal; the last block is padded with the
+    identity."""
     width, n = band.shape
-    b = max(width - 1, 16)
+    b = _block_size(width - 1)
     nb = -(-n // b)
     diag = np.zeros((nb, b, b))
     sub = np.zeros((nb - 1, b, b))
@@ -308,7 +382,7 @@ def _blocks(band: np.ndarray):
 
 
 def _block_ldl(diag: np.ndarray, sub: np.ndarray):
-    """Block LDL' of a block-tridiagonal SPD matrix, in place.
+    """Block LDL' of a block-tridiagonal SPD matrix A, in place.
 
     With pivots S_0 = A_00 and S_(i+1) = A_(i+1,i+1) - W_i A_(i+1,i)',
     W_i = A_(i+1,i) S_i^(-1), A = L D L' for D = diag(S_i) and L the unit
@@ -317,9 +391,28 @@ def _block_ldl(diag: np.ndarray, sub: np.ndarray):
     A_(i+1,i) with W_i, and returns the two arrays. The matrix is
     positive definite iff every S_i^(-1) is: one Cholesky factorization
     over stacked blocks checks that after the sweep, ``_CHECK_BYTES`` (or
-    one block) at a time. A failed check, an exactly singular
-    pivot or a non-finite result raises :class:`PositivityError`.
+    one block) at a time. A failed check, an exactly singular pivot or a
+    non-finite result raises :class:`PositivityError`, and so does a pivot
+    below rounding.
+
+    The pivot floor: an entry of S_i comes from inner products of length
+    at most b, the block size, so it carries an error of about
+    b eps sqrt(a_jj a_kk), a_jj the diagonal of A at its row and column,
+    as in the componentwise error analysis of Cholesky (Demmel, LAPACK
+    Working Note 14, 1989). A pivot whose scaled form H_i =
+    diag(a)^(-1/2) S_i diag(a)^(-1/2) has an eigenvalue below b eps is
+    singular within that error. With L_i the check's Cholesky factor of
+    S_i^(-1), trace(H_i^(-1)) = sum_j a_jj |row j of L_i|^2 bounds the
+    largest eigenvalue of H_i^(-1), and a pivot is refused when it
+    exceeds 1 / (b eps). Scaling by the diagonal, not by ||A||, keeps a
+    weight of 1e200 on a few nodes factorable. A singular A - t 1 on a
+    32 x 32 grid leaves a last pivot that rounding makes slightly
+    positive, with trace(H^(-1)) 6.6e15 against 1.4e14, where A itself
+    gives 214 (1.7e5 on 4096 nodes in 1D).
     """
+    # the diagonal of A, row by row, before the sweep overwrites it
+    scale = np.diagonal(diag, axis1=1, axis2=2).copy()
+    ceiling = 1.0 / (diag.shape[1] * np.finfo(float).eps)
     try:
         # overflow past an indefinite pivot is reported by the check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -329,11 +422,15 @@ def _block_ldl(diag: np.ndarray, sub: np.ndarray):
                     w = sub[i] @ diag[i]
                     diag[i + 1] -= w @ sub[i].T
                     sub[i] = w
-        step = max(1, _CHECK_BYTES // diag[0].nbytes)
-        for i in range(0, len(diag), step):
-            if not np.isfinite(diag[i:i + step]).all():
-                raise np.linalg.LinAlgError("non-finite pivot inverse")
-            np.linalg.cholesky(diag[i:i + step])
+            step = max(1, _CHECK_BYTES // diag[0].nbytes)
+            for i in range(0, len(diag), step):
+                if not np.isfinite(diag[i:i + step]).all():
+                    raise np.linalg.LinAlgError("non-finite pivot inverse")
+                low = np.linalg.cholesky(diag[i:i + step])
+                traces = np.einsum("ijk,ijk,ij->i", low, low,
+                                   scale[i:i + step])
+                if traces.max() > ceiling:
+                    raise np.linalg.LinAlgError("pivot below rounding")
     except np.linalg.LinAlgError as exc:
         raise PositivityError(
             "operator matrix is not positive definite"

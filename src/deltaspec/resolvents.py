@@ -203,7 +203,9 @@ def _sweep(op, q, side, m):
     m = 1 that is Q' op^(-1) Q from one solve of [Q, gamma']. A Q that
     spans every node (the node basis among them) has no gamma' to carry:
     it takes m solves of Q and one product with Q' (none for the node
-    basis, where Q = 1).
+    basis, where Q = 1). At its peak it holds [Q, gamma'], the copy of
+    Q's part for odd m > 1 and the part of a solve outside Q: four of the
+    N-row arrays ``birman_schwinger.ROW_ARRAYS`` counts for the size rule.
     """
     r = q.shape[1]
     if r == q.shape[0]:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -251,7 +252,6 @@ TWO_WEIGHTS = {"V1": {"kind": "constant", "value": 2.0},
 
 
 @pytest.mark.parametrize("overrides", [
-    {"domain": {"bbox": [[0.0, 1.0]], "shape": [6000]}},
     {"measure": dict(SEGMENT_1D, end=[1.5])},
     {"operator": {"coefficients": [[[1.0]]] * 10, "t": 1.0}},
     {"tasks": ["resolvent_diff", "two_weight_diff"]},
@@ -261,7 +261,7 @@ TWO_WEIGHTS = {"V1": {"kind": "constant", "value": 2.0},
      "measure": SEGMENT_2D, "weights": TWO_WEIGHTS,
      "tasks": ["resolvent_diff", "weyl_check"]},
     {"weights": {"V1": {"kind": "file", "path": "elsewhere.csv"}}},
-], ids=["node_cap", "atom_outside_bbox", "coefficient_count",
+], ids=["atom_outside_bbox", "coefficient_count",
         "v2_for_second_task", "weyl_check_1d", "weyl_check_anisotropic",
         "file_atoms_elsewhere"])
 def test_input_error_exits_2_before_any_output(tmp_path, capsys, overrides):
@@ -275,6 +275,90 @@ def test_input_error_exits_2_before_any_output(tmp_path, capsys, overrides):
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+def weyl_segment_config(n, count=None, tasks=("weyl_check",)):
+    # criterion 3's segment on an n x n grid of [0, 1.6]^2, n - 1 atoms
+    return base_config(
+        domain={"bbox": [[0.0, 1.6], [0.0, 1.6]], "shape": [n, n]},
+        measure={"kind": "segment", "start": [0.3, 0.8], "end": [1.3, 0.8],
+                 "count": count or n - 1},
+        weights={"V1": {"kind": "constant", "value": 3.0},
+                 "V2": {"kind": "constant", "value": 1.0}},
+        tasks=list(tasks))
+
+
+def robin_box3d_config(n):
+    return base_config(
+        domain={"bbox": [[0.0, 1.0]] * 3, "shape": [n] * 3},
+        measure={"kind": "boundary"},
+        weights={"V1": {"kind": "constant", "value": 1.0},
+                 "V2": {"kind": "constant", "value": 3.0}},
+        tasks=["robin_diff"])
+
+
+# a plane patch in 3D: 4 maps of ratio 1/2, 4^5 = 1024 atoms at depth 5
+PATCH_3D = {"kind": "ifs", "depth": 5, "maps": [
+    {"ratio": 0.5, "translation": [x, y, 0.25]}
+    for x in (0.2, 0.45) for y in (0.2, 0.45)]}
+
+
+@pytest.mark.parametrize("cfg", [
+    weyl_segment_config(257),
+    base_config(domain={"bbox": [[0.0, 1.0]] * 3, "shape": [33, 33, 33]},
+                measure=PATCH_3D, weights=TWO_WEIGHTS,
+                tasks=["two_weight_diff"]),
+], ids=["257x257_segment", "33x33x33_patch"])
+def test_size_rule_admits(cfg):
+    # checked only: the config is admitted, nothing is computed
+    cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    base_config(domain={"bbox": [[0.0, 1.0]] * 3, "shape": [41, 41, 41]},
+                measure={"kind": "segment", "start": [0.2, 0.5, 0.5],
+                         "end": [0.8, 0.5, 0.5], "count": 24}),
+    weyl_segment_config(513),
+    weyl_segment_config(257, count=5000),
+    base_config(domain={"bbox": [[0.0, 1.0]], "shape": [10**5]},
+                measure={"kind": "lebesgue"}),
+    base_config(domain={"bbox": [[0.0, 1.0]] * 2, "shape": [2**32, 2**32]},
+                measure={"kind": "segment", "start": [0.2, 0.5],
+                         "end": [0.8, 0.5], "count": 24}),
+    base_config(domain={"bbox": [[0.0, 1.0]], "shape": [10**400]}),
+], ids=["41x41x41", "513x513", "257x257_5000_atoms", "lebesgue_1d",
+        "int64_wrap", "huge_shape"])
+def test_size_rule_refuses_before_any_output(tmp_path, capsys, cfg):
+    # a run the byte bound refuses exits 2 naming its bytes and the bound,
+    # before the run directory exists
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a run on ")
+    assert "bytes of dense arrays; at most 6,000,000,000 are allowed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    weyl_segment_config(65, tasks=["two_weight_diff"]),
+    robin_box3d_config(17),
+], ids=["65x65_segment", "17x17x17_robin"])
+def test_held_bytes_bound_the_traced_peak_of_a_run(tmp_path, cfg):
+    # the size rule's bytes are at least the tracemalloc peak of the run
+    # they admit, and at most twice it
+    inputs = cli.validate_config(cfg)
+    held = elliptic.held_bytes(inputs["grid"], inputs["measure"].count)
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(StringIO()):
+            assert main(["run", str(path), "--out",
+                         str(tmp_path / "runs")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held <= 2 * peak
 
 
 DUST_2D = {"kind": "ifs", "depth": 4, "maps": [
@@ -1183,7 +1267,8 @@ def test_constant_weights_leave_numpy_random_unloaded(tmp_path):
 
 
 # Values a mutated config key may take. Every integer is small or beyond
-# the float range, so no mutation asks for a huge grid or atom count.
+# the float range, which the size rule and the atom cap refuse at once, so
+# no mutation asks for a large grid or atom count.
 FUZZ_NUMBERS = st.one_of(
     st.integers(-3, 16), st.floats(-1e3, 1e3),
     st.sampled_from([0.0, 1e-300, 1e300, -1e300, 10 ** 400]))

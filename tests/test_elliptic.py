@@ -19,7 +19,7 @@ from deltaspec import (
     inverse_power,
     restriction_matrix,
 )
-from deltaspec import elliptic
+from deltaspec import birman_schwinger, elliptic
 
 
 def _grid1d(n, length=1.0):
@@ -180,13 +180,32 @@ def test_grid_geometry():
     assert hull[:, 1].max() == pytest.approx(1.9)
 
 
-def test_grid_node_cap():
-    box = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        Grid(box, (90, 90))
-    # a product that wraps around in int64 must not slip under the cap
-    with pytest.raises(ValidationError):
-        Grid(box, (2**32, 2**32))
+def test_grid_size_rule():
+    # a grid is built when its factors and bands fit the byte bound: 257^2
+    # and 33^3 are, 40^3, 41^3 and 513^2 are not, and neither is a shape
+    # whose node count wraps around in int64 or overflows a float
+    for shape in [(257, 257), (33, 33, 33), (90, 90), (6000,)]:
+        g = Grid(np.array([[0.0, 1.0]] * len(shape)), shape)
+        assert elliptic.held_bytes(g) <= elliptic.HELD_BYTES_BOUND
+    for shape in [(40, 40, 40), (41, 41, 41), (513, 513), (2**32, 2**32),
+                  (10**400,)]:
+        with pytest.raises(ValidationError, match=r"would hold [\d,.e+]+ "
+                           r"bytes .* at most 6,000,000,000 are allowed"):
+            Grid(np.array([[0.0, 1.0]] * len(shape)), shape)
+
+
+def test_held_bytes_counts_factors_bands_and_atom_side():
+    # 3 factors of 16 nb b^2 bytes and 5 bands of 8 (S + 1) N bytes, S the
+    # sum of the strides; the atom side adds N-row arrays and cores of
+    # width r = min(m k, N)
+    g = Grid(np.array([[0.0, 1.0]] * 2), (65, 65))
+    n, s, b, nb = 65 * 65, 66, 66, 65
+    base = 3 * 16 * nb * b * b + 5 * 8 * (s + 1) * n
+    assert elliptic.held_bytes(g) == base
+    for k, m, r in [(64, 1, 64), (64, 3, 192), (5000, 1, n), (64, 100, n)]:
+        assert elliptic.held_bytes(g, k, m) == base + 8 * r * (
+            birman_schwinger.ROW_ARRAYS * n
+            + birman_schwinger.CORE_ARRAYS * r)
 
 
 UNIT, EYE2 = [[0.0, 1.0]], np.eye(2)
@@ -451,14 +470,18 @@ def test_3d_constant_mode(tensor):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("where", ["everywhere", "last node", "middle block",
                                    "huge middle node", "overflow", "nan",
-                                   "singular"])
+                                   "singular", "singular 32x32",
+                                   "singular 33x33"])
 def test_indefinite_matrix_raises_positivity_error(where):
     # the failing pivot is in the first block, in the padded last one or in
     # a middle one; a -1e300 coupling of nodes 47 and 48, across the border
     # of blocks 2 and 3, overflows the next pivot; a NaN leaves every
     # Cholesky factorization silent, so only the finiteness check sees it;
-    # A - t 1 has the constant vector in its kernel. None of them warns
-    g, coeffs = _box((100,))
+    # A - t 1 has the constant vector in its kernel. On 32 x 32 and
+    # 33 x 33 rounding leaves its last pivot slightly positive, and only
+    # the pivot floor refuses it. None of them warns
+    g, coeffs = _box((32, 32) if "32x32" in where
+                     else (33, 33) if "33x33" in where else (100,))
     a = assemble_neumann(g, coeffs)
     shift = np.zeros((2, a.size))
     if where == "everywhere":
