@@ -148,9 +148,10 @@ class BSOperator:
     dense sandwich T = A^(-1/2) C A^(-1/2) (``matrix``) are each built on
     first use; ``coupling`` gives C as a SciPy CSR matrix for callers
     outside the package. Next to ``perturbed``, the resolvent reports
-    keep per power m the result of their sweep of A + C over the basis of
-    that m (its r x r core and its span gap), so a second report on this
-    weight and power solves nothing with A + C.
+    keep per power m the result of their sweep of A + C on the basis Q of
+    that m (the chain Q' (A + C)^(-j) gamma', j <= m, r x k each, or
+    Q' (A + C)^(-m) Q when Q spans every node, and its span gap), so a
+    second report on this weight and power solves nothing with A + C.
     """
 
     operator: OperatorMatrix
@@ -272,15 +273,19 @@ def _orthonormal_block(block: np.ndarray, q: np.ndarray,
 # What a report holds on the atom side at its peak, counted for the size
 # rule of ``elliptic.held_bytes``, with k atoms, power m and r = min(m k, N)
 # the widest basis. Arrays of N rows and at most r columns: X, the basis Q,
-# and in ``resolvents._sweep`` [Q, gamma'] (two), the copy of Q's part for
-# odd m > 1 and the part outside Q, six in all. Cores of at most r x r:
-# Q'X, G, the coupling cores, the Woodbury cores and their temporaries, the
-# products of ``powers``, the terms and the report's cores. Their number
-# grows with m; tracemalloc peaks of runs on 1D to 3D grids with m = 1 to
-# 4 needed at most 21.5 of them (m = 4 with r = N, where the N-row arrays
-# are N x N too, as on the node basis), and 24 covers that.
-ROW_ARRAYS = 6
-CORE_ARRAYS = 24
+# and in ``resolvents._sweep`` the chain's Y = (A + C)^(-j) gamma' (k
+# columns, each solve written over the last) and its part outside Q, four
+# in all. Cores of at most r x r: Q'X, G, the Woodbury cores and their
+# temporaries, the products of ``powers``, the chains, the terms and the
+# report's cores; a weight's coupling core on the atoms is a vector. Their
+# number grows with m. The tracemalloc peaks of every report of a run (rd,
+# tw and power_diff up to m, each dropped after its spectrum) above the
+# factors, on 1D to 3D grids with m = 1 to 4, needed at most 26.1 of them
+# next to the four N-row arrays: the node basis at m = 4, where r = N, the
+# N-row arrays are N x N too and A's products of each power are kept.
+# 27 covers that.
+ROW_ARRAYS = 4
+CORE_ARRAYS = 27
 
 
 class _AtomSide:
@@ -290,7 +295,8 @@ class _AtomSide:
     R'R = G on the atoms from the eigendecomposition of ``g``,
     ``basis(m)`` is the orthonormal basis Q of span{A^(-j) gamma' :
     j <= m}, ``qx(m)`` is Q'X on that Q (r x k), kept per basis width,
-    and ``powers(m)`` are A's products on that Q, kept per m. Each is
+    ``powers(m)`` are A's products on that Q, kept per m, and
+    ``chain(m)`` reads A's chain Q'A^(-j) gamma' off those two. Each is
     built on first use. The side lives in its operator's slot, so it
     holds A by a weak reference: a strong one would make a cycle, and
     X and Q (N x k each) would then wait for the cyclic garbage
@@ -311,19 +317,15 @@ class _AtomSide:
         self._powers: dict[int, tuple] = {}
         self._qx: dict[int, np.ndarray] = {}
 
-    def adjoint(self, left: np.ndarray | None = None) -> np.ndarray:
+    def adjoint(self) -> np.ndarray:
         """gamma', formed on each call (the identity for the node basis,
-        each node its own atom); [left, gamma'] in one array when ``left``
-        is given."""
+        each node its own atom)."""
         n = self.restriction.grid.size
         cols, vals = self.restriction.cols, self.restriction.vals
         if self.nodes:
             cols, vals = np.arange(n)[:, None], np.ones((n, 1))
-        lead = 0 if left is None else left.shape[1]
-        out = np.zeros((n, lead + len(cols)))
-        if lead:
-            out[:, :lead] = left
-        out[cols, lead + np.arange(len(cols))[:, None]] = vals
+        out = np.zeros((n, len(cols)))
+        out[cols, np.arange(len(cols))[:, None]] = vals
         return out
 
     def gamma(self, f: np.ndarray) -> np.ndarray:
@@ -335,11 +337,12 @@ class _AtomSide:
         return y if self.nodes else q.T @ y
 
     def coupling_core(self, t_op: BSOperator) -> np.ndarray:
-        """The weight's S with C = gamma' S gamma: diag(D) on the atoms,
-        C itself for the node basis."""
+        """The weight's S with C = gamma' S gamma: the vector D of the
+        diagonal S on the atoms, the dense C itself for the node basis
+        (see ``resolvents._times``)."""
         if self.nodes:
             return dense_from_band(t_op.band)
-        return np.diag(t_op.density)
+        return t_op.density
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -417,8 +420,10 @@ class _AtomSide:
 
     def powers(self, m: int):
         """A's products on the basis Q = ``basis(m)`` of power m: the list
-        of gamma A^(-j) Q for 1 <= j <= m (k x r), Q' A^(-m) Q, and the
-        list of gamma A^(-j) X for 1 <= j < m (k x k).
+        of gamma A^(-j) Q for 1 <= j <= m (k x r), Q' A^(-m) Q when Q
+        spans every node (None otherwise, where the reports join chains
+        and need no inverse core), and the list of gamma A^(-j) X for
+        1 <= j < m (k x k).
 
         They come from m solves, the first of Q itself and each further
         one over its input (outside the node basis), and are kept per m;
@@ -441,8 +446,18 @@ class _AtomSide:
             qx = self.qx(m)
             px = [products[j] if self.nodes else products[j - 1] @ qx
                   for j in range(1, m)]
-            self._powers[m] = (products, self.on_basis(q, y), px)
+            core = self.on_basis(q, y) if q.shape[1] == len(q) else None
+            self._powers[m] = (products, core, px)
         return self._powers[m]
+
+    def chain(self, m: int) -> list[np.ndarray]:
+        """Q' A^(-j) gamma' for 1 <= j <= m on Q = ``basis(m)`` (r x k
+        each): ``qx(m)``, then the transposed gamma A^(-j) Q of
+        ``powers(m)``, which is built only for m > 1."""
+        chain = [self.qx(m)]
+        if m > 1:
+            chain += [p.T for p in self.powers(m)[0][1:]]
+        return chain
 
 
 def _same_restriction(g1: RestrictionMatrix, g2: RestrictionMatrix) -> bool:

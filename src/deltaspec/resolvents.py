@@ -21,9 +21,12 @@ difference two ways, as r x r cores on Q:
   labeled terms;
 * the direct path, ``Q' P^(-m) Q - Q' M^(-m) Q`` with P and M each A or
   an assembled A + C_i, factored on its own, which uses no Woodbury
-  algebra; Q' (A + C_i)^(-m) Q is Z_(m-h)' Z_h with Z_j = (A + C_i)^(-j) Q
-  and h = ceil(m / 2), so a sweep solves Q h times (m times when Q spans
-  every node).
+  algebra: by the second resolvent identity it is
+  sum_j (Q'Y^P_j) (D_M - D_P) (Q'Y^M_(m+1-j))' with Y_j = (A + C_i)^(-j)
+  gamma', j <= m, and D = 0 for A, so a sweep solves the k columns of
+  gamma' m times and never Q (when Q spans every node, it solves Q m
+  times and takes the difference of the cores Q' (A + C_i)^(-m) Q
+  instead).
 
 ``resolvent_difference`` is the two-weight difference against the zero
 weight, whose side is A itself, and ``power_difference`` telescopes its
@@ -39,12 +42,13 @@ of those columns outside Q. Reported spectra come from the cores; the N x N
 for. When there are at least as many atoms as nodes (Lebesgue measure has
 k = N) an atom-side G would be no smaller than N x N, and the nodes serve
 as atoms: gamma = 1, D is the N x N coupling C itself, and Q is the node
-basis. Every solve goes through the block LDL' factor of
-:class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i is factored once
-per weight and kept on its operator, so reports that share a weight share
-that factor, and next to it, per power m, the core and gap of its sweep, so a
-second report on the same weight and power solves nothing with it. No
-report eigendecomposes A.
+basis. On the atoms D is kept as the vector of its diagonal, which scales
+rows or columns where it multiplies. Every solve goes through the block
+LDL' factor of :class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i
+is factored once per weight and kept on its operator, so reports that
+share a weight share that factor, and next to it, per power m, the chain
+and gap of its sweep, so a second report on the same weight and power
+solves nothing with it. No report eigendecomposes A.
 
 Everything a report needs of A on the atoms (X, G, Q, Q'X and A's
 products per power, and every choice on the node basis) comes from A's
@@ -188,50 +192,53 @@ def _atom_side(a: OperatorMatrix, margin_threshold: float,
     return side, [side.coupling_core(t_op) for t_op in t_ops]
 
 
+def _times(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x S for a coupling core S: the columns of x scaled when S is the
+    vector of a diagonal (the atom basis), a product with the dense S on
+    the node basis. Products with a diagonal are exact, and the result is
+    row-major, as a matrix product's is, so later products get the bits
+    that ``x @ diag(s)`` would give them."""
+    return np.multiply(x, s, order="C") if s.ndim == 1 else x @ s
+
+
 def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """M = S (1 + G S)^(-1) = (1 + S G)^(-1) S; no factor of the possibly
     singular G is taken."""
-    return _sym(np.linalg.solve(np.eye(len(s)) + s @ g, s))
+    diagonal = s.ndim == 1
+    lhs = s[:, None] * g if diagonal else s @ g
+    lhs[np.diag_indices(len(s))] += 1.0
+    return _sym(np.linalg.solve(lhs, np.diag(s) if diagonal else s))
 
 
 def _sweep(op, q, side, m):
-    """``Q' op^(-m) Q`` and the largest relative part of op^(-j) gamma',
-    1 <= j <= m, outside Q (0 when Q spans every node).
+    """The chain of ``op`` on the basis Q of power m and its span gap.
 
-    With Z_j = op^(-j) Q and h = ceil(m / 2) the core is Z_(m-h)' Z_h: Q
-    rides with gamma' for h solves and gamma' goes on alone to j = m. For
-    m = 1 that is Q' op^(-1) Q from one solve of [Q, gamma']. A Q that
-    spans every node (the node basis among them) has no gamma' to carry:
-    it takes m solves of Q and one product with Q' (none for the node
-    basis, where Q = 1). At its peak it holds [Q, gamma'], the copy of
-    Q's part for odd m > 1 and the part of a solve outside Q: four of the
-    N-row arrays ``birman_schwinger.ROW_ARRAYS`` counts for the size rule.
+    Outside a Q that spans every node the chain is the list of Q'Y_j
+    (r x k) for Y_j = op^(-j) gamma', 1 <= j <= m: m solves of the k
+    columns of gamma', each written over its input. The gap is the
+    largest relative part of a Y_j outside Q. At its peak the sweep holds
+    Y and its part outside Q, two of the N-row arrays
+    ``birman_schwinger.ROW_ARRAYS`` counts for the size rule. A Q that
+    spans every node (the node basis among them) has no gap: its sweep is
+    Q' op^(-m) Q from m solves of Q and one product with Q' (none for the
+    node basis, where Q = 1).
     """
-    r = q.shape[1]
-    if r == q.shape[0]:
+    if q.shape[1] == q.shape[0]:
         y = q
         for j in range(m):
             y = op.solve(y, overwrite=j > 0)
         return side.on_basis(q, y), 0.0
-    h, gap, c = (m + 1) // 2, 0.0, r
-    # [Q, gamma'] in one array, each solve written over its input
-    y = side.adjoint(left=q)
-    for j in range(1, m + 1):
-        if j == h:
-            # Z_(m-h) is Q for m = 1, this solve's input for odd m (its Q
-            # part copied before the solve overwrites it) and its output
-            # for even m
-            left = q if m == 1 else y[:, :r].copy() if m % 2 else None
+    chain, gap, y = [], 0.0, side.adjoint()
+    for _ in range(m):
         y = op.solve(y, overwrite=True)
-        if j == h:
-            left = y[:, :r] if left is None else left
-            core, y, c = left.T @ y[:, :r], y[:, r:], 0
-        norm = float(np.linalg.norm(y[:, c:]))
+        chain.append(q.T @ y)
+        norm = float(np.linalg.norm(y))
         if norm > 0:
-            outside = q @ (q.T @ y[:, c:])
-            outside -= y[:, c:]  # in place: minus the part outside Q
+            outside = q @ chain[-1]
+            outside -= y  # in place: minus the part outside Q
             gap = max(gap, float(np.linalg.norm(outside)) / norm)
-    return core, gap
+            del outside  # freed before the next one is formed
+    return chain, gap
 
 
 def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
@@ -240,32 +247,51 @@ def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
     The direct core is ``Q' P^(-m) Q - Q' M^(-m) Q`` on the side's basis
     Q of power m, where ``plus`` and ``minus`` name P and M: the weight
     whose A + C is factored (once per weight, kept on its operator as
-    ``perturbed``), or None for A itself, whose core the side keeps. Each
-    weight's core and gap come from one sweep per power, kept on its
-    operator, so a second report on the weight and power solves nothing.
+    ``perturbed``), or None for A itself. It comes from the second
+    resolvent identity
+
+        P^(-m) - M^(-m) = sum_{j=1..m} P^(-j) (C_M - C_P) M^(-(m+1-j)),
+
+    with C = gamma' S gamma and S_A = 0, as
+    ``sum_j (Q'Y^P_j) (S_M - S_P) (Q'Y^M_(m+1-j))'`` from the chains
+    Q'Y_j = Q' (A + C)^(-j) gamma' of ``_sweep``: A's from its atom side
+    (``chain``), a weight's from one sweep of the banded factor of its
+    assembled A + C, kept on its operator per power, so a second report on
+    the weight and power solves nothing. No inverse core is formed, so
+    nothing cancels. A Q that spans every node keeps the difference of the
+    cores Q' (A + C)^(-m) Q of the sweeps and A's core of ``powers``.
     ``residual`` is the larger of the relative Frobenius disagreement of
     the identity-path core ``identity`` with the direct core, and, for
     each A + C, the relative part of
-    span{(A + C)^(-j) gamma' : j <= m} outside Q (none for the node basis).
-    NumericalError when a core or the residual is not finite, as when the
-    weight is so large that the cores or their norms overflow; the callers
-    run the identity path and this function with overflow and invalid
-    values silenced, so that error is all such a report prints.
+    span{(A + C)^(-j) gamma' : j <= m} outside Q (none for a Q that spans
+    every node). NumericalError when a core, the residual or the norm
+    scale of the terms is not finite, as when the weight is so large that
+    the cores or their norms overflow; the callers run the identity path
+    and this function with overflow and invalid values silenced, so that
+    error is all such a report prints.
     """
-    q, cores, gap = side.basis(m), [], 0.0
+    q, chains, gap = side.basis(m), [], 0.0
+    full = q.shape[1] == q.shape[0]
     for t_op in (plus, minus):
         if t_op is None:
-            cores.append(side.powers(m)[1])
+            chains.append(side.powers(m)[1] if full else side.chain(m))
             continue
         if m not in t_op._sweeps:
             t_op._sweeps[m] = _sweep(t_op.perturbed, q, side, m)
-        core, op_gap = t_op._sweeps[m]
-        cores.append(core)
+        chain, op_gap = t_op._sweeps[m]
+        chains.append(chain)
         gap = max(gap, op_gap)
-    direct = cores[0] - cores[1]
-    # the inverses' norm scale: when both paths sit at or below the noise
+    if full:
+        direct = chains[0] - chains[1]
+    else:
+        s = [0.0 if t_op is None else side.coupling_core(t_op)
+             for t_op in (plus, minus)]
+        ds = s[1] - s[0]
+        direct = sum(_times(chains[0][j], ds) @ chains[1][m - 1 - j].T
+                     for j in range(m))
+    # the terms' norm scale: when both paths sit at or below the noise
     # floor of spectra at that scale the difference is zero and they agree
-    ambient = float(np.linalg.norm(cores[0]) + np.linalg.norm(cores[1]))
+    ambient = sum(float(np.linalg.norm(core)) for core in terms.values())
     scale = float(np.linalg.norm(direct))
     if max(scale, float(np.linalg.norm(identity))) <= FLOOR_FACTOR * ambient:
         disagreement = 0.0
@@ -273,11 +299,11 @@ def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
         disagreement = float(np.linalg.norm(identity - direct))
         disagreement /= scale if scale > 0 else 1.0
     residual = max(disagreement, gap)
-    if not (np.isfinite(residual) and all(
+    if not (np.isfinite(residual) and np.isfinite(ambient) and all(
             np.isfinite(core).all() for core in (direct, *terms.values()))):
         raise NumericalError(
-            f"a core or the residual ({residual}) of the difference is not "
-            "finite")
+            f"a core, the residual ({residual}) or the norm scale "
+            f"({ambient}) of the difference is not finite")
     return ResolventReport(
         basis=q,
         core=_sym(direct),
@@ -313,8 +339,8 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
         p, g = side.qx(1), side.g
         main = cores[0] - cores[1] if t2 is not None else cores[0]
-        z = [p @ (_woodbury(g, s) @ g @ s) @ p.T for s in cores]
-        terms = dict(zip(labels, [p @ main @ p.T, -z[0]] + z[1:]))
+        z = [p @ _times(_woodbury(g, s) @ g, s) @ p.T for s in cores]
+        terms = dict(zip(labels, [_times(p, main) @ p.T, -z[0]] + z[1:]))
         return _report(side, 1, t2, t1, sum(terms.values()), terms)
 
 
@@ -375,8 +401,9 @@ def power_difference(
     path telescopes, with E = X M X':
     ``(B - E)^m - B^m = - sum_i (B - E)^i E B^(m-1-i)``, and runs on the
     atoms from A's kept products gamma B^j Q and Q'X, with no solve. The
-    direct path applies the banded factor of A + C to the basis
-    ceil(m / 2) times (see ``_sweep``).
+    direct path solves gamma' through the banded factor of A + C m times
+    and joins that chain to A's by the second resolvent identity (see
+    ``_report``).
     """
     if not (2 <= int(m) <= 4) or m != int(m):
         raise ValidationError("power m must be an integer in [2, 4]")
@@ -384,24 +411,25 @@ def power_difference(
     side, (s,) = _atom_side(a, margin_threshold, t_op)
     mm = _woodbury(side.g, s)
 
-    # the atom side's p[j] = gamma B^j Q for j = 1..m, Q' B^m Q and
-    # px[j] = gamma B^j X for j < m: Q' B^i W B^j Q = p[i+1]' D p[j+1]
-    p, bm, px = side.powers(m)
+    # the atom side's p[j] = gamma B^j Q for j = 1..m and px[j] =
+    # gamma B^j X for j < m: Q' B^i W B^j Q = p[i+1]' D p[j+1]
+    p, _, px = side.powers(m)
+    r = p[0].shape[1]
     p, px = [None, *p], [None, *px]
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        h2 = -sum(p[i + 1].T @ s @ p[m - i] for i in range(m))
-        h3 = np.zeros_like(bm)
+        h2 = -sum(_times(p[i + 1].T, s) @ p[m - i] for i in range(m))
+        h3 = np.zeros((r, r))
         for i in range(m - 1):
             for j in range(m - 1 - i):
                 k = m - 2 - i - j
-                h3 += p[i + 1].T @ s @ px[j + 1] @ s @ p[k + 1]
+                h3 += _times(_times(p[i + 1].T, s) @ px[j + 1], s) @ p[k + 1]
 
         # with U_i = (B - E)^i Q, Q' (B - E)^i X = f_i' for f_i =
         # gamma B U_i = g_i(1), where g_i(l) = gamma B^l U_i. As X'U_i =
         # f_i, g_0(l) = p[l] and g_(i+1)(l) = g_i(l+1) - gamma B^l X M f_i:
         # k x r arrays on the atoms, with no solve
-        d_id = np.zeros_like(bm)
+        d_id = np.zeros((r, r))
         g = p[1:]  # g[l - 1] = g_i(l) for l = 1..m - i
         for i in range(m):
             mf = mm @ g[0]

@@ -497,21 +497,59 @@ def test_power_identity_path_on_the_atoms_matches_the_telescoping(case, m):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _chain(op, q, adjoint, m):
+    # Q' op^(-j) gamma' for j = 1..m, each solve from the last
+    y, chain = adjoint, []
+    for _ in range(m):
+        y = op.solve(y)
+        chain.append(q.T @ y)
+    return chain
+
+
+@pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("case", ["1d", "2d"])
-def test_first_power_sweep_is_one_solve_of_the_basis_with_gamma(case):
-    # at m = 1 each weight's direct core is Q' (A + C)^(-1) Q from one
-    # solve of [Q, gamma'], bit for bit, and the report's core is their
-    # difference
+def test_direct_core_joins_the_chains_of_gamma(case, m):
+    # the direct core, bit for bit, from the second resolvent identity:
+    # sum_j (Q'Y^P_j) (D_M - D_P) (Q'Y^M_(m+1-j))' with Y_j = (A + C)^(-j)
+    # gamma' solved from gamma' alone; m = 1 is the two-weight report (P =
+    # A + C2, M = A + C1), m = 3 the power report (P = A + C1, M = A, whose
+    # chain is Q'X and the transposed gamma A^(-j) Q of its atom side)
     a, t1, t2 = _cross_setup(case, signed=True)
-    rep = two_weight_difference(a, t1, t2)
-    q = rep.basis
-    r = q.shape[1]
-    cores = [q.T @ t_op.perturbed.solve(
-        np.hstack([q, t_op.restriction.adjoint()]))[:, :r]
-        for t_op in (t2, t1)]
-    for t_op, core in zip((t2, t1), cores):
-        assert np.array_equal(t_op._sweeps[1][0], core)
-    assert np.array_equal(rep.core, birman_schwinger._sym(cores[0] - cores[1]))
+    if m == 1:
+        rep = two_weight_difference(a, t1, t2)
+        plus, ds = t2, t1.density - t2.density
+    else:
+        rep = power_difference(a, t1, m)
+        plus, ds = t1, 0.0 - t1.density
+    q, adjoint = rep.basis, t1.restriction.adjoint()
+    chains = {t_op: _chain(t_op.perturbed, q, adjoint, m)
+              for t_op in ((t1, t2) if m == 1 else (t1,))}
+    for t_op, chain in chains.items():  # the chains kept on the weights
+        assert len(t_op._sweeps[m][0]) == m
+        assert all(map(np.array_equal, t_op._sweeps[m][0], chain))
+    side = birman_schwinger._atom_side_of(a, t1.restriction)
+    left = chains[plus]
+    right = (chains[t1] if m == 1 else
+             [side.qx(m)] + [p.T for p in side.powers(m)[0][1:]])
+    core = sum((left[j] * ds) @ right[m - 1 - j].T for j in range(m))
+    assert np.array_equal(rep.core, birman_schwinger._sym(core))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6], ids=["exact", "off"])
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_residual_sees_a_perturbed_coupling_band(monkeypatch, case, scale):
+    # the direct path reads each A + C from its assembled band and the
+    # identity path from the atom densities alone: a band off by a relative
+    # 1e-6 shows in every report's residual, which stays at rounding when
+    # the band is right
+    band = birman_schwinger.coupling_band
+    monkeypatch.setattr(birman_schwinger, "coupling_band",
+                        lambda g, p: scale * band(g, p))
+    for name, rep in _four_reports(*_cross_setup(case, True)).items():
+        if scale == 1.0:
+            assert rep.residual <= 1e-12, name
+        else:
+            assert rep.residual > 1e-8, name
 
 
 def test_node_basis_difference_solves_the_identity_once(monkeypatch):
