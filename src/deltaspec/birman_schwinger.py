@@ -19,19 +19,19 @@ This module owns the one path from A to the atoms: the atom side
 (``_AtomSide``) in the one slot an ``OperatorMatrix`` keeps for it. The
 side holds what depends on A and the atoms of one restriction but not on
 the weights: X = A^(-1) gamma', G = gamma X, the factor R of the core
-(R'R = G), the orthonormal Krylov basis Q of the resolvent reports, Q'X
-per basis width and, per power, A's products on Q that the reports read,
-each built on first use, and it makes every choice that depends on
-whether the nodes serve as atoms. It covers every atom of the
-restriction; a weight enters only through D, so its zeros are zero
-entries of D and every weight on the measure reads the same side: the
-margin checks, reports and cores on one A and one measure build these
-once, and once they are built a report solves only with its A + C. The
-slot is keyed by the restriction's content (``cols`` and ``vals``), and
-a lookup with another key replaces it. It is instance state, not a
-global cache: the side reaches A by a weak reference, so it is freed
-with its operator, and it needs no invalidation, since ``band`` and the
-restriction's arrays are read-only.
+(R'R = G), the orthonormal Krylov basis Q of the resolvent reports and,
+per power, A's sweep, each built on first use; its ``sweep`` forms the
+chain of every operator, A's and each weight's A + C, and it makes every
+choice that depends on whether the nodes serve as atoms. It covers every
+atom of the restriction; a weight enters only through D, so its zeros
+are zero entries of D and every weight on the measure reads the same
+side: the margin checks, reports and cores on one A and one measure
+build these once, and once they are built a report solves only with its
+A + C. The slot is keyed by the restriction's content (``cols`` and
+``vals``), and a lookup with another key replaces it. It is instance
+state, not a global cache: the side reaches A by a weak reference, so it
+is freed with its operator, and it needs no invalidation, since ``band``
+and the restriction's arrays are read-only.
 """
 
 from __future__ import annotations
@@ -148,10 +148,9 @@ class BSOperator:
     dense sandwich T = A^(-1/2) C A^(-1/2) (``matrix``) are each built on
     first use; ``coupling`` gives C as a SciPy CSR matrix for callers
     outside the package. Next to ``perturbed``, the resolvent reports
-    keep per power m the result of their sweep of A + C on the basis Q of
-    that m (the chain Q' (A + C)^(-j) gamma', j <= m, r x k each, or
-    Q' (A + C)^(-m) Q when Q spans every node, and its span gap), so a
-    second report on this weight and power solves nothing with A + C.
+    keep per power m the sweep of A + C on the basis Q of that m (see
+    ``_AtomSide.sweep``), so a second report on this weight and power
+    solves nothing with A + C.
     """
 
     operator: OperatorMatrix
@@ -273,19 +272,18 @@ def _orthonormal_block(block: np.ndarray, q: np.ndarray,
 # What a report holds on the atom side at its peak, counted for the size
 # rule of ``elliptic.held_bytes``, with k atoms, power m and r = min(m k, N)
 # the widest basis. Arrays of N rows and at most r columns: X, the basis Q,
-# and in ``resolvents._sweep`` the chain's Y = (A + C)^(-j) gamma' (k
-# columns, each solve written over the last) and its part outside Q, four
-# in all. Cores of at most r x r: Q'X, G, the Woodbury cores and their
-# temporaries, the products of ``powers``, the chains, the terms and the
-# report's cores; a weight's coupling core on the atoms is a vector. Their
-# number grows with m. The tracemalloc peaks of every report of a run (rd,
-# tw and power_diff up to m, each dropped after its spectrum) above the
-# factors, on 1D to 3D grids with m = 1 to 4, needed at most 26.1 of them
-# next to the four N-row arrays: the node basis at m = 4, where r = N, the
-# N-row arrays are N x N too and A's products of each power are kept.
-# 27 covers that.
+# and in ``_AtomSide.sweep`` the chain's Y = op^(-j) gamma' (k columns,
+# each solve written over the last) and its part outside Q, four in all.
+# Cores of at most r x r: G, the Woodbury cores and their temporaries, the
+# kept sweeps of A and of each A + C, the terms and the report's cores; a
+# weight's coupling core on the atoms is a vector. Their number grows with
+# m. The tracemalloc peaks of every report of a run (rd, tw and power_diff
+# up to m, each dropped after its spectrum) above the factors, on 1D to 3D
+# grids with m = 1 to 4, needed at most 23.4 of them next to the four N-row
+# arrays: a 2D segment at m = 1, where r = k; the node basis, where r = N
+# and the N-row arrays are N x N too, needs 23.1 at m = 4. 24 covers both.
 ROW_ARRAYS = 4
-CORE_ARRAYS = 27
+CORE_ARRAYS = 24
 
 
 class _AtomSide:
@@ -294,9 +292,8 @@ class _AtomSide:
     ``x`` is X = A^(-1) gamma', ``g`` is G = gamma X, ``r`` is a factor
     R'R = G on the atoms from the eigendecomposition of ``g``,
     ``basis(m)`` is the orthonormal basis Q of span{A^(-j) gamma' :
-    j <= m}, ``qx(m)`` is Q'X on that Q (r x k), kept per basis width,
-    ``powers(m)`` are A's products on that Q, kept per m, and
-    ``chain(m)`` reads A's chain Q'A^(-j) gamma' off those two. Each is
+    j <= m}, and ``sweep(t_op, m)`` is the chain on that Q of A (kept
+    here, per m) or of a weight's A + C (kept on its operator). Each is
     built on first use. The side lives in its operator's slot, so it
     holds A by a weak reference: a strong one would make a cycle, and
     X and Q (N x k each) would then wait for the cyclic garbage
@@ -314,8 +311,7 @@ class _AtomSide:
         self._blocks = np.zeros((a.size, 0))
         self._widths: list[int] = []
         self._spent = False
-        self._powers: dict[int, tuple] = {}
-        self._qx: dict[int, np.ndarray] = {}
+        self._sweeps: dict[int, tuple] = {}
 
     def adjoint(self) -> np.ndarray:
         """gamma', formed on each call (the identity for the node basis,
@@ -331,10 +327,6 @@ class _AtomSide:
     def gamma(self, f: np.ndarray) -> np.ndarray:
         """gamma f (f itself for the node basis)."""
         return f if self.nodes else self.restriction.apply(f)
-
-    def on_basis(self, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Q'Y for a basis Q of this side (Y itself for the node basis)."""
-        return y if self.nodes else q.T @ y
 
     def coupling_core(self, t_op: BSOperator) -> np.ndarray:
         """The weight's S with C = gamma' S gamma: the vector D of the
@@ -408,56 +400,58 @@ class _AtomSide:
         q.setflags(write=False)
         return q
 
-    def qx(self, m: int) -> np.ndarray:
-        """Q'X on the basis Q = ``basis(m)`` (r x k), kept per basis
-        width; X itself for the node basis."""
-        if self.nodes:
-            return self.x
-        q = self.basis(m)
-        if q.shape[1] not in self._qx:
-            self._qx[q.shape[1]] = q.T @ self.x
-        return self._qx[q.shape[1]]
+    def sweep(self, t_op: BSOperator | None, m: int):
+        """The chain of A (``t_op`` None) or of the weight's A + C on the
+        basis Q = ``basis(m)``, with Y_j = op^(-j) gamma': the list of
+        Q'Y_j for 1 <= j <= m (r x k), A's list of gamma Y_j for
+        2 <= j <= m (k x k; the identity path of ``power_difference``
+        reads them as gamma A^(1-j) X, and an A + C has none), and the
+        span gap, the largest relative part of a Y_j outside Q (0 for A,
+        whose Q is built from its own chain, and on the node basis).
 
-    def powers(self, m: int):
-        """A's products on the basis Q = ``basis(m)`` of power m: the list
-        of gamma A^(-j) Q for 1 <= j <= m (k x r), Q' A^(-m) Q when Q
-        spans every node (None otherwise, where the reports join chains
-        and need no inverse core), and the list of gamma A^(-j) X for
-        1 <= j < m (k x k).
-
-        They come from m solves, the first of Q itself and each further
-        one over its input (outside the node basis), and are kept per m;
-        the solves' N x r results are not. X lies in the first block
-        of Q, so gamma A^(-j) X is (gamma A^(-j) Q)(Q'X), and
-        gamma A^(-j-1) Q itself for the node basis. The products of m are
-        never cut from those of a larger power, so a report gets the same
-        bits whatever ran before it. The node basis takes A^(-1) Q as X,
-        with no solve, and Q' A^(-m) Q as A^(-m) itself, which is what the
-        product 1' A^(-m) gives bit for bit.
+        A's Y_1 is X, with no solve; an A + C solves gamma' first. Each
+        further Y is solved from the last, over it where it is not kept:
+        X is, and on the node basis, where Q = gamma' = 1, each Y_j is
+        itself its Q'Y_j and gamma Y_j. A sweep is kept per m on its
+        owner, A's on this side and a weight's on its operator, so a
+        second report on the operator and power solves nothing. On the
+        node basis nothing is projected, so the sweep of m is the first
+        entries of any longer one, bit for bit, and only the longest is
+        kept. At its peak the sweep holds Y and its part outside Q, two
+        of the N-row arrays ``ROW_ARRAYS`` counts.
         """
-        if m not in self._powers:
-            a, q = self._a(), self.basis(m)
-            y = self.x if self.nodes else a.solve(q)
-            products = [self.gamma(y)]
-            for _ in range(m - 1):
-                # the node basis keeps each y as its product, X the first
-                y = a.solve(y, overwrite=not self.nodes)
-                products.append(self.gamma(y))
-            qx = self.qx(m)
-            px = [products[j] if self.nodes else products[j - 1] @ qx
-                  for j in range(1, m)]
-            core = self.on_basis(q, y) if q.shape[1] == len(q) else None
-            self._powers[m] = (products, core, px)
-        return self._powers[m]
-
-    def chain(self, m: int) -> list[np.ndarray]:
-        """Q' A^(-j) gamma' for 1 <= j <= m on Q = ``basis(m)`` (r x k
-        each): ``qx(m)``, then the transposed gamma A^(-j) Q of
-        ``powers(m)``, which is built only for m > 1."""
-        chain = [self.qx(m)]
-        if m > 1:
-            chain += [p.T for p in self.powers(m)[0][1:]]
-        return chain
+        kept = (self if t_op is None else t_op)._sweeps
+        longest = max(kept, default=0)
+        if self.nodes and longest >= m:
+            chain, images, gap = kept[longest]
+            return chain[:m], images[:m - 1], gap
+        if m in kept:
+            return kept[m]
+        q = self.basis(m)
+        if t_op is None:
+            op, y = self._a(), self.x
+        else:
+            op = t_op.perturbed
+            y = op.solve(self.adjoint(), overwrite=True)
+        chain, images, gap = [], [], 0.0
+        for j in range(m):
+            if j:
+                y = op.solve(y, overwrite=not (self.nodes or y is self.x))
+                if t_op is None:
+                    images.append(self.gamma(y))
+            chain.append(y if self.nodes else q.T @ y)
+            if t_op is None or self.nodes:
+                continue
+            norm = float(np.linalg.norm(y))
+            if norm > 0:
+                outside = q @ chain[-1]
+                outside -= y  # in place: minus the part outside Q
+                gap = max(gap, float(np.linalg.norm(outside)) / norm)
+                del outside  # freed before the next one is formed
+        if self.nodes:
+            kept.clear()
+        kept[m] = chain, images, gap
+        return kept[m]
 
 
 def _same_restriction(g1: RestrictionMatrix, g2: RestrictionMatrix) -> bool:

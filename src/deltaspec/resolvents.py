@@ -23,10 +23,9 @@ difference two ways, as r x r cores on Q:
   an assembled A + C_i, factored on its own, which uses no Woodbury
   algebra: by the second resolvent identity it is
   sum_j (Q'Y^P_j) (D_M - D_P) (Q'Y^M_(m+1-j))' with Y_j = (A + C_i)^(-j)
-  gamma', j <= m, and D = 0 for A, so a sweep solves the k columns of
-  gamma' m times and never Q (when Q spans every node, it solves Q m
-  times and takes the difference of the cores Q' (A + C_i)^(-m) Q
-  instead).
+  gamma', j <= m, and D = 0 for A: one sweep forms the chain of every
+  operator, solving the k columns of gamma' m times for an A + C_i and
+  m - 1 times from X for A, and never Q.
 
 ``resolvent_difference`` is the two-weight difference against the zero
 weight, whose side is A itself, and ``power_difference`` telescopes its
@@ -46,14 +45,15 @@ basis. On the atoms D is kept as the vector of its diagonal, which scales
 rows or columns where it multiplies. Every solve goes through the block
 LDL' factor of :class:`~deltaspec.elliptic.OperatorMatrix`; each A + C_i
 is factored once per weight and kept on its operator, so reports that
-share a weight share that factor, and next to it, per power m, the chain
-and gap of its sweep, so a second report on the same weight and power
-solves nothing with it. No report eigendecomposes A.
+share a weight share that factor, and next to it, per power m, its
+sweep, so a second report on the same weight and power solves nothing
+with it. No report eigendecomposes A.
 
-Everything a report needs of A on the atoms (X, G, Q, Q'X and A's
-products per power, and every choice on the node basis) comes from A's
-atom side, which :mod:`deltaspec.birman_schwinger` owns; this module
-handles the weights, their cores and the residual.
+Everything a report needs of A on the atoms (X, G, Q, the sweep that
+forms the chain of every operator, A's sweeps per power, and every
+choice on the node basis) comes from A's atom side, which
+:mod:`deltaspec.birman_schwinger` owns; this module handles the weights,
+their cores and the residual.
 
 ``perturbed_inverse`` keeps the dense identity
 ``(A + C)^(-1) = A^(-1/2) (1 + T)^(-1) A^(-1/2)`` as the small-N oracle.
@@ -61,6 +61,7 @@ handles the weights, their cores and the residual.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -210,37 +211,6 @@ def _woodbury(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _sym(np.linalg.solve(lhs, np.diag(s) if diagonal else s))
 
 
-def _sweep(op, q, side, m):
-    """The chain of ``op`` on the basis Q of power m and its span gap.
-
-    Outside a Q that spans every node the chain is the list of Q'Y_j
-    (r x k) for Y_j = op^(-j) gamma', 1 <= j <= m: m solves of the k
-    columns of gamma', each written over its input. The gap is the
-    largest relative part of a Y_j outside Q. At its peak the sweep holds
-    Y and its part outside Q, two of the N-row arrays
-    ``birman_schwinger.ROW_ARRAYS`` counts for the size rule. A Q that
-    spans every node (the node basis among them) has no gap: its sweep is
-    Q' op^(-m) Q from m solves of Q and one product with Q' (none for the
-    node basis, where Q = 1).
-    """
-    if q.shape[1] == q.shape[0]:
-        y = q
-        for j in range(m):
-            y = op.solve(y, overwrite=j > 0)
-        return side.on_basis(q, y), 0.0
-    chain, gap, y = [], 0.0, side.adjoint()
-    for _ in range(m):
-        y = op.solve(y, overwrite=True)
-        chain.append(q.T @ y)
-        norm = float(np.linalg.norm(y))
-        if norm > 0:
-            outside = q @ chain[-1]
-            outside -= y  # in place: minus the part outside Q
-            gap = max(gap, float(np.linalg.norm(outside)) / norm)
-            del outside  # freed before the next one is formed
-    return chain, gap
-
-
 def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
     """The direct path, the residual and the report of one difference.
 
@@ -254,40 +224,31 @@ def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
 
     with C = gamma' S gamma and S_A = 0, as
     ``sum_j (Q'Y^P_j) (S_M - S_P) (Q'Y^M_(m+1-j))'`` from the chains
-    Q'Y_j = Q' (A + C)^(-j) gamma' of ``_sweep``: A's from its atom side
-    (``chain``), a weight's from one sweep of the banded factor of its
-    assembled A + C, kept on its operator per power, so a second report on
-    the weight and power solves nothing. No inverse core is formed, so
-    nothing cancels. A Q that spans every node keeps the difference of the
-    cores Q' (A + C)^(-m) Q of the sweeps and A's core of ``powers``.
-    ``residual`` is the larger of the relative Frobenius disagreement of
-    the identity-path core ``identity`` with the direct core, and, for
-    each A + C, the relative part of
-    span{(A + C)^(-j) gamma' : j <= m} outside Q (none for a Q that spans
-    every node). NumericalError when a core, the residual or the norm
+    Q'Y_j = Q' op^(-j) gamma' that the side's ``sweep`` forms alike for
+    both operators, from X for A and from the banded factor of the
+    assembled A + C for a weight, each kept on its owner per power, so a
+    second report on the operator and power solves nothing. No inverse
+    core is formed, so nothing cancels. On the node basis, where Q =
+    gamma' = 1, the chains' entries are the inverse powers themselves and
+    the direct core is Y^P_m - Y^M_m. ``residual`` is the larger of the
+    relative Frobenius disagreement of the identity-path core
+    ``identity`` with the direct core, and, for each A + C, the relative
+    part of span{(A + C)^(-j) gamma' : j <= m} outside Q (none on the
+    node basis). NumericalError when a core, the residual or the norm
     scale of the terms is not finite, as when the weight is so large that
     the cores or their norms overflow; the callers run the identity path
     and this function with overflow and invalid values silenced, so that
     error is all such a report prints.
     """
-    q, chains, gap = side.basis(m), [], 0.0
-    full = q.shape[1] == q.shape[0]
-    for t_op in (plus, minus):
-        if t_op is None:
-            chains.append(side.powers(m)[1] if full else side.chain(m))
-            continue
-        if m not in t_op._sweeps:
-            t_op._sweeps[m] = _sweep(t_op.perturbed, q, side, m)
-        chain, op_gap = t_op._sweeps[m]
-        chains.append(chain)
-        gap = max(gap, op_gap)
-    if full:
-        direct = chains[0] - chains[1]
+    (chain_p, _, gap_p), (chain_m, _, gap_m) = (side.sweep(t_op, m)
+                                               for t_op in (plus, minus))
+    if side.nodes:
+        direct = chain_p[m - 1] - chain_m[m - 1]
     else:
         s = [0.0 if t_op is None else side.coupling_core(t_op)
              for t_op in (plus, minus)]
         ds = s[1] - s[0]
-        direct = sum(_times(chains[0][j], ds) @ chains[1][m - 1 - j].T
+        direct = sum(_times(chain_p[j], ds) @ chain_m[m - 1 - j].T
                      for j in range(m))
     # the terms' norm scale: when both paths sit at or below the noise
     # floor of spectra at that scale the difference is zero and they agree
@@ -298,14 +259,14 @@ def _report(side, m, plus, minus, identity, terms) -> ResolventReport:
     else:
         disagreement = float(np.linalg.norm(identity - direct))
         disagreement /= scale if scale > 0 else 1.0
-    residual = max(disagreement, gap)
+    residual = max(disagreement, gap_p, gap_m)
     if not (np.isfinite(residual) and np.isfinite(ambient) and all(
             np.isfinite(core).all() for core in (direct, *terms.values()))):
         raise NumericalError(
             f"a core, the residual ({residual}) or the norm scale "
             f"({ambient}) of the difference is not finite")
     return ResolventReport(
-        basis=q,
+        basis=side.basis(m),
         core=_sym(direct),
         term_cores={label: _sym(core) for label, core in terms.items()},
         residual=residual,
@@ -337,7 +298,7 @@ def _two_weight(a, t1, t2, margin_threshold, labels=("main", "Z1", "Z2")
     t_ops = (t1,) if t2 is None else (t1, t2)
     side, cores = _atom_side(a, margin_threshold, *t_ops)
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
-        p, g = side.qx(1), side.g
+        p, g = side.sweep(None, 1)[0][0], side.g
         main = cores[0] - cores[1] if t2 is not None else cores[0]
         z = [p @ _times(_woodbury(g, s) @ g, s) @ p.T for s in cores]
         terms = dict(zip(labels, [_times(p, main) @ p.T, -z[0]] + z[1:]))
@@ -400,22 +361,24 @@ def power_difference(
     where H4 is the identity-path difference minus H2 and H3. The identity
     path telescopes, with E = X M X':
     ``(B - E)^m - B^m = - sum_i (B - E)^i E B^(m-1-i)``, and runs on the
-    atoms from A's kept products gamma B^j Q and Q'X, with no solve. The
-    direct path solves gamma' through the banded factor of A + C m times
-    and joins that chain to A's by the second resolvent identity (see
-    ``_report``).
+    atoms from A's kept sweep, Q'B^j gamma' and gamma B^j X, with no
+    further solve. The direct path solves gamma' through the banded factor
+    of A + C m times and joins that chain to A's by the second resolvent
+    identity (see ``_report``). ``m`` must be a real number equal to 2, 3
+    or 4; anything else raises ValidationError.
     """
-    if not (2 <= int(m) <= 4) or m != int(m):
+    if not (isinstance(m, numbers.Real) and m in (2, 3, 4)):
         raise ValidationError("power m must be an integer in [2, 4]")
     m = int(m)
     side, (s,) = _atom_side(a, margin_threshold, t_op)
     mm = _woodbury(side.g, s)
 
-    # the atom side's p[j] = gamma B^j Q for j = 1..m and px[j] =
-    # gamma B^j X for j < m: Q' B^i W B^j Q = p[i+1]' D p[j+1]
-    p, _, px = side.powers(m)
-    r = p[0].shape[1]
-    p, px = [None, *p], [None, *px]
+    # from A's sweep, p[j] = gamma B^j Q = (Q'B^j gamma')' for j = 1..m and
+    # px[j] = gamma B^j X = gamma Y_(j+1) for j < m: Q' B^i W B^j Q =
+    # p[i+1]' D p[j+1]
+    chain, images, _ = side.sweep(None, m)
+    r = len(chain[0])
+    p, px = [None, *(c.T for c in chain)], [None, *images]
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _report
         h2 = -sum(_times(p[i + 1].T, s) @ p[m - i] for i in range(m))

@@ -473,7 +473,7 @@ def test_krylov_blocks_keep_their_widths_and_are_orthonormal(case):
 
 
 def test_warm_basis_calls_copy_no_basis(monkeypatch):
-    # the segment2d-weyl segment with m = 3 built: qx and powers of lower
+    # the segment2d-weyl segment with m = 3 built: A's sweeps of lower
     # powers read read-only views of the kept blocks, no N x r copies
     g = Grid(np.array([[0.0, 1.6], [0.0, 0.4]]), (57, 15))
     m = segment_measure(np.array([[0.3, 0.2], [1.3, 0.2]]), 64)
@@ -484,8 +484,7 @@ def test_warm_basis_calls_copy_no_basis(monkeypatch):
     monkeypatch.setattr(side, "basis",
                         lambda m: handed.append(basis(m)) or handed[-1])
     for power in (1, 2):
-        side.qx(power)
-        side.powers(power)
+        side.sweep(None, power)
     assert {q.shape[1] for q in handed} == {37, 74}
     for q in handed:
         assert np.shares_memory(q, side._blocks) and not q.flags.writeable

@@ -1052,14 +1052,14 @@ def test_krein_feller_run_solves_gamma_once_and_takes_no_qr(tmp_path,
 
 def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
     # a fresh run of every difference of one weight pair on the 57 x 15
-    # segment makes 15 solves: X, the growth of the basis to m = 3 (2),
-    # A's products for the powers m = 2, 3 (2 + 3; rd and tw read A's
-    # chain from Q'X), and one sweep of m solves of gamma' per weight and
-    # power (A + C1 at m = 1, 2, 3 and A + C2 at m = 1: 1 + 2 + 3 + 1);
-    # the power differences' identity paths solve nothing, and rd's sweep
-    # of A + C1 is the one tw reads. With 64 atoms and Krylov blocks 37
-    # wide (r = 37, 74, 111 for m = 1, 2, 3) that is 64 + 74 + 148 + 333
-    # columns with A and 7 x 64 = 448 in the sweeps, 1067 in all
+    # segment makes 13 solves: X, the growth of the basis to m = 3 (2),
+    # A's sweeps for the powers m = 2, 3, which start from X (1 + 2; rd
+    # and tw read A's sweep of m = 1, X alone), and one sweep of m solves
+    # of gamma' per weight and power (A + C1 at m = 1, 2, 3 and A + C2 at
+    # m = 1: 1 + 2 + 3 + 1); the power differences' identity paths solve
+    # nothing, and rd's sweep of A + C1 is the one tw reads. With 64 atoms
+    # and Krylov blocks 37 wide that is 64 + 74 + 3 x 64 = 330 columns
+    # with A and 7 x 64 = 448 in the weights' sweeps, 778 in all
     cfg = base_config(
         seed=7,
         domain={"bbox": [[0.0, 1.6], [0.0, 0.4]], "shape": [57, 15]},
@@ -1080,7 +1080,7 @@ def test_difference_run_solves_each_product_once(tmp_path, monkeypatch):
     monkeypatch.setattr(elliptic.OperatorMatrix, "solve", counting)
     manifest, _ = run_manifest(tmp_path, cfg)
     assert len(manifest["tasks"]) == 4
-    assert (len(columns), sum(columns)) == (15, 1067)
+    assert (len(columns), sum(columns)) == (13, 778)
 
 
 def test_sweep_t_doubling_retry_assembles_its_own_operator(tmp_path,

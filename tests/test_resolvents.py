@@ -125,7 +125,8 @@ def test_two_weight_zero_second_weight_reduces():
 def test_power_difference_rejects_m_out_of_range():
     g, a, m, gam = _setup(32)
     t_op = bs_operator(a, gam, _signed_perturbation(m, 4))
-    for bad in (1, 5, 0, 2.5):
+    for bad in (1, 5, 0, 2.5, float("nan"), float("inf"), -float("inf"),
+                None):
         with pytest.raises(ValidationError):
             power_difference(a, t_op, bad)
 
@@ -369,13 +370,13 @@ def test_power_difference_on_an_exhausted_krylov_span():
 
 def test_an_exhausted_krylov_span_is_not_solved_again(monkeypatch):
     # m = 4 solves with A for X, the two blocks after it (the third fills
-    # every node, so no fourth is solved) and the four powers; later basis
-    # calls solve nothing, and a second weight's m = 4 report solves only
-    # with its A + C
+    # every node, so no fourth is solved) and the three solves of A's
+    # chain after X; later basis calls solve nothing, and a second
+    # weight's m = 4 report solves only with its A + C
     solved = _solves_by_operator(monkeypatch)
     a, gam, m = _exhausted_setup()
     power_difference(a, bs_operator(a, gam, Perturbation.constant(m, 1.0)), 4)
-    assert sum(op is a for op in solved) == 7
+    assert sum(op is a for op in solved) == 6
     solved.clear()
     side = birman_schwinger._atom_side_of(a, gam)
     for power in (4, 5):
@@ -451,12 +452,12 @@ def _solves_by_operator(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CROSS_CASES))
 def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
-    # the first draw on A fills A's atom side with its products per power
+    # the first draw on A fills A's atom side with its sweep per power
     # and each weight's operator with its A + C sweep per power; in the
     # second draw no report solves with A (pd m runs its identity path on
-    # the atoms), pd m makes the m solves of its sweep of A + C1 (Q with
-    # gamma' for ceil(m / 2) of them), and tw solves only with A + C2,
-    # since rd's sweep of A + C1 at m = 1 is kept on the weight
+    # the atoms), pd m makes the m solves of gamma' of its sweep of
+    # A + C1, and tw solves only with A + C2, since rd's sweep of A + C1
+    # at m = 1 is kept on the weight
     solved = _solves_by_operator(monkeypatch)
     a, *first = _cross_setup(case, signed=True)
     _four_reports(a, *first, order=("rd", "tw", "pd2", "pd3"))
@@ -513,24 +514,24 @@ def test_direct_core_joins_the_chains_of_gamma(case, m):
     # sum_j (Q'Y^P_j) (D_M - D_P) (Q'Y^M_(m+1-j))' with Y_j = (A + C)^(-j)
     # gamma' solved from gamma' alone; m = 1 is the two-weight report (P =
     # A + C2, M = A + C1), m = 3 the power report (P = A + C1, M = A, whose
-    # chain is Q'X and the transposed gamma A^(-j) Q of its atom side)
+    # chain, kept on its atom side, is solved the same way)
     a, t1, t2 = _cross_setup(case, signed=True)
     if m == 1:
         rep = two_weight_difference(a, t1, t2)
-        plus, ds = t2, t1.density - t2.density
+        plus, minus, ds = t2, t1, t1.density - t2.density
     else:
         rep = power_difference(a, t1, m)
-        plus, ds = t1, 0.0 - t1.density
+        plus, minus, ds = t1, None, 0.0 - t1.density
     q, adjoint = rep.basis, t1.restriction.adjoint()
-    chains = {t_op: _chain(t_op.perturbed, q, adjoint, m)
-              for t_op in ((t1, t2) if m == 1 else (t1,))}
-    for t_op, chain in chains.items():  # the chains kept on the weights
-        assert len(t_op._sweeps[m][0]) == m
-        assert all(map(np.array_equal, t_op._sweeps[m][0], chain))
     side = birman_schwinger._atom_side_of(a, t1.restriction)
-    left = chains[plus]
-    right = (chains[t1] if m == 1 else
-             [side.qx(m)] + [p.T for p in side.powers(m)[0][1:]])
+    chains = {t_op: _chain(a if t_op is None else t_op.perturbed, q,
+                            adjoint, m)
+              for t_op in (plus, minus)}
+    for t_op, chain in chains.items():  # the chains kept on their owners
+        kept = (side if t_op is None else t_op)._sweeps[m][0]
+        assert len(kept) == m
+        assert all(map(np.array_equal, kept, chain))
+    left, right = chains[plus], chains[minus]
     core = sum((left[j] * ds) @ right[m - 1 - j].T for j in range(m))
     assert np.array_equal(rep.core, birman_schwinger._sym(core))
 
@@ -554,16 +555,33 @@ def test_residual_sees_a_perturbed_coupling_band(monkeypatch, case, scale):
 
 def test_node_basis_difference_solves_the_identity_once(monkeypatch):
     # with the nodes as atoms Q = 1, X = A^(-1) is the only solve with A
-    # and is itself Q' A^(-1) Q: no second solve and no product 1' A^(-1)
+    # and is itself A's chain at m = 1: no second solve and no product
+    # 1' A^(-1)
     solved = _solves_by_operator(monkeypatch)
     a, t1, _ = _cross_setup("1d-nodes", signed=True)
     rep = resolvent_difference(a, t1)
     assert rep.basis.shape == (a.size, a.size)
     assert solved == [a, t1.perturbed]
     side = a._atom_side
-    assert side.powers(1)[1] is side.x
+    assert side.sweep(None, 1)[0][0] is side.x
     assert solved == [a, t1.perturbed]
 
+
+
+def test_node_basis_power_reads_a_prefix_of_the_longest_chain(monkeypatch):
+    # with the nodes as atoms nothing is projected, so the chains of m = 2
+    # are the first two of m = 4: after pd4, pd2 solves nothing, gives the
+    # bytes of a cold pd2, and A and A + C1 each keep one chain, of m = 4
+    solved = _solves_by_operator(monkeypatch)
+    a, t1, t2 = _cross_setup("1d-nodes", signed=True)
+    power_difference(a, t1, 4)
+    solved.clear()
+    rep = power_difference(a, t1, 2)
+    assert not solved
+    _assert_same_bytes(rep, _four_reports(*_cross_setup("1d-nodes", True),
+                                          order=("pd2",))["pd2"])
+    for owner in (a._atom_side, t1):
+        assert list(owner._sweeps) == [4]
 
 def _four_reports(a, t1, t2, order=("rd", "tw", "pd3", "pd2")):
     calls = {"rd": lambda: resolvent_difference(a, t1),
