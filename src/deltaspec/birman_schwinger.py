@@ -44,6 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .elliptic import (
+    _CHUNK_COLUMNS,
     Grid,
     OperatorMatrix,
     dense_from_band,
@@ -130,11 +131,12 @@ class RestrictionMatrix:
             out = out + w * f[self.cols[:, c]]
         return out
 
-    def adjoint(self) -> np.ndarray:
-        """Dense gamma' (N x atoms)."""
-        k = len(self.cols)
-        out = np.zeros((self.grid.size, k))
-        out[self.cols, np.arange(k)[:, None]] = self.vals
+    def adjoint(self, start: int = 0, stop: int | None = None
+                ) -> np.ndarray:
+        """Dense gamma' (N x atoms), or its columns ``start:stop``."""
+        cols, vals = self.cols[start:stop], self.vals[start:stop]
+        out = np.zeros((self.grid.size, len(cols)))
+        out[cols, np.arange(len(cols))[:, None]] = vals
         return out
 
 
@@ -142,12 +144,14 @@ class RestrictionMatrix:
 class BSOperator:
     """The coupling C = gamma' D gamma of a weight, seen from A.
 
-    Carries A, the restriction gamma and the atom density D, plus ``band``,
-    C in lower band storage. The atom-side core, the margin, the factored
-    A + C (``perturbed``, shared by every report on this weight) and the
-    dense sandwich T = A^(-1/2) C A^(-1/2) (``matrix``) are each built on
-    first use; ``coupling`` gives C as a SciPy CSR matrix for callers
-    outside the package. Next to ``perturbed``, the resolvent reports
+    Carries A, the restriction gamma and the atom density D; ``band``, C
+    in lower band storage, is formed on each access and kept nowhere, so
+    a run holds the bands of A and of each A + C but none of C. The
+    atom-side core, the margin, the factored A + C (``perturbed``, shared
+    by every report on this weight) and the dense sandwich
+    T = A^(-1/2) C A^(-1/2) (``matrix``) are each built on first use;
+    ``coupling`` gives C as a SciPy CSR matrix for callers outside the
+    package. Next to ``perturbed``, the resolvent reports
     keep per power m the sweep of A + C on the basis Q of that m (see
     ``_AtomSide.sweep``), so a second report on this weight and power
     solves nothing with A + C.
@@ -157,13 +161,18 @@ class BSOperator:
     restriction: RestrictionMatrix
     perturbation: Perturbation
     density: np.ndarray
-    band: np.ndarray
     _sweeps: dict[int, tuple] = field(default_factory=dict, init=False,
                                       repr=False)
 
     @property
     def size(self) -> int:
         return self.operator.size
+
+    @property
+    def band(self) -> np.ndarray:
+        """C in lower band storage (:func:`coupling_band`), formed on each
+        access."""
+        return coupling_band(self.restriction, self.perturbation)
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -193,8 +202,8 @@ class BSOperator:
 
     @cached_property
     def perturbed(self) -> OperatorMatrix:
-        """A + C, built on first use; its factor is computed once, on the
-        first solve."""
+        """A + C, built on first use from a band of C that is then freed;
+        its factor is computed once, on the first solve."""
         return self.operator.plus(self.band)
 
     @property
@@ -270,19 +279,23 @@ def _orthonormal_block(block: np.ndarray, q: np.ndarray,
 
 
 # What a report holds on the atom side at its peak, counted for the size
-# rule of ``elliptic.held_bytes``, with k atoms, power m and r = min(m k, N)
-# the widest basis. Arrays of N rows and at most r columns: X, the basis Q,
-# and in ``_AtomSide.sweep`` the chain's Y = op^(-j) gamma' (k columns,
-# each solve written over the last) and its part outside Q, four in all.
-# Cores of at most r x r: G, the Woodbury cores and their temporaries, the
-# kept sweeps of A and of each A + C, the terms and the report's cores; a
-# weight's coupling core on the atoms is a vector. Their number grows with
-# m. The tracemalloc peaks of every report of a run (rd, tw and power_diff
-# up to m, each dropped after its spectrum) above the factors, on 1D to 3D
-# grids with m = 1 to 4, needed at most 23.4 of them next to the four N-row
-# arrays: a 2D segment at m = 1, where r = k; the node basis, where r = N
-# and the N-row arrays are N x N too, needs 23.1 at m = 4. 24 covers both.
-ROW_ARRAYS = 4
+# rule of ``elliptic.held_bytes``, with k atoms, power m, r = min(m k, N)
+# the widest basis and c = min(k, N, ``_CHUNK_COLUMNS``) the widest chunk.
+# Arrays of N rows and at most r columns: X and the basis Q. Arrays of N
+# rows and at most c columns: in ``_AtomSide.sweep`` a chunk of the chain's
+# Y = op^(-j) gamma' (each solve written over the last) and its part
+# outside Q. Cores of at most r x r: G, the Woodbury cores and their
+# temporaries, the kept sweeps of A and of each A + C, the terms and the
+# report's cores; a weight's coupling core on the atoms is a vector. Their
+# number grows with m. The tracemalloc peaks of every report of a run (rd,
+# tw and power_diff up to m, each dropped after its spectrum) above the
+# factors, on 1D to 3D grids with m = 1 to 4, needed at most 23.4 of them
+# next to four N x r arrays (when the sweep still held Y and its outside
+# part whole): a 2D segment at m = 1, where r = k; the node basis, where
+# r = N and the N-row arrays are N x N too, needs 23.1 at m = 4. 24 covers
+# both.
+ROW_ARRAYS = 2
+CHUNK_ARRAYS = 2
 CORE_ARRAYS = 24
 
 
@@ -297,11 +310,19 @@ class _AtomSide:
     built on first use. The side lives in its operator's slot, so it
     holds A by a weak reference: a strong one would make a cycle, and
     X and Q (N x k each) would then wait for the cyclic garbage
-    collector after the last other reference to A goes. With at least
-    as many atoms as nodes, G would be no smaller than N x N, and the
-    nodes serve as atoms instead: gamma = 1, so ``g`` is A^(-1), and
-    Q = 1 (the node basis); R is still a factor of G on the atoms,
-    N x k. Every branch on the node basis lives in this class.
+    collector after the last other reference to A goes.
+
+    Past X and Q, nothing of N rows is formed whole: ``g`` and ``sweep``
+    take gamma' in column chunks of at most ``_CHUNK_COLUMNS`` (all of it
+    in one chunk when there are no more atoms), each formed by
+    ``RestrictionMatrix.adjoint`` and solved over itself, or read off X
+    where X is built. A krein_feller run or a margin check with more
+    atoms than one chunk never forms X.
+
+    With at least as many atoms as nodes, G would be no smaller than
+    N x N, and the nodes serve as atoms instead: gamma = 1, so ``g`` is
+    A^(-1), and Q = 1 (the node basis); R is still a factor of G on the
+    atoms, N x k. Every branch on the node basis lives in this class.
     """
 
     def __init__(self, a: OperatorMatrix, restriction: RestrictionMatrix):
@@ -313,16 +334,21 @@ class _AtomSide:
         self._spent = False
         self._sweeps: dict[int, tuple] = {}
 
-    def adjoint(self) -> np.ndarray:
-        """gamma', formed on each call (the identity for the node basis,
-        each node its own atom)."""
-        n = self.restriction.grid.size
-        cols, vals = self.restriction.cols, self.restriction.vals
+    def _solved(self, op: OperatorMatrix, start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+        """op^(-1) gamma', or its columns ``start:stop``, solved over the
+        gamma' it is formed from; on the node basis gamma' is the
+        identity, whole."""
         if self.nodes:
-            cols, vals = np.arange(n)[:, None], np.ones((n, 1))
-        out = np.zeros((n, len(cols)))
-        out[cols, np.arange(len(cols))[:, None]] = vals
-        return out
+            return op.solve(np.eye(op.size), overwrite=True)
+        return op.solve(self.restriction.adjoint(start, stop),
+                        overwrite=True)
+
+    def _chunks(self):
+        """The column ranges of gamma' taken at once, in order."""
+        k = len(self.restriction.cols)
+        return [(i, min(i + _CHUNK_COLUMNS, k))
+                for i in range(0, k, _CHUNK_COLUMNS)]
 
     def gamma(self, f: np.ndarray) -> np.ndarray:
         """gamma f (f itself for the node basis)."""
@@ -338,13 +364,27 @@ class _AtomSide:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """X = A^(-1) gamma', solved over the gamma' it is formed from."""
-        return self._a().solve(self.adjoint(), overwrite=True)
+        """X = A^(-1) gamma', solved whole."""
+        return self._solved(self._a())
 
     @cached_property
     def g(self) -> np.ndarray:
-        # symmetrized on a copy: for the node basis gamma X is X itself
-        return _sym_inplace(self.gamma(self.x).copy())
+        """G = gamma X, symmetrized, a chunk of columns at a time: X's
+        columns where X is built or the chunk is all of gamma' (X is then
+        built from it), a fresh solve otherwise. On the node basis gamma X
+        is X itself, symmetrized on a copy."""
+        if self.nodes:
+            return _sym_inplace(self.x.copy())
+        chunks = self._chunks()
+        whole = len(chunks) == 1 or "x" in self.__dict__
+        k = len(self.restriction.cols)
+        g = np.empty((k, k))
+        for start, stop in chunks:
+            y = (self.x[:, start:stop] if whole
+                 else self._solved(self._a(), start, stop))
+            g[:, start:stop] = self.restriction.apply(y)
+            del y  # freed before the next chunk is solved
+        return _sym_inplace(g)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -409,49 +449,86 @@ class _AtomSide:
         span gap, the largest relative part of a Y_j outside Q (0 for A,
         whose Q is built from its own chain, and on the node basis).
 
-        A's Y_1 is X, with no solve; an A + C solves gamma' first. Each
-        further Y is solved from the last, over it where it is not kept:
-        X is, and on the node basis, where Q = gamma' = 1, each Y_j is
-        itself its Q'Y_j and gamma Y_j. A sweep is kept per m on its
+        Each chunk of gamma' (see ``_chunks``) runs through the whole
+        chain j = 1..m, and its columns of Q'Y_j, of A's gamma Y_j and of
+        the squared norms of Y_j and of its part outside Q are written
+        before the next chunk starts. A's Y_1 is X's columns, with no
+        solve; an A + C solves the chunk of gamma' first. Each further Y
+        is solved from the last, over it where it is not X. At its peak a
+        sweep holds one chunk of Y and its part outside Q, the N-row
+        arrays ``CHUNK_ARRAYS`` counts. A sweep is kept per m on its
         owner, A's on this side and a weight's on its operator, so a
-        second report on the operator and power solves nothing. On the
-        node basis nothing is projected, so the sweep of m is the first
-        entries of any longer one, bit for bit, and only the longest is
-        kept. At its peak the sweep holds Y and its part outside Q, two
-        of the N-row arrays ``ROW_ARRAYS`` counts.
+        second report on the operator and power solves nothing.
+
+        On the node basis, where Q = gamma' = 1, each Y_j is itself its
+        Q'Y_j and gamma Y_j and is solved whole. Nothing is projected, so
+        the sweep of m is the first entries of any longer one, bit for
+        bit: only the longest is kept, and a longer sweep continues from
+        it.
         """
         kept = (self if t_op is None else t_op)._sweeps
-        longest = max(kept, default=0)
-        if self.nodes and longest >= m:
-            chain, images, gap = kept[longest]
-            return chain[:m], images[:m - 1], gap
+        if self.nodes:
+            return self._node_sweep(t_op, m, kept)
         if m in kept:
             return kept[m]
+        op = self._a() if t_op is None else t_op.perturbed
         q = self.basis(m)
-        if t_op is None:
-            op, y = self._a(), self.x
-        else:
-            op = t_op.perturbed
-            y = op.solve(self.adjoint(), overwrite=True)
-        chain, images, gap = [], [], 0.0
-        for j in range(m):
-            if j:
-                y = op.solve(y, overwrite=not (self.nodes or y is self.x))
+        k = len(self.restriction.cols)
+        chain = [np.empty((q.shape[1], k)) for _ in range(m)]
+        images = [np.empty((k, k)) for _ in range(m - 1 if t_op is None
+                                                  else 0)]
+        squares = np.zeros((m, 2))  # of Y_j and of its part outside Q
+        for start, stop in self._chunks():
+            if t_op is None:
+                y = self.x[:, start:stop]
+            else:
+                y = self._solved(op, start, stop)
+            for j in range(m):
+                if j:
+                    y = op.solve(y, overwrite=t_op is not None or j > 1)
+                    if t_op is None:
+                        images[j - 1][:, start:stop] = self.gamma(y)
+                qy = q.T @ y
+                chain[j][:, start:stop] = qy
                 if t_op is None:
-                    images.append(self.gamma(y))
-            chain.append(y if self.nodes else q.T @ y)
-            if t_op is None or self.nodes:
-                continue
-            norm = float(np.linalg.norm(y))
-            if norm > 0:
-                outside = q @ chain[-1]
+                    continue
+                outside = q @ qy
                 outside -= y  # in place: minus the part outside Q
-                gap = max(gap, float(np.linalg.norm(outside)) / norm)
+                squares[j] += _squared(y), _squared(outside)
                 del outside  # freed before the next one is formed
-        if self.nodes:
-            kept.clear()
-        kept[m] = chain, images, gap
+            del y  # freed before the next chunk is solved
+        gap = max((np.sqrt(out) / np.sqrt(norm)
+                   for norm, out in squares if norm > 0), default=0.0)
+        kept[m] = chain, images, float(gap)
         return kept[m]
+
+    def _node_sweep(self, t_op: BSOperator | None, m: int, kept: dict):
+        # the node-basis sweep (see ``sweep``): the kept one, or its first
+        # m entries, or it continued to m
+        longest = max(kept, default=0)
+        if longest >= m:
+            chain, images, gap = kept[longest]
+            return chain[:m], images[:m - 1], gap
+        op = self._a() if t_op is None else t_op.perturbed
+        if longest:
+            chain, images, _ = kept.pop(longest)
+            chain, images = list(chain), list(images)
+        else:
+            chain = [self.x if t_op is None else self._solved(op)]
+            images = []
+        while len(chain) < m:
+            chain.append(op.solve(chain[-1]))
+            if t_op is None:
+                images.append(chain[-1])
+        kept[m] = chain, images, 0.0
+        return kept[m]
+
+
+def _squared(y: np.ndarray) -> float:
+    """The squared Frobenius norm of ``y``, summed as ``np.linalg.norm``
+    sums it."""
+    flat = y.ravel(order="K")
+    return float(flat @ flat)
 
 
 def _same_restriction(g1: RestrictionMatrix, g2: RestrictionMatrix) -> bool:
@@ -528,12 +605,16 @@ def atom_density(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
     return p.measure.weights * p.values / g.grid.cell_volume
 
 
-def coupling_band(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
-    """C = gamma' D gamma in lower band storage, D from :func:`atom_density`:
-    each atom adds D w_p w_q at the node pair of its corners p, q."""
+def _check_measure(g: RestrictionMatrix, p: Perturbation) -> None:
     if p.measure is not g.measure and not np.array_equal(p.measure.atoms,
                                                          g.measure.atoms):
         raise ValidationError("perturbation and restriction measures differ")
+
+
+def coupling_band(g: RestrictionMatrix, p: Perturbation) -> np.ndarray:
+    """C = gamma' D gamma in lower band storage, D from :func:`atom_density`:
+    each atom adds D w_p w_q at the node pair of its corners p, q."""
+    _check_measure(g, p)
     k, corners = g.cols.shape
     vals = ((g.vals * atom_density(g, p)[:, None])[:, :, None]
             * g.vals[:, None, :])
@@ -553,8 +634,9 @@ def bs_operator(
     """
     if a.size != g.grid.size:
         raise ValidationError("operator and restriction grids differ in size")
+    _check_measure(g, p)
     return BSOperator(operator=a, restriction=g, perturbation=p,
-                      density=atom_density(g, p), band=coupling_band(g, p))
+                      density=atom_density(g, p))
 
 
 def bs_atom_gram(

@@ -369,11 +369,14 @@ def validate_config(cfg, base_dir=".") -> dict:
         raise ValidationError("tasks must be a nonempty list")
     entries = [_task(entry, f"tasks[{i}]") for i, entry in enumerate(tasks)]
     names = [entry["name"] for entry in entries]
+    # the weights whose A + C some task factors
+    factored = set().union(*(TASKS[name].factors for name in names))
     for name in names:
-        if TASKS[name].needs_v2 and "V2" not in built:
+        if "V2" in TASKS[name].factors and "V2" not in built:
             raise ValidationError(f"{name} needs weights.V2")
-    # the grid admitted its factors and bands; the run adds its atom side
-    _admit(grid, measure.count, max(map(_power, entries)))
+    # the grid admitted the most factors and bands a run keeps; the run
+    # keeps those of A and its A + C, and adds its atom side
+    _admit(grid, measure.count, max(map(_power, entries)), len(factored))
 
     # null asks for the default, as an absent key does
     given = {key: value for key, value in cfg.get("analysis", {}).items()
@@ -542,16 +545,18 @@ def _task_weyl_check(ctx, entry, out_dir):
     return summary, outputs
 
 
-# the task table, keyed by ``name``: each task's function, whether it
-# needs V2, and the (required, optional) tables of its options
-Task = namedtuple("Task", "run needs_v2 required optional")
+# the task table, keyed by ``name``: each task's function, the weights
+# whose A + C it factors (a task that factors V2's needs V2), and the
+# (required, optional) tables of its options
+Task = namedtuple("Task", "run factors required optional")
 TASKS = {
-    "resolvent_diff": Task(_task_resolvent_diff, False, {}, {}),
-    "two_weight_diff": Task(_task_two_weight_diff, True, {}, {}),
-    "power_diff": Task(_task_power_diff, False, {}, {"m": (int, [()], 2, 4)}),
-    "krein_feller": Task(_task_krein_feller, False, {}, {}),
-    "robin_diff": Task(_task_robin_diff, True, {}, {}),
-    "weyl_check": Task(_task_weyl_check, True, {}, {}),
+    "resolvent_diff": Task(_task_resolvent_diff, ("V1",), {}, {}),
+    "two_weight_diff": Task(_task_two_weight_diff, ("V1", "V2"), {}, {}),
+    "power_diff": Task(_task_power_diff, ("V1",), {},
+                       {"m": (int, [()], 2, 4)}),
+    "krein_feller": Task(_task_krein_feller, (), {}, {}),
+    "robin_diff": Task(_task_robin_diff, ("V1", "V2"), {}, {}),
+    "weyl_check": Task(_task_weyl_check, ("V1", "V2"), {}, {}),
 }
 TASK_NAMES = tuple(TASKS)
 

@@ -119,41 +119,48 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def held_bytes(grid: Grid, atoms: int = 0, power: int = 1) -> int:
+def held_bytes(grid: Grid, atoms: int = 0, power: int = 1,
+               perturbed: int = 2) -> int:
     """Bound on the bytes of dense arrays a run on ``grid`` holds at once,
-    with ``atoms`` atoms and inverse powers up to ``power``; Python
-    integers throughout, so no shape wraps around or overflows.
+    with ``atoms`` atoms, inverse powers up to ``power`` and ``perturbed``
+    operators A + C factored (one per weight a task solves with; two at
+    most); Python integers throughout, so no shape wraps around or
+    overflows.
 
     With N nodes, S the sum of the axis strides (no operator on the grid
     is wider: not A with its cross terms, not a measure's coupling, whose
     atoms reach the far corner of their cell) and b = ``_block_size(S)``,
-    a run keeps the block LDL' factor of A and of each weight's A + C,
-    16 ceil(N / b) b^2 bytes each, and five bands of at most S + 1 rows,
-    8 (S + 1) N bytes each: A, the two couplings C and the two A + C.
-    With atoms, the atom side adds what a report holds at its peak,
-    ``ROW_ARRAYS`` arrays of N rows and ``CORE_ARRAYS`` cores, all at most
-    r = min(power * atoms, N) wide (counted next to
+    a run keeps the block LDL' factor of A and of each A + C,
+    16 ceil(N / b) b^2 bytes each, and the band of each, of at most S + 1
+    rows, 8 (S + 1) N bytes (a coupling's band is freed once its A + C is
+    formed). With atoms, the atom side adds what a report holds at its
+    peak, ``ROW_ARRAYS`` arrays of N rows and ``CORE_ARRAYS`` cores, all
+    at most r = min(power * atoms, N) wide, and ``CHUNK_ARRAYS`` arrays of
+    N rows and min(atoms, N, ``_CHUNK_COLUMNS``) columns (counted next to
     ``birman_schwinger._AtomSide``).
     """
     n = math.prod(grid.shape)
     stride = sum(math.prod(grid.shape[axis + 1:])
                  for axis in range(len(grid.shape)))
     b = _block_size(stride)
-    held = 3 * 16 * -(-n // b) * b * b + 5 * 8 * (stride + 1) * n
+    held = (1 + perturbed) * (16 * -(-n // b) * b * b + 8 * (stride + 1) * n)
     if atoms:
         # imported here: birman_schwinger builds on this module
-        from .birman_schwinger import CORE_ARRAYS, ROW_ARRAYS
+        from .birman_schwinger import CHUNK_ARRAYS, CORE_ARRAYS, ROW_ARRAYS
 
         r = min(power * atoms, n)
-        held += 8 * r * (ROW_ARRAYS * n + CORE_ARRAYS * r)
+        chunk = min(atoms, n, _CHUNK_COLUMNS)
+        held += 8 * (r * (ROW_ARRAYS * n + CORE_ARRAYS * r)
+                     + CHUNK_ARRAYS * chunk * n)
     return held
 
 
-def _admit(grid: Grid, atoms: int = 0, power: int = 1) -> None:
-    """Raise ValidationError when a run on ``grid`` with ``atoms`` atoms
-    and powers up to ``power`` would hold more than ``HELD_BYTES_BOUND``
-    bytes by :func:`held_bytes`."""
-    held = held_bytes(grid, atoms, power)
+def _admit(grid: Grid, atoms: int = 0, power: int = 1,
+           perturbed: int = 2) -> None:
+    """Raise ValidationError when a run on ``grid`` with ``atoms`` atoms,
+    powers up to ``power`` and ``perturbed`` operators A + C would hold
+    more than ``HELD_BYTES_BOUND`` bytes by :func:`held_bytes`."""
+    held = held_bytes(grid, atoms, power, perturbed)
     if held > HELD_BYTES_BOUND:
         what = f", {atoms} atoms and powers up to {power}" if atoms else ""
         raise ValidationError(
@@ -354,6 +361,21 @@ def _block_size(halfwidth: int) -> int:
     least the half-bandwidth, so the blocks are tridiagonal, and at least
     16, so that small bands still make blocks worth a BLAS call."""
     return max(halfwidth, 16)
+
+
+# The widest column chunk the atom side solves and sweeps at once (see
+# ``birman_schwinger._AtomSide``). It is a width in columns, not bytes,
+# since each chunk pays a pass over the whole factor and, in 1D, the
+# solve's Python loop over the blocks: with 4096 nodes and 256 Cantor
+# atoms G takes 5.2 ms whole, 6.2 ms in 128-column chunks and 8.5 ms in
+# 64-column ones, and on a 257 x 257 grid a 256-column solve costs about
+# 20 % more in 128-column chunks and 40 % more in 64-column ones. Yet
+# the 257 x 257 weyl_check run takes 6.7 s in 64-column chunks and 6.9 s
+# in 128-column ones against 6.8 s whole (medians of five on the 2-core
+# reference host), while a 64-column chunk keeps the core of the Cantor
+# atoms at 2.9 MiB of traced memory against 5.3 MiB for 128 columns,
+# whose one chunk is already half of X
+_CHUNK_COLUMNS = 64
 
 
 def _blocks(band: np.ndarray):

@@ -25,7 +25,7 @@ difference two ways, as r x r cores on Q:
   sum_j (Q'Y^P_j) (D_M - D_P) (Q'Y^M_(m+1-j))' with Y_j = (A + C_i)^(-j)
   gamma', j <= m, and D = 0 for A: one sweep forms the chain of every
   operator, solving the k columns of gamma' m times for an A + C_i and
-  m - 1 times from X for A, and never Q.
+  m - 1 times from X for A, a chunk of columns at a time, and never Q.
 
 ``resolvent_difference`` is the two-weight difference against the zero
 weight, whose side is A itself, and ``power_difference`` telescopes its

@@ -10,11 +10,13 @@ from deltaspec import (
     DiscreteMeasure,
     Grid,
     Perturbation,
+    Similitude,
     ValidationError,
     assemble_neumann,
     bs_atom_gram,
     bs_operator,
     boundary_measure,
+    ifs_measure,
     positivity_margin,
     restriction_matrix,
     segment_measure,
@@ -451,6 +453,123 @@ def test_basis_grows_its_blocks_in_one_array():
         tracemalloc.stop()
     assert q.shape == (a.size, 111)
     assert peak <= 2.2 * q.nbytes
+
+
+def test_core_on_the_cantor_restriction_forms_no_whole_x():
+    # cantor-kf's operator, 4096 nodes and the 256 atoms of the depth-8
+    # Cantor measure, factored beforehand: the core solves gamma' in
+    # column chunks and never forms X, so its traced peak stays below half
+    # of X's 8 N k bytes
+    g = Grid(np.array([[0.0, 1.0]]), (4096,))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 1, t=1.0))
+    third = 1.0 / 3.0
+    cantor = ifs_measure([Similitude(third, np.eye(1), np.zeros(1)),
+                          Similitude(third, np.eye(1), np.array([2 * third]))],
+                         depth=8)
+    t_op = bs_operator(a, restriction_matrix(g, cantor),
+                       Perturbation.constant(cantor, 1.0))
+    a.solve(np.zeros(a.size))
+    tracemalloc.start()
+    try:
+        t_op.core
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.size * cantor.count / 2
+    assert "x" not in vars(a._atom_side)
+
+
+def _whole_sweep(side, t_op, m):
+    # the chain Q'Y_j, A's gamma Y_j (j >= 2) and the span gap of
+    # _AtomSide.sweep, from whole N x k arrays
+    op = side._a() if t_op is None else t_op.perturbed
+    q, y = side.basis(m), side.restriction.adjoint()
+    chain, images, gap = [], [], 0.0
+    for j in range(m):
+        y = op.solve(y)
+        if j and t_op is None:
+            images.append(side.restriction.apply(y))
+        chain.append(q.T @ y)
+        if t_op is not None:
+            gap = max(gap, float(np.linalg.norm(q @ chain[-1] - y))
+                      / float(np.linalg.norm(y)))
+    return chain, images, gap
+
+
+def _relative(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("width", [None, 7], ids=["one_chunk", "narrow"])
+@pytest.mark.parametrize("case", ["1d", "2d", "3d"])
+def test_chunked_g_and_sweeps_match_the_whole_arrays(monkeypatch, case,
+                                                     width):
+    # G and the sweeps of A and of an A + C at m = 3 against the whole
+    # arrays: bit for bit when one chunk covers every atom, and to
+    # rounding in chunks of 7 columns, the last one short, where G comes
+    # from fresh solves
+    if width:
+        monkeypatch.setattr(birman_schwinger, "_CHUNK_COLUMNS", width)
+    a, gam, m = _side_setup(case)
+    t_op = bs_operator(a, gam, _signed(m, 5))
+    side = birman_schwinger._atom_side_of(a, gam)
+    if width:
+        assert len(side._chunks()) > 1 and m.count % width
+
+        def same(got, want):
+            return _relative(got, want) <= 1e-14 if np.ndim(got) else (
+                abs(got - want) <= 1e-14)
+    else:
+        assert len(side._chunks()) == 1
+
+        def same(got, want):
+            return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    g = birman_schwinger._sym(gam.apply(a.solve(gam.adjoint())))
+    assert same(side.g, g)
+    assert ("x" in vars(side)) == (width is None)
+    for owner in (None, t_op):
+        got, want = side.sweep(owner, 3), _whole_sweep(side, owner, 3)
+        for got_part, want_part in zip(got[0] + got[1] + [got[2]],
+                                       want[0] + want[1] + [want[2]],
+                                       strict=True):
+            assert same(got_part, want_part)
+
+
+def test_chunks_on_the_box_agree_with_the_whole_arrays():
+    # the 17^3 box boundary, 1538 atoms in 25 chunks: G from fresh solves
+    # and the sweep of an A + C at m = 1 agree with the whole arrays to
+    # rounding
+    g = Grid(np.array([[0.0, 1.0]] * 3), (17, 17, 17))
+    a = assemble_neumann(g, CoefficientField.isotropic(1.0, 3, t=1.0))
+    bnd = boundary_measure(g)
+    gam = restriction_matrix(g, bnd)
+    assert bnd.count == 1538
+    t_op = bs_operator(a, gam, Perturbation.constant(bnd, 1.0))
+    side = birman_schwinger._atom_side_of(a, gam)
+    streamed = side.g
+    assert "x" not in vars(side)
+    x = a.solve(gam.adjoint())
+    assert _relative(streamed, birman_schwinger._sym(gam.apply(x))) <= 1e-14
+    del x
+    (chain,), _, gap = side.sweep(t_op, 1)
+    (want,), _, want_gap = _whole_sweep(side, t_op, 1)
+    assert _relative(chain, want) <= 1e-14
+    assert abs(gap - want_gap) <= 1e-14
+
+
+def test_a_coupling_band_is_formed_on_each_access():
+    # the weight keeps no band of C: each access forms it, and A + C is
+    # A's band plus one such band
+    a, gam, m = _side_setup("2d")
+    t_op = bs_operator(a, gam, _signed(m, 5))
+    band = t_op.band
+    assert t_op.band is not band
+    assert np.array_equal(t_op.band, birman_schwinger.coupling_band(
+        gam, t_op.perturbation))
+    want = np.zeros((max(len(band), len(a.band)), a.size))
+    want[:len(a.band)] += a.band
+    want[:len(band)] += band
+    assert np.array_equal(t_op.perturbed.band, want)
 
 
 @pytest.mark.parametrize("case", ["box", "segment"])

@@ -314,6 +314,22 @@ def test_size_rule_admits(cfg):
     cli.validate_config(cfg)
 
 
+@pytest.mark.parametrize("tasks, admitted", [
+    (["krein_feller"], True),
+    (["resolvent_diff"], True),
+    (["krein_feller", "two_weight_diff"], False),
+])
+def test_size_rule_counts_the_operators_the_tasks_factor(tasks, admitted):
+    # 257 x 257 with a 3000-atom segment fits beside the factor and band
+    # of A and one A + C, not beside two A + C; checked only
+    cfg = weyl_segment_config(257, count=3000, tasks=tasks)
+    if admitted:
+        cli.validate_config(cfg)
+    else:
+        with pytest.raises(ValidationError, match="would hold"):
+            cli.validate_config(cfg)
+
+
 @pytest.mark.parametrize("cfg", [
     base_config(domain={"bbox": [[0.0, 1.0]] * 3, "shape": [41, 41, 41]},
                 measure={"kind": "segment", "start": [0.2, 0.5, 0.5],
@@ -340,15 +356,17 @@ def test_size_rule_refuses_before_any_output(tmp_path, capsys, cfg):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cfg", [
-    weyl_segment_config(65, tasks=["two_weight_diff"]),
-    robin_box3d_config(17),
-], ids=["65x65_segment", "17x17x17_robin"])
-def test_held_bytes_bound_the_traced_peak_of_a_run(tmp_path, cfg):
-    # the size rule's bytes are at least the tracemalloc peak of the run
-    # they admit, and at most twice it
+@pytest.mark.parametrize("cfg, perturbed", [
+    (weyl_segment_config(65, tasks=["two_weight_diff"]), 2),
+    (robin_box3d_config(17), 2),
+    (weyl_segment_config(65, tasks=["krein_feller"]), 0),
+], ids=["65x65_segment", "17x17x17_robin", "65x65_krein_feller"])
+def test_held_bytes_bound_the_traced_peak_of_a_run(tmp_path, cfg, perturbed):
+    # the size rule's bytes, with the A + C its tasks factor, are at least
+    # the tracemalloc peak of the run they admit, and at most twice it
     inputs = cli.validate_config(cfg)
-    held = elliptic.held_bytes(inputs["grid"], inputs["measure"].count)
+    held = elliptic.held_bytes(inputs["grid"], inputs["measure"].count,
+                               perturbed=perturbed)
     path = write_config(tmp_path, cfg)
     tracemalloc.start()
     try:

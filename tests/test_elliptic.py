@@ -195,17 +195,24 @@ def test_grid_size_rule():
 
 
 def test_held_bytes_counts_factors_bands_and_atom_side():
-    # 3 factors of 16 nb b^2 bytes and 5 bands of 8 (S + 1) N bytes, S the
-    # sum of the strides; the atom side adds N-row arrays and cores of
-    # width r = min(m k, N)
+    # a factor of 16 nb b^2 bytes and a band of 8 (S + 1) N bytes, S the
+    # sum of the strides, for A and each A + C (two unless fewer are
+    # factored); the atom side adds N-row arrays and cores of width
+    # r = min(m k, N), and N-row arrays of one chunk, min(k, N, chunk) wide
     g = Grid(np.array([[0.0, 1.0]] * 2), (65, 65))
     n, s, b, nb = 65 * 65, 66, 66, 65
-    base = 3 * 16 * nb * b * b + 5 * 8 * (s + 1) * n
-    assert elliptic.held_bytes(g) == base
-    for k, m, r in [(64, 1, 64), (64, 3, 192), (5000, 1, n), (64, 100, n)]:
-        assert elliptic.held_bytes(g, k, m) == base + 8 * r * (
-            birman_schwinger.ROW_ARRAYS * n
-            + birman_schwinger.CORE_ARRAYS * r)
+    each = 16 * nb * b * b + 8 * (s + 1) * n
+    assert elliptic.held_bytes(g) == 3 * each
+    for perturbed in (0, 1, 2):
+        assert elliptic.held_bytes(g, perturbed=perturbed) == (
+            (1 + perturbed) * each)
+    chunk = elliptic._CHUNK_COLUMNS
+    for k, m, r, c in [(64, 1, 64, 64), (64, 3, 192, 64),
+                       (5000, 1, n, chunk), (64, 100, n, 64)]:
+        assert elliptic.held_bytes(g, k, m) == 3 * each + 8 * (
+            r * (birman_schwinger.ROW_ARRAYS * n
+                 + birman_schwinger.CORE_ARRAYS * r)
+            + birman_schwinger.CHUNK_ARRAYS * c * n)
 
 
 UNIT, EYE2 = [[0.0, 1.0]], np.eye(2)

@@ -457,7 +457,8 @@ def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
     # second draw no report solves with A (pd m runs its identity path on
     # the atoms), pd m makes the m solves of gamma' of its sweep of
     # A + C1, and tw solves only with A + C2, since rd's sweep of A + C1
-    # at m = 1 is kept on the weight
+    # at m = 1 is kept on the weight; on the node basis a sweep continues
+    # from the longest kept one, so pd2 and pd3 each add one solve
     solved = _solves_by_operator(monkeypatch)
     a, *first = _cross_setup(case, signed=True)
     _four_reports(a, *first, order=("rd", "tw", "pd2", "pd3"))
@@ -466,6 +467,8 @@ def test_a_second_draw_solves_only_with_its_weights(monkeypatch, case):
              id(t2.perturbed): "A + C2"}
     want = {"rd": {"A + C1": 1}, "tw": {"A + C2": 1},
             "pd2": {"A + C1": 2}, "pd3": {"A + C1": 3}}
+    if case == "1d-nodes":
+        want["pd2"] = want["pd3"] = {"A + C1": 1}
     for name in ("rd", "tw", "pd2", "pd3"):
         solved.clear()
         _four_reports(a, t1, t2, order=(name,))
@@ -484,7 +487,8 @@ def test_power_identity_path_on_the_atoms_matches_the_telescoping(case, m):
     side, (s,) = resolvents._atom_side(a, -np.inf, t1)
     q = side.basis(m)
     mm = resolvents._woodbury(side.g, s)
-    x = a.solve(side.adjoint())
+    x = a.solve(np.eye(a.size) if side.nodes
+                else side.restriction.adjoint())
     powers = [q]
     for _ in range(m):
         powers.append(a.solve(powers[-1]))
@@ -583,11 +587,29 @@ def test_node_basis_power_reads_a_prefix_of_the_longest_chain(monkeypatch):
     for owner in (a._atom_side, t1):
         assert list(owner._sweeps) == [4]
 
+
+def test_node_basis_power_continues_from_the_longest_chain(monkeypatch):
+    # after pd2, pd4 continues A's and A + C1's chains of m = 2: two solves
+    # with each, and the bytes of a cold pd4
+    solved = _solves_by_operator(monkeypatch)
+    a, t1, t2 = _cross_setup("1d-nodes", signed=True)
+    power_difference(a, t1, 2)
+    solved.clear()
+    rep = power_difference(a, t1, 4)
+    names = {id(a): "A", id(t1.perturbed): "A + C1"}
+    assert Counter(names[id(op)] for op in solved) == {"A": 2, "A + C1": 2}
+    _assert_same_bytes(rep, _four_reports(*_cross_setup("1d-nodes", True),
+                                          order=("pd4",))["pd4"])
+    for owner in (a._atom_side, t1):
+        assert list(owner._sweeps) == [4]
+
+
 def _four_reports(a, t1, t2, order=("rd", "tw", "pd3", "pd2")):
     calls = {"rd": lambda: resolvent_difference(a, t1),
              "tw": lambda: two_weight_difference(a, t1, t2),
              "pd2": lambda: power_difference(a, t1, 2),
-             "pd3": lambda: power_difference(a, t1, 3)}
+             "pd3": lambda: power_difference(a, t1, 3),
+             "pd4": lambda: power_difference(a, t1, 4)}
     return {name: calls[name]() for name in order}
 
 
